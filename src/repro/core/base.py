@@ -14,10 +14,15 @@ handles waiting, re-evaluation on state changes, the lock table, and
 statistics.  Every policy computation consumes control-node CPU per the
 paper's Table 1 costs, so concurrency control itself loads the machine.
 
-Re-submission of blocked/delayed requests is event-driven (any grant,
-commit or abort wakes all waiters) with the configurable
-``retry_delay_ms`` as a fallback, implementing the paper's "aborted or
-delayed lock-requests are submitted ... after some delay".
+Re-submission of blocked/delayed requests is event-driven: a commit or
+abort wakes every delayed request and the waiters of each released file.
+A DELAY verdict of the paper's policies can also turn into a GRANT when
+*another* request is granted (a GOW/LOW grant re-orients the WTPG), and
+grants wake nobody, so those DELAYs also re-poll every ``retry_delay_ms``
+-- the paper's "aborted or delayed lock-requests are submitted ... after
+some delay".  Policies whose DELAY verdicts change only at points they
+notify (the admission-order family in :mod:`repro.schedulers.modern`)
+clear :attr:`Scheduler.delay_fallback` and never poll.
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ class Scheduler(abc.ABC):
 
     #: short name used in result tables ("GOW", "LOW", ...)
     name: str = "base"
+    #: whether DELAYed requests also re-poll every ``retry_delay_ms``
+    #: (see the module docstring); a property of the grant rule, so it
+    #: is fixed per policy class rather than configured
+    delay_fallback: bool = True
 
     def __init__(
         self,
@@ -123,8 +132,9 @@ class Scheduler(abc.ABC):
                 )
             # Admissibility (free locks, chain shape, conflict counts) can
             # only improve when a transaction leaves: wake on commit.
-            yield from self._wait_for_commit(
-                fallback=False, priority=txn.arrival_time
+            yield from self._wait_on(
+                self.env.event(), self._admission_waiters(), False,
+                txn.arrival_time,
             )
 
     def acquire(self, txn: BatchTransaction, file_id: int) -> typing.Generator:
@@ -351,17 +361,22 @@ class Scheduler(abc.ABC):
         except ValueError:
             pass
 
-    def _wait_for_commit(
-        self, fallback: bool = True, priority: float = 0.0
-    ) -> typing.Generator:
-        """Sleep until some transaction commits/aborts.
+    def _admission_waiters(self) -> typing.List[typing.Tuple[float, Event]]:
+        """The pool a rejected admission parks on (default: the
+        every-commit pool).  Admission waits never poll: admissibility
+        only improves when a transaction leaves, which always notifies."""
+        return self._commit_waiters
 
-        Delayed requests keep the retry-delay fallback (their grantability
-        can also change on grants, which do not wake anyone); admission
-        waits don't need it.
+    def _wait_for_commit(self, priority: float = 0.0) -> typing.Generator:
+        """Sleep until some transaction commits/aborts (DELAYed requests).
+
+        With :attr:`delay_fallback` set the request also re-polls every
+        ``retry_delay_ms``: a paper policy's DELAY can turn into a GRANT
+        on another transaction's grant, which wakes nobody.
         """
         yield from self._wait_on(
-            self.env.event(), self._commit_waiters, fallback, priority
+            self.env.event(), self._commit_waiters, self.delay_fallback,
+            priority,
         )
 
     def _wait_for_file(
@@ -381,6 +396,11 @@ class Scheduler(abc.ABC):
         waiters, self._commit_waiters = self._commit_waiters, []
         for file_id in released_files:
             waiters.extend(self._file_waiters.pop(file_id, ()))
+        self._wake(waiters)
+
+    @staticmethod
+    def _wake(waiters: typing.List[typing.Tuple[float, Event]]) -> None:
+        """Fire each parked event, oldest transaction first."""
         waiters.sort(key=lambda entry: entry[0])
         for _priority, event in waiters:
             if not event.triggered:

@@ -44,6 +44,9 @@ class Environment:
         self._queue: typing.List[typing.Tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: typing.Optional[Process] = None
+        #: processes whose generator has not finished, in start order
+        #: (kept so :meth:`close` can reach the ones still parked)
+        self._processes: typing.Dict[Process, None] = {}
         #: when True, exceptions escaping a process propagate out of run()
         self.strict = strict
         #: the trace sink every model component checks before emitting;
@@ -149,6 +152,22 @@ class Environment:
         event._processed = True
         for callback in callbacks:
             callback(event)
+
+    def close(self) -> None:
+        """Tear down a finished run.
+
+        Each process still parked holds a reference cycle (its generator
+        frame refers to the event it waits on, whose callback refers
+        back to the process), so without this the run's whole object
+        graph waits for a full cyclic collection.  Closing every parked
+        generator and dropping the pending events lets reference
+        counting free it at once.  The environment cannot run on.
+        """
+        processes, self._processes = self._processes, {}
+        for process in processes:
+            process._target = None
+            process.generator.close()
+        self._queue.clear()
 
     # -- run loop ------------------------------------------------------------
 

@@ -37,6 +37,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         #: the event this process is currently waiting on (None when ready)
         self._target: typing.Optional[Event] = None
+        env._processes[self] = None
 
         # Kick the process off via an immediately-firing bootstrap event.
         bootstrap = Event(env)
@@ -83,11 +84,13 @@ class Process(Event):
         except StopIteration as stop:
             self._target = None
             env._active_process = None
+            env._processes.pop(self, None)
             self.succeed(stop.value)
             return
         except BaseException as exc:
             self._target = None
             env._active_process = None
+            env._processes.pop(self, None)
             if env.strict:
                 raise
             self.fail(exc)

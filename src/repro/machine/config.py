@@ -54,9 +54,10 @@ class MachineConfig:
     toptime_ms: float = 5.0
     obj_time_ms: float = 1000.0
 
-    #: delay before an aborted/delayed request is re-submitted when no
-    #: wake-up event (release/commit) arrives first; the paper only says
-    #: "after some delay".
+    #: delay before a DELAYed request of a paper scheduler is
+    #: re-submitted when no wake-up (commit/abort) arrives first; the
+    #: paper only says "after some delay".  The admission-order family
+    #: (DGCC, CAR, PRED) wakes exactly and never reads it.
     retry_delay_ms: float = 100.0
 
     def __post_init__(self) -> None:

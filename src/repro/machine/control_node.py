@@ -55,7 +55,7 @@ class ControlNode:
         cpu = self.cpu
         # explicit request/release (not ``with``): this generator runs
         # once per modelled CPU slice, and the context-manager protocol
-        # adds two calls per slice for the same try/finally
+        # adds two calls per slice
         req = cpu.request()
         try:
             yield req
@@ -73,8 +73,14 @@ class ControlNode:
                 trace.emit(env.now, "cn.exec_end", category=category)
             if not cpu._waiting:
                 busy.update(env.now, 0.0)
-        finally:
+        except GeneratorExit:
+            # the run ended mid-slice and is closing its processes
+            # (Environment.close): hand the CPU to nobody
+            raise
+        except BaseException:
             cpu.release(req)
+            raise
+        cpu.release(req)
 
     def send_message(self) -> typing.Generator:
         """CPU work for sending one message (plus wire delay if any)."""

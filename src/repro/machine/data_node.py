@@ -110,7 +110,7 @@ class DataProcessingNode:
             # zero-cost cohorts complete immediately (cost-0 steps exist in
             # workloads where a declared demand rounds to zero)
             if not cohort.done.triggered:
-                cohort.done.succeed(cohort)
+                cohort.done.succeed()
             return cohort.done
         self._ring.append(cohort)
         self.queue.update(self.env.now, len(self._ring))
@@ -184,7 +184,9 @@ class DataProcessingNode:
                 cohort.scanned = cohort.objects
                 done = cohort.done
                 if not done._triggered:
-                    done.succeed(cohort)
+                    # no value: cohort -> done -> cohort would be a
+                    # reference cycle left for the cyclic collector
+                    done.succeed()
             else:
                 ring.append(cohort)
             depth = len(ring)

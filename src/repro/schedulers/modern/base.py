@@ -21,6 +21,17 @@ Why the rule is safe:
   order, so every history is conflict-equivalent to the serial history
   in admission order.  The :class:`~repro.sim.audit.SerializabilityAuditor`
   double-checks this claim empirically on every audited run.
+
+Exact wake-ups.  A DELAY verdict of this family depends only on the live
+set, the admission order and (CAR only) queue membership.  A grant
+changes none of them, and an admission adds only a later-ordered member,
+which can delay nobody already waiting.  So a DELAYed request parks with
+no ``retry_delay_ms`` fallback and is woken exactly when its verdict can
+change: at commit and abort (``_leave`` notifies) and at a CAR
+re-partition that moved someone.  No wake-up can be lost: every
+``_try_*`` charges its CN time first and decides after it, and the
+caller then parks with no yield in between, so any state change after
+the decision finds the request already parked.
 """
 
 from __future__ import annotations
@@ -34,6 +45,9 @@ from repro.txn.transaction import BatchTransaction
 
 class DeclaredOrderScheduler(Scheduler):
     """Scheduler base that tracks live declarations in admission order."""
+
+    #: DELAYs are woken exactly (module docstring): no polling
+    delay_fallback = False
 
     def __init__(self, *args: typing.Any, **kwargs: typing.Any) -> None:
         super().__init__(*args, **kwargs)

@@ -14,7 +14,9 @@ natural evolution of the WTPG family:
   it holds ``batch_size`` members; a full batch *seals* and later
   arrivals wait until every member has committed, at which point the
   next epoch opens.  (An unfilled batch keeps admitting, so light loads
-  never stall waiting for a quorum.)
+  never stall waiting for a quorum.)  A rejected admission parks on the
+  *epoch pool*, which only the drain wakes: the commits inside an epoch
+  cannot change its verdict.
 - **Graph construction.**  Admission records the newcomer's declared
   access set in per-file declaration queues; the dependency order
   within the batch is the admission order.  The conflict graph over the
@@ -39,6 +41,7 @@ from __future__ import annotations
 import typing
 
 from repro.core.base import Decision
+from repro.des import Event
 from repro.obs.timeseries import gauge, size_hist
 from repro.schedulers.modern.base import DeclaredOrderScheduler
 from repro.txn.step import AccessMode
@@ -64,6 +67,8 @@ class DGCCScheduler(DeclaredOrderScheduler):
         self._sealed = False
         #: completed epochs (batches fully committed)
         self._epoch = 0
+        #: admissions rejected by the sealed batch, woken at its drain
+        self._epoch_waiters: typing.List[typing.Tuple[float, Event]] = []
 
     # -- admission: batch formation ---------------------------------------
 
@@ -98,11 +103,16 @@ class DGCCScheduler(DeclaredOrderScheduler):
         self._grant_lock(txn, file_id, mode)
         return Decision.GRANT
 
+    def _admission_waiters(self) -> typing.List[typing.Tuple[float, Event]]:
+        return self._epoch_waiters
+
     def _on_commit(self, txn: BatchTransaction) -> typing.Generator:
         yield from super()._on_commit(txn)
         if not self._live:
             self._sealed = False  # the epoch drained; the next one may open
             self._epoch += 1
+            waiters, self._epoch_waiters = self._epoch_waiters, []
+            self._wake(waiters)
 
     # -- the dependency graphs --------------------------------------------
 
@@ -151,6 +161,11 @@ class DGCCScheduler(DeclaredOrderScheduler):
         probes["sched.dgcc_components"] = {
             "probe": gauge(lambda: len(self.dependency_components())),
             "unit": "graphs",
+            "hist": size_hist(),
+        }
+        probes["sched.dgcc_backlog"] = {
+            "probe": gauge(lambda: len(self._epoch_waiters)),
+            "unit": "txn",
             "hist": size_hist(),
         }
         probes["sched.dgcc_epochs.cum"] = {

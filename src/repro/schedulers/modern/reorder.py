@@ -21,7 +21,9 @@ Transplanted onto the paper's machine model:
   evidence the partition has gone stale.  After ``repartition_after``
   of them, all *not-yet-started* transactions are redistributed with the
   same greedy rule, in admission order (started transactions keep their
-  locks and are left alone, so re-partition is always safe).
+  locks and are left alone, so re-partition is always safe).  A
+  re-partition that moved anyone wakes the DELAYed requests: a move is
+  the one verdict change that is neither a commit nor an abort.
 
 Conflicts are still resolved by the admission-order grant rule
 (:class:`~repro.schedulers.modern.base.DeclaredOrderScheduler`), so the
@@ -157,6 +159,10 @@ class ConflictReorderScheduler(DeclaredOrderScheduler):
             self._queue_of[txn_id] = queue
             if queue != before[txn_id]:
                 moved += 1
+        if moved:
+            # the queue gate may have opened for a moved transaction or
+            # for one that was queued behind it
+            self._notify_commit(())
         if self._trace.enabled:
             self._trace.emit(
                 self.env.now,

@@ -138,8 +138,11 @@ class Simulation:
         self.env.process(self._arrivals(), name="arrivals")
         if self.warmup_ms > 0:
             self.env.process(self._warmup_reset(), name="warmup")
-        self.env.run(until=self.duration_ms)
-        return self._result()
+        try:
+            self.env.run(until=self.duration_ms)
+            return self._result()
+        finally:
+            self.env.close()
 
     # -- processes ------------------------------------------------------------------
 
