@@ -188,11 +188,16 @@ class Condition(Event):
         if self._triggered:
             return
         if not event.ok:
+            self._events = []
             self.fail(typing.cast(BaseException, event.value))
             return
         self._fired_count += 1
         if self._evaluate(self._events, self._fired_count):
             fired = [e for e in self._events if e.triggered and e.ok]
+            # decided: a sub-event still pending (the losing side of an
+            # AnyOf) keeps this condition in its callbacks, so holding
+            # it back would make a cycle only the cyclic collector frees
+            self._events = []
             self.succeed(ConditionValue(fired))
 
 

@@ -6,6 +6,11 @@ resident cohorts in a round-robin manner, the service quantum being the
 scan of 1/DD object (so a quantum lasts ``obj_time / DD`` ms).  The only
 DPN cost is I/O (``ObjTime`` per object); cohort-initiation control
 overhead is ignored, as in the paper.
+
+Service is driven by event callbacks, not a process: each quantum is
+one :class:`~repro.des.Timeout` whose callback books the scan and starts
+the next.  A step's cohorts share one :class:`Completion` (docs/MODEL.md
+states the completion-order rule it keeps).
 """
 
 from __future__ import annotations
@@ -16,10 +21,40 @@ import typing
 
 from repro.des import Environment, Event, Timeout
 from repro.des.monitor import TimeWeighted
-from repro.obs.profile import profiled
+from repro.obs.profile import profiled_call
 
 #: tolerance when deciding a cohort has scanned all its objects
 _EPSILON = 1e-9
+
+
+class Completion(Event):
+    """Fires once ``cohorts`` cohorts have finished their scans.
+
+    With ``relay`` (a step's cohorts) it fires one hop after the last
+    one finishes -- where that cohort's own event and an ``AllOf`` over
+    the step's cohorts would fire -- so same-instant ties resolve alike.
+    """
+
+    __slots__ = ("_pending", "_relay")
+
+    def __init__(
+        self, env: Environment, cohorts: int = 1, relay: bool = False
+    ) -> None:
+        super().__init__(env)
+        self._pending = cohorts
+        self._relay = relay
+
+    def count_down(self) -> None:
+        """Book one finished cohort."""
+        self._pending -= 1
+        if self._pending:
+            return
+        if not self._relay:
+            self.succeed()
+            return
+        relay = Event(self.env)
+        relay.callbacks.append(lambda _relay: self.succeed())
+        relay.succeed()
 
 
 class Cohort:
@@ -47,6 +82,7 @@ class Cohort:
         node_id: int,
         objects: float,
         quantum_objects: float,
+        done: typing.Optional[Completion] = None,
     ) -> None:
         if objects < 0:
             raise ValueError(f"cohort objects must be >= 0, got {objects}")
@@ -60,8 +96,9 @@ class Cohort:
         self.objects = objects
         self.scanned = 0.0
         self.quantum_objects = quantum_objects
-        #: fires when the cohort's whole scan is complete
-        self.done: Event = env.event()
+        #: fires when the cohort's whole scan is complete; a step's
+        #: cohorts share the step's completion, which fires once all are
+        self.done = Completion(env) if done is None else done
 
     @property
     def remaining(self) -> float:
@@ -89,14 +126,24 @@ class DataProcessingNode:
         self.node_id = node_id
         self.obj_time_ms = obj_time_ms
         self._trace = env.trace
+        #: cohorts waiting for a quantum (not the one in service)
         self._ring: typing.Deque[Cohort] = collections.deque()
-        self._arrival: Event = env.event()
+        #: the cohort in its quantum, and that quantum's size in objects
+        self._serving: typing.Optional[Cohort] = None
+        self._quantum = 0.0
+        #: no quantum in flight and no start pending
+        self._idle = True
         self.busy = TimeWeighted(env.now, 0.0, name=f"dpn{node_id}.busy")
         self.queue = TimeWeighted(env.now, 0.0, name=f"dpn{node_id}.queue")
-        serve = self._serve()
         if env.profile.enabled:
-            serve = profiled(serve, env.profile, "machine.scan")
-        self._process = env.process(serve, name=f"dpn-{node_id}")
+            # the instance attributes shadow the methods, so every
+            # service callback is attributed to the phase
+            self._start = profiled_call(
+                self._start, env.profile, "machine.scan"
+            )
+            self._end_quantum = profiled_call(
+                self._end_quantum, env.profile, "machine.scan"
+            )
 
     # -- public interface ----------------------------------------------------
 
@@ -109,8 +156,7 @@ class DataProcessingNode:
         if cohort.finished:
             # zero-cost cohorts complete immediately (cost-0 steps exist in
             # workloads where a declared demand rounds to zero)
-            if not cohort.done.triggered:
-                cohort.done.succeed()
+            cohort.done.count_down()
             return cohort.done
         self._ring.append(cohort)
         self.queue.update(self.env.now, len(self._ring))
@@ -119,8 +165,14 @@ class DataProcessingNode:
                 self.env.now, "node.queue",
                 node=self.node_id, depth=len(self._ring),
             )
-        if not self._arrival.triggered:
-            self._arrival.succeed()
+        if self._idle:
+            # start from a same-instant event, not inline: whatever else
+            # happens at this instant (more submissions, a LOW-LB backlog
+            # read) sees the ring before the first quantum takes a cohort
+            self._idle = False
+            start = Event(self.env)
+            start.callbacks.append(self._start)
+            start.succeed()
         return cohort.done
 
     @property
@@ -143,56 +195,54 @@ class DataProcessingNode:
         self.busy.reset(self.env.now)
         self.queue.reset(self.env.now)
 
-    # -- service loop ----------------------------------------------------------
+    # -- service ----------------------------------------------------------------
 
-    def _serve(self) -> typing.Generator:
-        # The quantum loop is the single hottest process in a run (one
-        # resume per 1/DD-object service slice), so the body leans on
-        # locals and skips monitor updates that would not change the
-        # piecewise-constant signals (busy stays 1.0 across back-to-back
-        # quanta; the ring length is unchanged when a cohort rotates).
-        env = self.env
+    def _start(self, _event: Event) -> None:
+        """An idle node's first quantum after a submission."""
+        self.busy.update(self.env.now, 1.0)
+        if self._trace.enabled:
+            self._trace.emit(self.env.now, "node.busy", node=self.node_id)
+        self._next_quantum()
+
+    def _next_quantum(self) -> None:
+        cohort = self._ring.popleft()
+        remaining = cohort.objects - cohort.scanned
+        quantum = cohort.quantum_objects
+        if remaining < quantum:
+            quantum = remaining if remaining > 0.0 else 0.0
+        self._serving = cohort
+        self._quantum = quantum
+        Timeout(self.env, quantum * self.obj_time_ms).callbacks.append(
+            self._end_quantum
+        )
+
+    def _end_quantum(self, _timeout: Event) -> None:
+        # One call per 1/DD-object service slice -- the hottest callback
+        # of a run -- so monitor updates that would not change the
+        # piecewise-constant signals are skipped (busy stays 1.0 across
+        # back-to-back quanta; the ring length is unchanged when a
+        # cohort rotates).
+        now = self.env.now
         ring = self._ring
-        busy = self.busy
+        cohort = self._serving
+        cohort.scanned += self._quantum
+        if cohort.objects - cohort.scanned <= _EPSILON:
+            cohort.scanned = cohort.objects
+            cohort.done.count_down()
+        else:
+            ring.append(cohort)
+        depth = len(ring)
         queue = self.queue
+        if queue._value != depth:
+            queue.update(now, depth)
         trace = self._trace
-        obj_time_ms = self.obj_time_ms
-        scanning = False  # trace busy/idle only on actual transitions
-        while True:
-            if not ring:
-                self._arrival = env.event()
-                busy.update(env.now, 0.0)
-                if scanning:
-                    scanning = False
-                    if trace.enabled:
-                        trace.emit(env.now, "node.idle", node=self.node_id)
-                yield self._arrival
-                continue
-            if not scanning:
-                scanning = True
-                busy.update(env.now, 1.0)
-                if trace.enabled:
-                    trace.emit(env.now, "node.busy", node=self.node_id)
-            cohort = ring.popleft()
-            remaining = cohort.objects - cohort.scanned
-            quantum = cohort.quantum_objects
-            if remaining < quantum:
-                quantum = remaining if remaining > 0.0 else 0.0
-            yield Timeout(env, quantum * obj_time_ms)
-            cohort.scanned += quantum
-            if cohort.objects - cohort.scanned <= _EPSILON:
-                cohort.scanned = cohort.objects
-                done = cohort.done
-                if not done._triggered:
-                    # no value: cohort -> done -> cohort would be a
-                    # reference cycle left for the cyclic collector
-                    done.succeed()
-            else:
-                ring.append(cohort)
-            depth = len(ring)
-            if queue._value != depth:
-                queue.update(env.now, depth)
-            if trace.enabled:
-                trace.emit(
-                    env.now, "node.queue", node=self.node_id, depth=depth
-                )
+        if trace.enabled:
+            trace.emit(now, "node.queue", node=self.node_id, depth=depth)
+        if depth:
+            self._next_quantum()
+            return
+        self._serving = None
+        self._idle = True
+        self.busy.update(now, 0.0)
+        if trace.enabled:
+            trace.emit(now, "node.idle", node=self.node_id)

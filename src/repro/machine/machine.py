@@ -15,7 +15,7 @@ import typing
 from repro.des import Environment
 from repro.machine.config import MachineConfig
 from repro.machine.control_node import ControlNode
-from repro.machine.data_node import Cohort, DataProcessingNode
+from repro.machine.data_node import Cohort, Completion, DataProcessingNode
 from repro.machine.placement import DataPlacement
 from repro.obs.timeseries import (
     gauge,
@@ -28,14 +28,20 @@ from repro.obs.timeseries import (
 class StepExecution:
     """Live progress of one step's scan (drives WTPG T0-weight updates)."""
 
-    __slots__ = ("file_id", "declared_cost", "cohorts", "_total_objects")
+    __slots__ = ("file_id", "declared_cost", "cohorts", "done", "_total_objects")
 
     def __init__(
-        self, file_id: int, declared_cost: float, cohorts: typing.List[Cohort]
+        self,
+        file_id: int,
+        declared_cost: float,
+        cohorts: typing.List[Cohort],
+        done: Completion,
     ) -> None:
         self.file_id = file_id
         self.declared_cost = declared_cost
         self.cohorts = cohorts
+        #: fires once every cohort has scanned its partition
+        self.done = done
         # cohort demands are fixed at construction, so the denominator
         # of fraction_done() -- evaluated per WTPG node per scheduler
         # decision -- is summed once (same association as the property)
@@ -82,11 +88,16 @@ class SharedNothingMachine:
     def begin_step(
         self, txn_id: int, file_id: int, cost: float
     ) -> StepExecution:
-        """Create (but do not submit) the cohorts for one step."""
+        """Create (but do not submit) the cohorts for one step.
+
+        The cohorts share the step's completion event, a countdown that
+        fires one hop after the last of them finishes.
+        """
         nodes = self.placement.nodes_for(file_id)
         dd = len(nodes)
         per_cohort = cost / dd
         quantum = 1.0 / dd
+        done = Completion(self.env, dd, relay=True)
         cohorts = [
             Cohort(
                 self.env,
@@ -95,10 +106,11 @@ class SharedNothingMachine:
                 node_id=node_id,
                 objects=per_cohort,
                 quantum_objects=quantum,
+                done=done,
             )
             for node_id in nodes
         ]
-        return StepExecution(file_id, cost, cohorts)
+        return StepExecution(file_id, cost, cohorts, done)
 
     def run_step(
         self, txn_id: int, file_id: int, cost: float
@@ -113,10 +125,9 @@ class SharedNothingMachine:
         # CN -> home node: one message send (cohort fan-out at the home
         # node is a DPN control overhead the paper ignores).
         yield from self.control_node.send_message()
-        completion_events = [
-            self.data_nodes[c.node_id].submit(c) for c in execution.cohorts
-        ]
-        yield self.env.all_of(completion_events)
+        for cohort in execution.cohorts:
+            self.data_nodes[cohort.node_id].submit(cohort)
+        yield execution.done
         # home node -> CN: one message receive.
         yield from self.control_node.receive_message()
         return execution

@@ -17,7 +17,9 @@ attributing host CPU to a small set of phases:
 ``machine.msg``
     Message send/receive modelling.
 ``machine.scan``
-    DPN round-robin cohort service.
+    DPN round-robin cohort service: the callbacks that start a node's
+    service and end each quantum (booking the scan, completing or
+    rotating the cohort, starting the next quantum).
 
 Attribution is *exclusive*: phases form a stack, and elapsed time always
 lands on the innermost open phase, so nested instrumentation (a lock
@@ -200,3 +202,19 @@ def profiled(
             raise
         except BaseException as exc:
             thrown = exc
+
+
+def profiled_call(
+    fn: typing.Callable[..., typing.Any], profiler: SimProfiler, phase: str
+) -> typing.Callable[..., typing.Any]:
+    """``fn`` with each call attributed to ``phase``: :func:`profiled`
+    for model code driven by event callbacks instead of a process."""
+
+    def call(*args: typing.Any) -> typing.Any:
+        profiler.push(phase)
+        try:
+            return fn(*args)
+        finally:
+            profiler.pop()
+
+    return call

@@ -256,11 +256,9 @@ class Simulation:
         txn.current_execution = execution
         cn = self.machine.control_node
         yield from self._message(cn.send_message())
-        done = [
-            self.machine.data_nodes[c.node_id].submit(c)
-            for c in execution.cohorts
-        ]
-        yield self.env.all_of(done)
+        for cohort in execution.cohorts:
+            self.machine.data_nodes[cohort.node_id].submit(cohort)
+        yield execution.done
         yield from self._message(cn.receive_message())
         if self.trace.enabled:
             self.trace.emit(

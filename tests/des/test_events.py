@@ -1,9 +1,29 @@
 """Unit tests for the event primitives."""
 
+import gc
+
 import pytest
 
 from repro.des import Environment
-from repro.des.events import AllOf, AnyOf, ConditionValue
+from repro.des.events import AllOf, AnyOf, ConditionValue, Event
+
+
+def reaches(root, target, env):
+    """Whether ``target`` is reachable from ``root`` through events and
+    containers (not through the environment, which reaches everything)."""
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if obj is env or id(obj) in seen:
+            continue
+        if not isinstance(obj, (Event, ConditionValue, list, tuple, dict)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
 
 
 @pytest.fixture
@@ -139,6 +159,27 @@ class TestConditions:
         other = Environment()
         with pytest.raises(ValueError):
             AllOf(env, [env.timeout(1), other.timeout(1)])
+
+    def test_any_of_won_by_its_timer_drops_the_losing_event(self, env):
+        """The losing event keeps the condition in its callbacks until it
+        is dropped; the condition must not refer back, or the pair is a
+        cycle only the cyclic collector frees (the schedulers' DELAY
+        fallback parks on exactly this shape)."""
+        wake = env.event()
+        cond = AnyOf(env, [wake, env.timeout(5)])
+        env.run(until=cond)
+        assert not wake.triggered
+        assert any(cb.__self__ is cond for cb in wake.callbacks)
+        assert not reaches(cond, wake, env)
+
+    def test_failed_condition_drops_its_sub_events(self, env):
+        pending = env.event()
+        bad = env.event()
+        cond = AnyOf(env, [pending, bad])
+        bad.fail(RuntimeError("sub failed"))
+        with pytest.raises(RuntimeError):
+            env.run(until=cond)
+        assert not reaches(cond, pending, env)
 
     def test_all_of_with_already_processed_event(self, env):
         early = env.timeout(1)

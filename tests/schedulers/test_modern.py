@@ -574,11 +574,15 @@ class TestExactWakeups:
 GOLDEN = pathlib.Path(__file__).with_name("paper_golden.json")
 PAPER = ("NODC", "ASL", "GOW", "LOW", "LOW-LB", "C2PL", "OPT", "2PL")
 #: (workload, rate, DD, retry_delay_ms): DELAY-heavy cells on both
-#: workloads, at two fallback delays so the timer path is pinned too
+#: workloads, at two fallback delays so the timer path is pinned too;
+#: the DD=4 and DD=8 cells pin the DPN round-robin, where integer-ms
+#: costs make quantum ends tie with submissions and CN slices
 GOLDEN_CELLS = (
     ("exp1", 0.8, 1, 25.0),
     ("exp1", 0.8, 1, 100.0),
     ("exp2", 1.2, 2, 100.0),
+    ("exp1", 0.8, 4, 100.0),
+    ("exp2", 1.2, 8, 100.0),
 )
 
 
