@@ -44,10 +44,11 @@ _DIRECTIONS = frozenset({RIGHT, LEFT})
 class ChainEdge:
     """One edge of a chain component, in path position order.
 
-    A plain slotted class rather than a frozen dataclass: components are
-    rebuilt (weights re-read) on every scheduler decision, so edge
-    construction sits on GOW's hot path and the per-field
-    ``object.__setattr__`` of a frozen dataclass is measurable.
+    A plain slotted class rather than a frozen dataclass: the requester's
+    component is rebuilt (weights re-read) on every GOW decision that
+    would fix an order, so edge construction sits on GOW's hot path and
+    the per-field ``object.__setattr__`` of a frozen dataclass is
+    measurable.
     """
 
     __slots__ = (
@@ -174,48 +175,67 @@ def keeps_chain_form_incremental(wtpg: WTPG, new_txn: "typing.Any") -> bool:
             return False
     if len(neighbors) == 2:
         first, second = neighbors
-        if _on_same_path(wtpg, first, second):
+        # ``first`` is a path end, so its walk covers its whole path
+        if second in _walk(wtpg, None, first):
             return False
     return True
 
 
-def _on_same_path(wtpg: WTPG, start: int, goal: int) -> bool:
-    """Walk the path from endpoint ``start`` looking for ``goal``.
+def _walk(
+    wtpg: WTPG, origin: typing.Optional[int], first: int
+) -> typing.List[int]:
+    """Nodes met walking from ``origin`` through ``first`` to a path end.
 
-    ``start`` has degree <= 1, so the walk follows the unique path to
-    its far end.
+    Raises :class:`NotChainFormError` at a node of degree > 2 or when
+    the walk comes back to ``origin`` (a cycle).
     """
-    previous, current = None, start
+    walked: typing.List[int] = []
+    previous, current = origin, first
     while True:
-        nxt = [n for n in wtpg.neighbors(current) if n != previous]
-        if not nxt:
-            return False
-        previous, current = current, nxt[0]
-        if current == goal:
-            return True
+        walked.append(current)
+        onward = wtpg.neighbors(current)
+        onward.discard(previous)
+        if not onward:
+            return walked
+        if len(onward) > 1:
+            raise NotChainFormError(f"T{current} has degree > 2")
+        previous, current = current, onward.pop()
+        if current == origin:
+            raise NotChainFormError(f"cycle through T{origin}")
+
+
+def path_through(wtpg: WTPG, txn_id: int) -> typing.List[int]:
+    """The path component holding ``txn_id``, oriented as
+    :func:`_component_node_orders` orients it.
+
+    Only this component is walked and checked for chain form.  Position
+    0 is the end reached by walking from the component's smallest id
+    towards its smaller neighbour, so the greedy RIGHT-first
+    reconstruction breaks ties as in the whole-graph solve.
+    """
+    neighbors = sorted(wtpg.neighbors(txn_id))
+    if len(neighbors) > 2:
+        raise NotChainFormError(f"T{txn_id} has degree > 2")
+    before, after = ([_walk(wtpg, txn_id, n) for n in neighbors] + [[], []])[:2]
+    path = before[::-1] + [txn_id] + after
+    at = path.index(min(path))
+    left = path[at - 1] if at > 0 else math.inf
+    right = path[at + 1] if at + 1 < len(path) else math.inf
+    if right < left:
+        path.reverse()
+    return path
 
 
 def extract_components(wtpg: WTPG) -> typing.List[ChainComponent]:
     """Split a chain-form WTPG into ordered path components.
 
     Raises :class:`NotChainFormError` when the structure is not a union
-    of paths.
-
-    The node ordering of the components depends only on the graph
-    *structure*, so it is cached on the WTPG keyed by its structure
-    version; repeated lock decisions against an unchanged graph skip the
-    chain-form re-verification and the component walk entirely.  The
-    (drifting) T0 weights and the direction constraints are re-read
-    fresh on every call.
+    of paths.  The whole-graph reference for :func:`path_through`.
     """
-    cache = wtpg._chain_cache
-    version = wtpg.structure_version
-    if cache is not None and cache[0] == version:
-        node_orders = cache[1]
-    else:
-        node_orders = _component_node_orders(wtpg)
-        wtpg._chain_cache = (version, node_orders)
-    return [_build_component(wtpg, ordered) for ordered in node_orders]
+    return [
+        _build_component(wtpg, ordered)
+        for ordered in _component_node_orders(wtpg)
+    ]
 
 
 def _component_node_orders(wtpg: WTPG) -> typing.List[typing.List[int]]:
@@ -427,11 +447,15 @@ def _feasible(
 
 def solve_component(
     component: ChainComponent,
+    last_edge: typing.Optional[int] = None,
 ) -> typing.Tuple[float, typing.List[str]]:
     """Optimal critical-path value and one achieving orientation.
 
     Returns ``(value, directions)`` with one direction (RIGHT/LEFT) per
     edge.  For a single-node component the direction list is empty.
+    ``last_edge`` stops the reconstruction after that edge index: each
+    greedy choice depends only on the edges before it, so the directions
+    returned are those of the full reconstruction, truncated.
     """
     if len(component.nodes) == 1:
         return component.node_weights[0], []
@@ -452,7 +476,8 @@ def solve_component(
 
     # Greedy reconstruction: force each edge RIGHT if feasible, else LEFT.
     forced: typing.Dict[int, str] = {}
-    for i in range(len(component.edges)):
+    count = len(component.edges) if last_edge is None else last_edge + 1
+    for i in range(count):
         edge_allowed = component.edges[i].allowed
         if len(edge_allowed) == 1:
             forced[i] = next(iter(edge_allowed))
@@ -461,7 +486,7 @@ def solve_component(
         if not _feasible(component, theta, forced):
             forced[i] = LEFT
     assert _feasible(component, theta, forced), "reconstruction failed"
-    return theta, [forced[i] for i in range(len(component.edges))]
+    return theta, [forced[i] for i in range(count)]
 
 
 def brute_force_component(
@@ -508,7 +533,12 @@ def _orientation_value(
 
 
 class SerializableOrder:
-    """W: an orientation for every edge of a chain-form WTPG."""
+    """W: an orientation for the edges of a chain-form WTPG.
+
+    ``critical_path`` is the optimal critical-path value: over the whole
+    graph, or -- from ``compute_optimal_order(wtpg, around=t)`` -- over
+    t's component only, with only the edges up to t's oriented.
+    """
 
     def __init__(
         self,
@@ -534,18 +564,31 @@ class SerializableOrder:
         return self._orientations[key] == (i, j)
 
 
-def compute_optimal_order(wtpg: WTPG) -> SerializableOrder:
+def compute_optimal_order(
+    wtpg: WTPG, around: typing.Optional[int] = None
+) -> SerializableOrder:
     """GOW Phase 2: the full serializable order minimising the critical path.
 
     Components are independent: the global critical path is the max over
-    components, each minimised separately.
+    components, each minimised separately.  ``around`` solves only that
+    transaction's component, up to its right-hand edge -- every edge a
+    grant to it can fix, oriented exactly as the whole-graph call does.
     """
+    if around is None:
+        solved = [
+            (component, solve_component(component))
+            for component in extract_components(wtpg)
+        ]
+    else:
+        ordered = path_through(wtpg, around)
+        component = _build_component(wtpg, ordered)
+        last_edge = min(ordered.index(around), len(component.edges) - 1)
+        solved = [(component, solve_component(component, last_edge))]
     orientations: typing.Dict[
         typing.FrozenSet[int], typing.Tuple[int, int]
     ] = {}
     worst = 0.0
-    for component in extract_components(wtpg):
-        value, directions = solve_component(component)
+    for component, (value, directions) in solved:
         worst = max(worst, value)
         for edge, direction in zip(component.edges, directions):
             pair = frozenset((edge.left_node, edge.right_node))

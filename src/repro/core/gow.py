@@ -11,7 +11,8 @@ and re-submitted later (Phase 0).  Within a chain W is computed in low
 polynomial time (:mod:`repro.core.chain`).
 
 CPU costs (Table 1): ``toptime`` (5 ms) per chain-form test, ``chaintime``
-(30 ms) per W computation.
+(30 ms) per W computation -- charged on every decision past Phase 1,
+however little of W the simulator actually solves.
 """
 
 from __future__ import annotations
@@ -67,10 +68,18 @@ class GOWScheduler(WTPGSchedulerMixin, Scheduler):
         yield from self.control_node.consume(self.config.chaintime_ms, "cc-gow")
         if not self.lock_table.is_compatible(file_id, mode):
             return Decision.BLOCK
-        order = compute_optimal_order(self.wtpg)
         # Phase 3: delay q if its precedence consequences contradict W.
+        # A grant that fixes no order agrees with any W.  Every fix
+        # target is a neighbour of the requester, and W orients each
+        # component on its own, so only the requester's component is
+        # solved.
         fixes = self.wtpg.fixes_for_grant(txn.txn_id, file_id)
-        consistent = all(order.consistent_with_fix(i, j) for i, j in fixes)
+        consistent = True
+        if fixes:
+            order = compute_optimal_order(self.wtpg, around=txn.txn_id)
+            consistent = all(
+                order.consistent_with_fix(i, j) for i, j in fixes
+            )
         if self._trace.enabled:
             # the chain orientation GOW committed to for this decision
             self._trace.emit(

@@ -13,7 +13,8 @@ K.  Even at K = 1 this allows non-chain-form WTPGs, which is why LOW
 runs more transactions than GOW on hot sets.
 
 CPU cost: every E() evaluation costs ``kwtpgtime`` (10 ms) on the CN, so
-one request evaluation costs ``(1 + |C(q)|) * kwtpgtime``.
+one request evaluation costs ``(1 + |C(q)|) * kwtpgtime``, however little
+the simulator's own evaluation (:meth:`WTPG.grant_evaluator`) reads.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class LOWScheduler(WTPGSchedulerMixin, Scheduler):
         if not self.lock_table.is_compatible(file_id, mode):
             return Decision.BLOCK  # lock taken while we computed
         # Phase 2: E(q); deadlock delays q.
-        e_q = self.wtpg.hypothetical_grant_critical_path(txn.txn_id, file_id)
+        evaluate = self.wtpg.grant_evaluator()
+        e_q = evaluate(txn.txn_id, file_id)
         if math.isinf(e_q):
             if self._trace.enabled:
                 self._trace.emit(
@@ -125,7 +127,7 @@ class LOWScheduler(WTPGSchedulerMixin, Scheduler):
             return Decision.DELAY
         # Phase 3: grant only if E(q) <= E(p) for every p in C(q).
         for other_id in self._conflicting_declarations(txn, file_id, mode):
-            e_p = self.wtpg.hypothetical_grant_critical_path(other_id, file_id)
+            e_p = evaluate(other_id, file_id)
             if e_q > e_p:
                 if self._trace.enabled:
                     self._trace.emit(

@@ -54,8 +54,12 @@ Incremental maintenance invariants (the kernel-speed campaign):
 - Hypothetical evaluation (LOW's E function) no longer copies the graph:
   mutations made while ``_journal`` is active append undo records
   (conflict-edge deletion, precedence insertion, level raise, L raise)
-  that :meth:`_rollback` replays in reverse, restoring the structure --
-  including the structure version, so topology caches stay valid.
+  that :meth:`_rollback` replays in reverse.  The journal also says what
+  a hypothetical grant changed, and E reads only that: fixes only raise
+  suffix distances, so E is the current critical path (from T0 weights
+  read once per decision, see :meth:`grant_evaluator`) maxed with
+  ``t0 + L`` over the raised nodes, and the acyclicity certificate only
+  needs the new edges and the out-edges of level-raised nodes.
 - Transitive propagation is restricted to candidates that a *new* edge
   could force: any new path i ~> j passes through a just-inserted edge
   (s, t) with i an ancestor of s and j a descendant of t, so
@@ -122,13 +126,6 @@ class WTPG:
         self._longest: typing.Dict[int, float] = {}
         #: undo log; non-None only inside hypothetical evaluation
         self._journal: typing.Optional[typing.List[typing.Tuple]] = None
-        #: bumped on every structural mutation (nodes/edges), restored on
-        #: hypothetical rollback; topology caches key off this
-        self.structure_version = 0
-        #: chain-component cache slot owned by repro.core.chain
-        self._chain_cache: typing.Optional[
-            typing.Tuple[int, typing.List[typing.List[int]]]
-        ] = None
 
     # -- membership ------------------------------------------------------------
 
@@ -183,7 +180,6 @@ class WTPG:
         for file_id in txn.files:
             index = self._writers if txn.writes(file_id) else self._readers
             index.setdefault(file_id, set()).add(txn.txn_id)
-        self.structure_version += 1
 
     def remove_transaction(self, txn_id: int) -> None:
         """Drop a committed/aborted transaction and its incident edges.
@@ -216,7 +212,6 @@ class WTPG:
         self._longest.pop(txn_id, None)
         if preds:
             self._lower_longest(preds)
-        self.structure_version += 1
 
     @staticmethod
     def _blocked_weight(
@@ -425,7 +420,6 @@ class WTPG:
             journal.append(("edge", i, j))
         self._raise_level(i, j)
         self._raise_longest(i, weight + self._longest[j])
-        self.structure_version += 1
 
     def _raise_level(self, source: int, target: int) -> None:
         """Restore ``level(u) < level(v)`` after adding source -> target.
@@ -696,27 +690,78 @@ class WTPG:
     ) -> float:
         """E(q) of Fig. 5: critical path after granting q, or inf on deadlock.
 
-        The fixes (direct and transitive) are applied against the live
-        structure under an undo journal and rolled back before returning;
-        the graph the caller sees is untouched.
+        One evaluation of :meth:`grant_evaluator`; the graph the caller
+        sees is untouched.
         """
-        fixes = self.fixes_for_grant(txn_id, file_id)
-        if self.creates_cycle(fixes):
-            return math.inf
-        if self._journal is not None:
-            raise RuntimeError("nested hypothetical evaluation")
-        journal: typing.List[typing.Tuple] = []
-        self._journal = journal
-        version = self.structure_version
-        try:
-            for i, j in fixes:
-                self.apply_fix(i, j)
-            self.propagate_transitive_fixes(touched=fixes)
-            return self.critical_path_length()
-        finally:
-            self._journal = None
-            self._rollback(journal)
-            self.structure_version = version
+        return self.grant_evaluator()(txn_id, file_id)
+
+    def grant_evaluator(self) -> typing.Callable[[int, int], float]:
+        """E() for one atomic decision: ``evaluate(txn_id, file_id)``.
+
+        Reads every T0 weight once, through :meth:`t0_weight`, and takes
+        the current critical path from that read; valid only while the
+        graph and the transactions' progress stand still (no yield
+        between the evaluations of one decision).  Each evaluation
+        applies the fixes (direct and transitive) under an undo journal,
+        reads E from what the journal recorded, and rolls back.
+        """
+        weights = {txn_id: self.t0_weight(txn_id) for txn_id in self._txns}
+        longest = self._longest
+        base = max([0.0] + [w + longest[t] for t, w in weights.items()])
+
+        def evaluate(txn_id: int, file_id: int) -> float:
+            fixes = self.fixes_for_grant(txn_id, file_id)
+            if self.creates_cycle(fixes):
+                return math.inf
+            if self._journal is not None:
+                raise RuntimeError("nested hypothetical evaluation")
+            journal: typing.List[typing.Tuple] = []
+            self._journal = journal
+            try:
+                for i, j in fixes:
+                    self.apply_fix(i, j)
+                self.propagate_transitive_fixes(touched=fixes)
+                return self._journalled_critical_path(journal, weights, base)
+            finally:
+                self._journal = None
+                self._rollback(journal)
+
+        return evaluate
+
+    def _journalled_critical_path(
+        self,
+        journal: typing.List[typing.Tuple],
+        weights: typing.Mapping[int, float],
+        base: float,
+    ) -> float:
+        """:meth:`critical_path_length` after the journalled mutations.
+
+        ``base`` is the critical path before them.  Suffix distances only
+        rose, so the longest path is ``base`` or runs from a raised node;
+        ``max`` is exact, so this equals the full scan bit for bit.  The
+        level certificate held before, so only new edges and the
+        out-edges of raised levels can break it.
+        """
+        level = self._level
+        longest = self._longest
+        best = base
+        for entry in journal:
+            kind = entry[0]
+            if kind == "longest":
+                node = entry[1]
+                value = weights[node] + longest[node]
+                if value > best:
+                    best = value
+            elif kind == "level":
+                node = entry[1]
+                node_level = level[node]
+                for succ in self._succ[node]:
+                    if node_level >= level[succ]:
+                        return math.inf
+            elif kind == "edge":
+                if level[entry[1]] >= level[entry[2]]:
+                    return math.inf
+        return best
 
     def _rollback(self, journal: typing.List[typing.Tuple]) -> None:
         """Undo journaled mutations in reverse order."""
@@ -761,7 +806,6 @@ class WTPG:
         copy._level = dict(self._level)
         copy._longest = dict(self._longest)
         copy._journal = None
-        copy._chain_cache = None
         return copy
 
     def check_invariants(self) -> None:

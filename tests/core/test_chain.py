@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import WTPG
+from repro.core import WTPG, GOWScheduler
 from repro.core.chain import (
     LEFT,
     RIGHT,
@@ -13,14 +13,26 @@ from repro.core.chain import (
     ChainEdge,
     NotChainFormError,
     brute_force_component,
+    _component_node_orders,
+    _orientation_value,
     compute_optimal_order,
     extract_components,
     is_union_of_paths,
     keeps_chain_form,
+    keeps_chain_form_incremental,
+    path_through,
     solve_component,
-    _orientation_value,
+    undirected_adjacency,
 )
-from repro.txn import AccessMode, BatchTransaction, Step
+from repro.machine import MachineConfig
+from repro.sim import run_simulation
+from repro.txn import (
+    AccessMode,
+    BatchTransaction,
+    Step,
+    experiment1_workload,
+    experiment2_workload,
+)
 
 
 def txn(txn_id, spec, arrival=0.0):
@@ -277,3 +289,163 @@ class TestComputeOptimalOrder:
         wtpg.add_transaction(txn(2, [(5, "w", 11.0)]))
         order = compute_optimal_order(wtpg)
         assert order.critical_path == pytest.approx(11.0)
+
+
+# -- decision-local W: the requester's component alone ---------------------------
+
+NUM_FILES = 8
+
+# one or two steps on neighbouring files, so conflicts line up in chains
+txn_specs = st.builds(
+    lambda base, wide, modes, costs: [
+        (base + k, mode, cost)
+        for k, mode, cost in zip(range(1 + wide), modes, costs)
+    ],
+    st.integers(min_value=0, max_value=NUM_FILES - 2),
+    st.booleans(),
+    st.lists(st.sampled_from(["r", "w", "w"]), min_size=2, max_size=2),
+    st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=2, max_size=2),
+)
+
+chain_ops = st.lists(
+    st.tuples(
+        # 0 = admit through GOW's chain-form rule, 1 = grant, 2 = commit
+        st.sampled_from([0, 0, 0, 1, 1, 2]),
+        st.integers(min_value=0, max_value=63),
+        txn_specs,
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def drive_chain(ops):
+    """A chain-form WTPG built as GOW builds it: admissions gated on
+    chain form, grants that close no cycle, commits."""
+    wtpg = WTPG()
+    for number, (kind, pick, spec) in enumerate(ops, start=1):
+        ids = wtpg.txn_ids
+        if kind == 0 or not ids:
+            newcomer = txn(number, spec)
+            if keeps_chain_form_incremental(wtpg, newcomer):
+                wtpg.add_transaction(newcomer)
+        elif kind == 1:
+            txn_id = ids[pick % len(ids)]
+            files = sorted(wtpg.transaction(txn_id).files)
+            file_id = files[pick % len(files)]
+            if not wtpg.creates_cycle(wtpg.fixes_for_grant(txn_id, file_id)):
+                wtpg.grant(txn_id, file_id)
+        else:
+            wtpg.remove_transaction(ids[pick % len(ids)])
+    return wtpg
+
+
+def component_of(wtpg, txn_id):
+    adjacency = undirected_adjacency(wtpg)
+    seen, stack = {txn_id}, [txn_id]
+    while stack:
+        for nxt in adjacency[stack.pop()] - seen:
+            seen.add(nxt)
+            stack.append(nxt)
+    return seen
+
+
+class TestDecisionLocalOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=chain_ops)
+    def test_local_order_matches_whole_graph(self, ops):
+        wtpg = drive_chain(ops)
+        assert is_union_of_paths(undirected_adjacency(wtpg))
+        whole = compute_optimal_order(wtpg)
+        orders = {frozenset(o): o for o in _component_node_orders(wtpg)}
+        solved = {
+            frozenset(c.nodes): solve_component(c)[0]
+            for c in extract_components(wtpg)
+        }
+        for t in wtpg.txn_ids:
+            path = path_through(wtpg, t)
+            assert path == orders[frozenset(path)]
+            local = compute_optimal_order(wtpg, around=t)
+            for other in wtpg.neighbors(t):
+                assert local.direction(t, other) == whole.direction(t, other)
+            assert local.critical_path == solved[frozenset(path)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=chain_ops, spec=txn_specs)
+    def test_broken_component_raises_only_there(self, ops, spec):
+        wtpg = drive_chain(ops)
+        newcomer = txn(1000, spec)
+        breaks = not keeps_chain_form_incremental(wtpg, newcomer)
+        wtpg.add_transaction(newcomer)  # bypass the admission gate
+        broken = component_of(wtpg, 1000) if breaks else set()
+        for t in wtpg.txn_ids:
+            if t in broken:
+                with pytest.raises(NotChainFormError):
+                    path_through(wtpg, t)
+                with pytest.raises(NotChainFormError):
+                    compute_optimal_order(wtpg, around=t)
+            else:
+                compute_optimal_order(wtpg, around=t)
+
+    def test_degree_three_raises(self):
+        wtpg = WTPG()
+        wtpg.add_transaction(txn(4, [(0, "w", 1), (1, "w", 1), (2, "w", 1)]))
+        for t, f in ((1, 0), (2, 1), (3, 2)):
+            wtpg.add_transaction(txn(t, [(f, "w", 1)]))
+        for t in (1, 2, 3, 4):
+            with pytest.raises(NotChainFormError):
+                path_through(wtpg, t)
+
+    def test_cycle_raises(self):
+        wtpg = WTPG()
+        wtpg.add_transaction(txn(1, [(0, "w", 1), (2, "w", 1)]))
+        wtpg.add_transaction(txn(2, [(0, "w", 1), (1, "w", 1)]))
+        wtpg.add_transaction(txn(3, [(1, "w", 1), (2, "w", 1)]))
+        for t in (1, 2, 3):
+            with pytest.raises(NotChainFormError):
+                path_through(wtpg, t)
+
+    def test_isolated_requester(self):
+        wtpg = WTPG()
+        wtpg.add_transaction(txn(7, [(0, "w", 3.0)]))
+        assert path_through(wtpg, 7) == [7]
+        assert compute_optimal_order(wtpg, around=7).critical_path == 3.0
+
+
+class TestGOWKeepsWholeGraphChainForm:
+    """GOW solves only the requester's component, so production checks
+    chain form only there; the whole graph must stay chain-form after
+    every admission, grant and commit."""
+
+    @pytest.mark.parametrize("workload", ["exp1", "exp2"])
+    def test_union_of_paths_after_every_mutation(self, monkeypatch, workload):
+        checks = []
+
+        def checked(method):
+            def wrapper(self, *args, **kwargs):
+                result = method(self, *args, **kwargs)
+                wtpg = self if isinstance(self, WTPG) else self.wtpg
+                assert is_union_of_paths(undirected_adjacency(wtpg))
+                checks.append(method.__name__)
+                return result
+            return wrapper
+
+        for owner, name in (
+            (GOWScheduler, "_register_in_wtpg"),
+            (GOWScheduler, "_deregister_from_wtpg"),
+            (WTPG, "grant"),
+        ):
+            monkeypatch.setattr(owner, name, checked(getattr(owner, name)))
+        if workload == "exp1":
+            config = MachineConfig(dd=1, num_files=16)
+            spec = experiment1_workload(0.8, num_files=16)
+        else:
+            config = MachineConfig(dd=2)
+            spec = experiment2_workload(1.0)
+        result = run_simulation(
+            "GOW", spec, config, seed=5, duration_ms=200_000.0,
+            warmup_ms=0.0,
+        )
+        assert result.completed > 20
+        for name in ("_register_in_wtpg", "_deregister_from_wtpg", "grant"):
+            assert checks.count(name) > 20, (name, checks.count(name))

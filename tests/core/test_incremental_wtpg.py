@@ -11,14 +11,17 @@ their from-scratch references:
 * random add/grant/remove sequences keep the maintained structures
   bit-for-bit equal to a scratch recompute (``check_invariants``), the
   critical path equal to an independent longest-path DP, and the
-  journal-based hypothetical evaluation equal to the scratch-copy one.
+  journal-based hypothetical evaluation -- E read from what the grant
+  changed, on T0 weights read once per decision -- equal to the
+  scratch copy's full ``critical_path_length()``, on plain and
+  backlog-inflated (LOW-LB) T0 weights.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import WTPG
+from repro.core import WTPG, ResourceAwareWTPG
 from repro.txn import AccessMode, BatchTransaction, Step
 
 
@@ -192,31 +195,44 @@ class TestIncrementalMatchesRecompute:
     @given(ops=ops_strategy)
     @settings(max_examples=40, deadline=None)
     def test_journal_hypothetical_matches_scratch_copy(self, ops):
-        wtpg = WTPG()
+        drive(WTPG(), ops, self._journal_matches_scratch_copy)
 
-        def check(graph):
-            for txn_id in graph.txn_ids:
-                txn = graph.transaction(txn_id)
-                for file_id in txn.files:
-                    before = graph_state(graph)
-                    value = graph.hypothetical_grant_critical_path(
-                        txn_id, file_id
-                    )
-                    # the journal rolled everything back
-                    assert graph_state(graph) == before
+    @given(ops=ops_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_journal_hypothetical_matches_scratch_copy_lowlb(self, ops):
+        # LOW-LB: T0 weights inflated by uneven, non-integral backlogs
+        wtpg = ResourceAwareWTPG(
+            lambda node: 1 / 3 + 0.7 * node,
+            lambda file_id: [file_id % 3, (file_id + 1) % 3],
+            rho=0.9,
+        )
+        drive(wtpg, ops, self._journal_matches_scratch_copy)
 
-                    scratch = graph._scratch_copy()
-                    fixes = scratch.fixes_for_grant(txn_id, file_id)
-                    if scratch.creates_cycle(fixes):
-                        expected = math.inf
-                    else:
-                        for i, j in fixes:
-                            scratch.apply_fix(i, j)
-                        scratch.propagate_transitive_fixes(touched=fixes)
-                        expected = scratch.critical_path_length()
-                    assert value == expected
+    @staticmethod
+    def _journal_matches_scratch_copy(graph):
+        # one evaluator per state, as one LOW decision uses it
+        evaluate = graph.grant_evaluator()
+        for txn_id in graph.txn_ids:
+            txn = graph.transaction(txn_id)
+            for file_id in txn.files:
+                before = graph_state(graph)
+                value = evaluate(txn_id, file_id)
+                # the journal rolled everything back
+                assert graph_state(graph) == before
+                assert graph.hypothetical_grant_critical_path(
+                    txn_id, file_id
+                ) == value
 
-        drive(wtpg, ops, check)
+                scratch = graph._scratch_copy()
+                fixes = scratch.fixes_for_grant(txn_id, file_id)
+                if scratch.creates_cycle(fixes):
+                    expected = math.inf
+                else:
+                    for i, j in fixes:
+                        scratch.apply_fix(i, j)
+                    scratch.propagate_transitive_fixes(touched=fixes)
+                    expected = scratch.critical_path_length()
+                assert value == expected
 
     @given(ops=ops_strategy)
     @settings(max_examples=40, deadline=None)

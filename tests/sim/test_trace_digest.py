@@ -28,6 +28,12 @@ from repro.txn import experiment1_workload, experiment2_workload
 CELLS = {
     "OPT-exp1-dd8": ("OPT", "exp1", 1.0, 8),
     "GOW-exp2-dd4": ("GOW", "exp2", 1.2, 4),
+    # decision-local GOW/LOW: several chain components per GOW decision,
+    # and E(q) (``sched.e_eval`` carries it) on plain and backlog-inflated
+    # T0 weights
+    "GOW-exp1-dd1": ("GOW", "exp1", 0.8, 1),
+    "LOW-exp1-dd1": ("LOW", "exp1", 0.8, 1),
+    "LOW-LB-exp2-dd2": ("LOW-LB", "exp2", 1.0, 2),
 }
 
 DIGESTS = {
@@ -36,6 +42,15 @@ DIGESTS = {
     ),
     "GOW-exp2-dd4": (
         "5ca4552320733f1e93d92780b9989162f78c80595f2ea405bf7651fe8d75fc28"
+    ),
+    "GOW-exp1-dd1": (
+        "f7cc9b5d9d3b21dc593385007440a74a4cccf6f5cfacffd945445f79b8228217"
+    ),
+    "LOW-exp1-dd1": (
+        "508e3aac5c88e31738b96c09cb4011f9a35968760bea4d5a0fd05ff60efd5b24"
+    ),
+    "LOW-LB-exp2-dd2": (
+        "ee036d7efe3eca9f7f76d158ff607a0debedf84f878ba433787d26d38c0fe6a9"
     ),
 }
 
