@@ -27,80 +27,46 @@ Packages:
 - :mod:`repro.runner` -- parallel batch execution with result caching.
 - :mod:`repro.experiments` -- one function per paper table/figure.
 - :mod:`repro.analysis` -- text-table / CSV reporting.
+
+The names below are imported from their defining modules on first use
+(:mod:`repro._facade`), so ``import repro`` loads none of the packages.
 """
 
-from repro.core import (
-    PAPER_SCHEDULERS,
-    SerializabilityAuditor,
-    WTPG,
-    available,
-    create,
-)
-from repro.machine import DataPlacement, MachineConfig, SharedNothingMachine
-from repro.obs import (
-    MemoryRecorder,
-    NullRecorder,
-    TraceRecorder,
-    render_summary,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.runner import ParallelRunner, ResultCache, RunSpec, WorkloadSpec
-from repro.sim import (
-    Simulation,
-    SimulationResult,
-    find_throughput_at_response_time,
-    run_at_rate,
-    run_simulation,
-)
-from repro.txn import (
-    PATTERN_1,
-    PATTERN_2,
-    BatchTransaction,
-    Pattern,
-    Workload,
-    experiment1_workload,
-    experiment2_workload,
-    experiment3_workload,
-)
-
-# Imported last (it needs repro.core fully initialised): registers the
-# modern scheduler families so any `import repro` sees the full roster.
-import repro.schedulers.modern  # noqa: E402,F401
+from repro._facade import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BatchTransaction",
-    "DataPlacement",
-    "MachineConfig",
-    "MemoryRecorder",
-    "NullRecorder",
-    "PAPER_SCHEDULERS",
-    "PATTERN_1",
-    "PATTERN_2",
-    "ParallelRunner",
-    "Pattern",
-    "ResultCache",
-    "RunSpec",
-    "SerializabilityAuditor",
-    "SharedNothingMachine",
-    "Simulation",
-    "SimulationResult",
-    "TraceRecorder",
-    "WTPG",
-    "Workload",
-    "WorkloadSpec",
-    "__version__",
-    "available",
-    "create",
-    "experiment1_workload",
-    "experiment2_workload",
-    "experiment3_workload",
-    "find_throughput_at_response_time",
-    "render_summary",
-    "run_at_rate",
-    "run_simulation",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BatchTransaction": "repro.txn.transaction",
+    "DataPlacement": "repro.machine.placement",
+    "MachineConfig": "repro.machine.config",
+    "MemoryRecorder": "repro.obs.recorder",
+    "NullRecorder": "repro.obs.recorder",
+    "PAPER_SCHEDULERS": "repro.core.registry",
+    "PATTERN_1": "repro.txn.pattern",
+    "PATTERN_2": "repro.txn.pattern",
+    "ParallelRunner": "repro.runner.runner",
+    "Pattern": "repro.txn.pattern",
+    "ResultCache": "repro.runner.cache",
+    "RunSpec": "repro.runner.spec",
+    "SerializabilityAuditor": "repro.core.audit",
+    "SharedNothingMachine": "repro.machine.machine",
+    "Simulation": "repro.sim.simulation",
+    "SimulationResult": "repro.sim.metrics",
+    "TraceRecorder": "repro.obs.recorder",
+    "WTPG": "repro.core.wtpg",
+    "Workload": "repro.txn.workload",
+    "WorkloadSpec": "repro.runner.spec",
+    "available": "repro.core.registry",
+    "create": "repro.core.registry",
+    "experiment1_workload": "repro.txn.workload",
+    "experiment2_workload": "repro.txn.workload",
+    "experiment3_workload": "repro.txn.workload",
+    "find_throughput_at_response_time": "repro.sim.experiment",
+    "render_summary": "repro.obs.export",
+    "run_at_rate": "repro.sim.experiment",
+    "run_simulation": "repro.sim.simulation",
+    "write_chrome_trace": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+})
+__all__ += ["__version__"]

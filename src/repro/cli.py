@@ -39,6 +39,11 @@ Commands:
 - ``schedulers``  -- list the registered schedulers with family tags
   (paper / extension / modern) and descriptions.
 - ``experiments`` -- list the paper's tables/figures and how to run them.
+
+Each verb imports the modules it needs inside its handler, so a command
+loads only its own machinery.  Option defaults owned by such a module
+(bench tolerances, the history store, the arena horizon) parse as
+``None`` and are filled in from that module by the handler.
 """
 
 from __future__ import annotations
@@ -51,54 +56,10 @@ import sys
 import time
 import typing
 
-from repro import bench as bench_mod
-from repro.analysis import arena as arena_mod
-from repro.analysis import explain as explain_mod
-from repro.analysis import render_table
-from repro.analysis import trends as trends_mod
-from repro.obs import history as history_mod
-from repro.core.registry import available, entries
-from repro.machine.config import MachineConfig
-from repro.obs import (
-    MemoryRecorder,
-    TelemetrySchemaError,
-    TimeSeriesSampler,
-    fold_trace_path,
-    format_telemetry_record,
-    load_series_json,
-    read_status,
-    read_telemetry_records,
-    render_series_report,
-    render_status,
-    render_summary,
-    validate_jsonl,
-    validate_telemetry_event,
-    write_chrome_trace,
-    write_jsonl,
-    write_series_csv,
-    write_series_json,
-)
-from repro.obs.schema import TraceSchemaError
-from repro.runner import (
-    ParallelRunner,
-    ResultCache,
-    RunRegistry,
-    RunSpec,
-    WorkloadSpec,
-    backend_names,
-    execute_spec,
-    get_backend_info,
-    janitor_sweep,
-    worker_pool_loop,
-)
-from repro.runner.runner import _git_sha
-from repro.runner.worker import trace_artifact_path
-from repro.sim.simulation import run_simulation
-from repro.txn.workload import (
-    experiment1_workload,
-    experiment2_workload,
-    experiment3_workload,
-)
+from repro.runner.backends import backend_names
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.runner.spec import RunSpec, WorkloadSpec
 
 _EXPERIMENT_HELP = [
     ("fig8", "arrival rate vs mean response time (Exp. 1, DD=1)"),
@@ -214,22 +175,19 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
                      default=None,
                      help="diff two BENCH_*.json files instead of running")
-    ben.add_argument("--tolerance", type=float,
-                     default=bench_mod.DEFAULT_TOLERANCE,
+    ben.add_argument("--tolerance", type=float, default=None,
                      help="regression tolerance as a fraction "
-                          f"(default {bench_mod.DEFAULT_TOLERANCE})")
-    ben.add_argument("--mem-tolerance", type=float,
-                     default=bench_mod.DEFAULT_MEM_TOLERANCE,
+                          "(default: repro.bench.DEFAULT_TOLERANCE)")
+    ben.add_argument("--mem-tolerance", type=float, default=None,
                      help="peak-RSS growth tolerance for --compare "
-                          f"(default {bench_mod.DEFAULT_MEM_TOLERANCE})")
+                          "(default: repro.bench.DEFAULT_MEM_TOLERANCE)")
     ben.add_argument("--out", default="results/bench",
                      help="artifact directory (default results/bench)")
     ben.add_argument("--output", default="",
                      help="exact artifact path (overrides --out naming)")
-    ben.add_argument("--duration", type=float,
-                     default=bench_mod.DEFAULT_DURATION_MS,
+    ben.add_argument("--duration", type=float, default=None,
                      help="simulated ms per cell "
-                          f"(default {bench_mod.DEFAULT_DURATION_MS:g})")
+                          "(default: repro.bench.DEFAULT_DURATION_MS)")
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--quick", action="store_true",
                      help="run the reduced 9-cell per-PR matrix instead "
@@ -260,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
         "artifacts", nargs="+",
         help="BENCH/ARENA/EXPLAIN JSON payloads or telemetry .jsonl "
              "streams (family auto-detected)")
-    his_ing.add_argument("--store", default=history_mod.DEFAULT_STORE_DIR,
-                         help="store directory "
-                              f"(default {history_mod.DEFAULT_STORE_DIR})")
+    his_ing.add_argument("--store", default=None,
+                         help="store directory (default: "
+                              "repro.obs.history.DEFAULT_STORE_DIR)")
     his_ing.add_argument("--family", default="auto",
-                         choices=("auto",) + history_mod.FAMILIES,
-                         help="override artifact family detection")
+                         help="override artifact family detection "
+                              "(one of repro.obs.history.FAMILIES)")
     his_rep = his_sub.add_parser(
         "report",
         help="render the HISTORY.{json,md} trend dashboard",
@@ -277,24 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for his_common in (his_rep, his_chk):
         his_common.add_argument(
-            "--store", default=history_mod.DEFAULT_STORE_DIR,
+            "--store", default=None,
             help="store directory "
-                 f"(default {history_mod.DEFAULT_STORE_DIR})")
+                 "(default: repro.obs.history.DEFAULT_STORE_DIR)")
         his_common.add_argument(
-            "--tolerance", type=float,
-            default=bench_mod.DEFAULT_TOLERANCE,
+            "--tolerance", type=float, default=None,
             help="speed regression tolerance "
-                 f"(default {bench_mod.DEFAULT_TOLERANCE})")
+                 "(default: repro.bench.DEFAULT_TOLERANCE)")
         his_common.add_argument(
-            "--mem-tolerance", type=float,
-            default=bench_mod.DEFAULT_MEM_TOLERANCE,
+            "--mem-tolerance", type=float, default=None,
             help="memory growth tolerance "
-                 f"(default {bench_mod.DEFAULT_MEM_TOLERANCE})")
+                 "(default: repro.bench.DEFAULT_MEM_TOLERANCE)")
         his_common.add_argument(
-            "--window", type=int,
-            default=trends_mod.DEFAULT_WINDOW,
-            help="trailing snapshots forming the baseline "
-                 f"median (default {trends_mod.DEFAULT_WINDOW})")
+            "--window", type=int, default=None,
+            help="trailing snapshots forming the baseline median "
+                 "(default: repro.analysis.trends.DEFAULT_WINDOW)")
     his_rep.add_argument("--out", default="",
                          help="directory for HISTORY.json/HISTORY.md "
                               "(default: the store directory)")
@@ -359,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     arn.add_argument("--num-files", type=int, default=16)
     arn.add_argument("--sigma", type=float, default=1.0,
                      help="declaration-error sigma for exp3 (default 1.0)")
-    arn.add_argument("--duration", type=float,
-                     default=arena_mod.DEFAULT_DURATION_MS,
+    arn.add_argument("--duration", type=float, default=None,
                      help="simulated ms per cell "
-                          f"(default {arena_mod.DEFAULT_DURATION_MS:g})")
-    arn.add_argument("--warmup", type=float,
-                     default=arena_mod.DEFAULT_WARMUP_MS,
+                          "(default: repro.analysis.arena."
+                          "DEFAULT_DURATION_MS)")
+    arn.add_argument("--warmup", type=float, default=None,
                      help="warm-up ms discarded "
-                          f"(default {arena_mod.DEFAULT_WARMUP_MS:g})")
+                          "(default: repro.analysis.arena."
+                          "DEFAULT_WARMUP_MS)")
     arn.add_argument("--seed", type=int, default=0)
     arn.add_argument("--pool", type=int, default=None,
                      help="worker processes (default: CPU count)")
@@ -530,7 +485,22 @@ def _backend_options(args: argparse.Namespace) -> typing.Dict[str, object]:
     return {}
 
 
+def _module_defaults(
+    args: argparse.Namespace, module: object, **constants: str
+) -> None:
+    """Fill each option left at ``None`` from ``module``'s constant."""
+    for option, constant in constants.items():
+        if getattr(args, option) is None:
+            setattr(args, option, getattr(module, constant))
+
+
 def _make_workload(args: argparse.Namespace):
+    from repro.txn.workload import (
+        experiment1_workload,
+        experiment2_workload,
+        experiment3_workload,
+    )
+
     if args.workload == "exp1":
         return experiment1_workload(args.rate, num_files=args.num_files)
     if args.workload == "exp2":
@@ -548,6 +518,10 @@ def _check_horizon(args: argparse.Namespace) -> None:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.analysis import render_table
+    from repro.machine.config import MachineConfig
+    from repro.sim.simulation import run_simulation
+
     _check_horizon(args)
     if args.sample_interval <= 0:
         raise SystemExit(
@@ -559,11 +533,11 @@ def _command_run(args: argparse.Namespace) -> int:
         dd=args.dd,
         mpl=args.mpl,
     )
-    sampler = (
-        TimeSeriesSampler(interval_ms=args.sample_interval)
-        if (args.series or args.series_csv)
-        else None
-    )
+    sampler = None
+    if args.series or args.series_csv:
+        from repro.obs.timeseries import TimeSeriesSampler
+
+        sampler = TimeSeriesSampler(interval_ms=args.sample_interval)
     result = run_simulation(
         args.scheduler,
         _make_workload(args),
@@ -574,6 +548,8 @@ def _command_run(args: argparse.Namespace) -> int:
         sampler=sampler,
     )
     if sampler is not None:
+        from repro.obs.timeseries import write_series_csv, write_series_json
+
         meta = {
             "scheduler": args.scheduler,
             "workload": args.workload,
@@ -612,6 +588,12 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro.machine.config import MachineConfig
+    from repro.obs.export import render_summary, write_chrome_trace, write_jsonl
+    from repro.obs.recorder import MemoryRecorder
+    from repro.obs.schema import TraceSchemaError, validate_jsonl
+    from repro.sim.simulation import run_simulation
+
     _check_horizon(args)
     if args.max_events is not None and args.max_events < 1:
         raise SystemExit(f"--max-events must be >= 1, got {args.max_events}")
@@ -667,6 +649,8 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _workload_spec(args: argparse.Namespace, rate: float) -> WorkloadSpec:
+    from repro.runner.spec import WorkloadSpec
+
     if args.workload == "exp1":
         return WorkloadSpec.make("exp1", rate, num_files=args.num_files)
     if args.workload == "exp2":
@@ -677,6 +661,11 @@ def _workload_spec(args: argparse.Namespace, rate: float) -> WorkloadSpec:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis import render_table
+    from repro.core.registry import available
+    from repro.machine.config import MachineConfig
+    from repro.runner import ParallelRunner, ResultCache, RunSpec
+
     schedulers = [s for s in args.schedulers.split(",") if s]
     rates = [float(r) for r in args.rates.split(",") if r]
     if not schedulers or not rates:
@@ -798,12 +787,16 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
+    from repro.obs.timeseries import load_series_json, render_series_report
+
     try:
         payload = load_series_json(args.series)
     except (OSError, ValueError) as exc:
         print(f"[report] ERROR: {exc}", file=sys.stderr)
         return 1
     if args.explain:
+        from repro.analysis import explain as explain_mod
+
         try:
             budget = explain_mod.time_budget_of_trace(args.explain)
         except (OSError, ValueError) as exc:
@@ -818,7 +811,7 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _explain_targets(args: argparse.Namespace) -> typing.List[str]:
     """Resolve the explain target to one or more trace artifacts."""
-    import pathlib
+    from repro.runner.registry import RunRegistry
 
     if pathlib.Path(args.target).is_file():
         return [args.target]
@@ -844,6 +837,9 @@ def _explain_targets(args: argparse.Namespace) -> typing.List[str]:
 
 
 def _command_explain(args: argparse.Namespace) -> int:
+    from repro.analysis import explain as explain_mod
+    from repro.obs.attrib import fold_trace_path
+
     if args.json and args.md:
         raise SystemExit("--json and --md are mutually exclusive")
     try:
@@ -856,8 +852,6 @@ def _command_explain(args: argparse.Namespace) -> int:
             "--txn needs a single trace target, "
             f"got a batch with {len(targets)} traces"
         )
-    import pathlib
-
     multi = len(targets) > 1
     for target in targets:
         try:
@@ -909,6 +903,14 @@ def _command_explain(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
+    from repro import bench as bench_mod
+
+    _module_defaults(
+        args, bench_mod,
+        tolerance="DEFAULT_TOLERANCE",
+        mem_tolerance="DEFAULT_MEM_TOLERANCE",
+        duration="DEFAULT_DURATION_MS",
+    )
     if args.compare is not None:
         try:
             baseline = bench_mod.load_bench_json(args.compare[0])
@@ -929,6 +931,8 @@ def _command_bench(args: argparse.Namespace) -> int:
         raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
     if args.telemetry and not args.runs_dir:
         raise SystemExit("--telemetry needs --runs-dir")
+    from repro.runner.runner import ParallelRunner, _git_sha
+
     runner = ParallelRunner(
         pool_size=args.pool,
         cache=None,
@@ -970,8 +974,16 @@ def _command_history(args: argparse.Namespace) -> int:
         print("[history] pick a subcommand: ingest | report | check",
               file=sys.stderr)
         return 2
+    from repro.obs import history as history_mod
+
+    _module_defaults(args, history_mod, store="DEFAULT_STORE_DIR")
     store = history_mod.HistoryStore(args.store)
     if args.history_command == "ingest":
+        if args.family not in ("auto",) + history_mod.FAMILIES:
+            raise SystemExit(
+                f"--family must be auto or one of {history_mod.FAMILIES}, "
+                f"got {args.family!r}"
+            )
         failures = 0
         for artifact in args.artifacts:
             try:
@@ -991,6 +1003,15 @@ def _command_history(args: argparse.Namespace) -> int:
         print(f"[history] store -> {store.path}")
         return 1 if failures else 0
 
+    from repro import bench as bench_mod
+    from repro.analysis import trends as trends_mod
+
+    _module_defaults(
+        args, bench_mod,
+        tolerance="DEFAULT_TOLERANCE",
+        mem_tolerance="DEFAULT_MEM_TOLERANCE",
+    )
+    _module_defaults(args, trends_mod, window="DEFAULT_WINDOW")
     try:
         payload = trends_mod.history_report(
             store,
@@ -1030,11 +1051,15 @@ def _command_history(args: argparse.Namespace) -> int:
 def _resolve_batch(
     runs_dir: str, token: str
 ) -> typing.Dict[str, typing.Any]:
-    """Registry lookup shared by watch/runs/tail; raises LookupError."""
+    """Registry lookup shared by watch/tail; raises LookupError."""
+    from repro.runner.registry import RunRegistry
+
     return RunRegistry(runs_dir).find(token)
 
 
 def _command_watch(args: argparse.Namespace) -> int:
+    from repro.obs.telemetry import read_status, render_status
+
     if args.interval <= 0:
         raise SystemExit(f"--interval must be > 0, got {args.interval:g}")
     try:
@@ -1066,6 +1091,10 @@ def _command_watch(args: argparse.Namespace) -> int:
 
 
 def _command_runs(args: argparse.Namespace) -> int:
+    from repro.analysis import render_table
+    from repro.obs.telemetry import read_status, render_status
+    from repro.runner.registry import RunRegistry
+
     command = getattr(args, "runs_command", None) or "list"
     runs_dir = getattr(args, "runs_dir", "results/runs")
     registry = RunRegistry(runs_dir)
@@ -1108,6 +1137,13 @@ def _command_runs(args: argparse.Namespace) -> int:
 
 
 def _command_tail(args: argparse.Namespace) -> int:
+    from repro.obs.telemetry import (
+        TelemetrySchemaError,
+        format_telemetry_record,
+        read_telemetry_records,
+        validate_telemetry_event,
+    )
+
     if args.interval <= 0:
         raise SystemExit(f"--interval must be > 0, got {args.interval:g}")
     try:
@@ -1153,6 +1189,10 @@ def _arena_time_budgets(
     byte-identical to untraced ones, so the budget is authoritative
     either way).
     """
+    from repro.obs.attrib import fold_trace_path
+    from repro.runner import ParallelRunner, ResultCache
+    from repro.runner.worker import execute_spec, trace_artifact_path
+
     traced = [dataclasses.replace(spec, trace=True) for spec in specs]
     runner = ParallelRunner(
         pool_size=args.pool,
@@ -1178,6 +1218,16 @@ def _arena_time_budgets(
 
 
 def _command_arena(args: argparse.Namespace) -> int:
+    from repro.analysis import arena as arena_mod
+    from repro.core.registry import available
+    from repro.runner import ParallelRunner, ResultCache
+    from repro.runner.runner import _git_sha
+
+    _module_defaults(
+        args, arena_mod,
+        duration="DEFAULT_DURATION_MS",
+        warmup="DEFAULT_WARMUP_MS",
+    )
     _check_horizon(args)
     schedulers = (
         [s for s in args.schedulers.split(",") if s]
@@ -1254,6 +1304,9 @@ def _command_arena(args: argparse.Namespace) -> int:
 
 
 def _command_backends() -> int:
+    from repro.analysis import render_table
+    from repro.runner.backends import get_backend_info
+
     rows = []
     for name in backend_names():
         info = get_backend_info(name)
@@ -1279,6 +1332,9 @@ def _command_backends() -> int:
 
 
 def _command_cache(args: argparse.Namespace) -> int:
+    from repro.analysis import render_table
+    from repro.runner.cache import ResultCache
+
     if not args.cache_dir:
         raise SystemExit("cache needs a --cache-dir")
     if args.max_age_days is not None and args.max_age_days < 0:
@@ -1352,6 +1408,11 @@ def _command_worker_pool(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--done-max-age must be >= 0, got {args.done_max_age:g}"
         )
+    from repro.runner.backends.shared_dir import (
+        janitor_sweep,
+        worker_pool_loop,
+    )
+
     if args.janitor:
         counts = janitor_sweep(
             args.spool,
@@ -1384,6 +1445,9 @@ def _command_worker_pool(args: argparse.Namespace) -> int:
 
 
 def _command_schedulers() -> int:
+    from repro.analysis import render_table
+    from repro.core.registry import entries
+
     rows = [
         [
             entry.name,
@@ -1403,6 +1467,8 @@ def _command_schedulers() -> int:
 
 
 def _command_experiments() -> int:
+    from repro.analysis import render_table
+
     print(render_table(
         ["id", "regenerates"],
         [[eid, description] for eid, description in _EXPERIMENT_HELP],

@@ -31,6 +31,11 @@ from repro.core.registry import PAPER_SCHEDULERS, available, create, register
 from repro.core.twopl import TwoPLScheduler
 from repro.core.wtpg import WTPG, ConflictEdge
 
+# Imported last (it needs repro.core fully initialised): registers the
+# modern scheduler families, so importing anything under repro.core --
+# the registry included -- always sees the full roster.
+import repro.schedulers.modern  # noqa: E402,F401
+
 __all__ = [
     "ASLScheduler",
     "C2PLScheduler",

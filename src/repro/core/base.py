@@ -38,7 +38,6 @@ from repro.core.locks import LockTable
 from repro.machine.config import MachineConfig
 from repro.machine.control_node import ControlNode
 from repro.obs.profile import profiled
-from repro.obs.timeseries import gauge, size_hist
 from repro.txn.step import AccessMode
 from repro.txn.transaction import BatchTransaction, TransactionState
 
@@ -267,6 +266,8 @@ class Scheduler(abc.ABC):
         """Signals a :class:`TimeSeriesSampler` should watch on this
         scheduler.  Policies extend the base catalogue with their own
         structures (e.g. WTPG size, waits-for edges)."""
+        from repro.obs.timeseries import gauge, size_hist
+
         return {
             "sched.active_mpl": {
                 "probe": gauge(lambda: self._active_count),
@@ -494,6 +495,8 @@ class WTPGSchedulerMixin:
         self,
     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """Base catalogue plus the live WTPG node count."""
+        from repro.obs.timeseries import gauge, size_hist
+
         probes = super().timeseries_probes()  # type: ignore[misc]
         probes["sched.wtpg_size"] = {
             "probe": gauge(lambda: len(self.wtpg)),

@@ -17,7 +17,6 @@ import collections
 import typing
 
 from repro.core.base import Decision, Scheduler
-from repro.obs.timeseries import gauge, size_hist
 from repro.txn.step import AccessMode
 from repro.txn.transaction import BatchTransaction
 
@@ -108,6 +107,8 @@ class OPTScheduler(Scheduler):
         self,
     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """Base catalogue plus the backward-validation log size."""
+        from repro.obs.timeseries import gauge, size_hist
+
         probes = super().timeseries_probes()
         probes["sched.commit_log"] = {
             "probe": gauge(lambda: len(self._commit_log)),

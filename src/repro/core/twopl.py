@@ -17,7 +17,6 @@ from __future__ import annotations
 import typing
 
 from repro.core.base import Decision, Scheduler
-from repro.obs.timeseries import gauge, size_hist
 from repro.txn.step import AccessMode
 from repro.txn.transaction import BatchTransaction
 
@@ -82,6 +81,8 @@ class TwoPLScheduler(Scheduler):
         self,
     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """Base catalogue plus the waits-for graph's live edge count."""
+        from repro.obs.timeseries import gauge, size_hist
+
         probes = super().timeseries_probes()
         probes["sched.waits_for_edges"] = {
             "probe": gauge(

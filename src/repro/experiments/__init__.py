@@ -11,28 +11,18 @@ Every function takes a :class:`~repro.experiments.common.RunScale`
 and returns an :class:`~repro.experiments.common.ExperimentOutput`.
 """
 
-from repro.experiments import exp1, exp2, exp3
-from repro.experiments.common import (
-    C2PLM_MPL_CANDIDATES,
-    PAPER,
-    QUICK,
-    SMOKE,
-    SCHEDULERS,
-    ExperimentOutput,
-    RunScale,
-    scale_from_env,
-)
+from repro._facade import lazy_exports
 
-__all__ = [
-    "C2PLM_MPL_CANDIDATES",
-    "ExperimentOutput",
-    "PAPER",
-    "QUICK",
-    "RunScale",
-    "SCHEDULERS",
-    "SMOKE",
-    "exp1",
-    "exp2",
-    "exp3",
-    "scale_from_env",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "C2PLM_MPL_CANDIDATES": "repro.experiments.common",
+    "ExperimentOutput": "repro.experiments.common",
+    "PAPER": "repro.experiments.common",
+    "QUICK": "repro.experiments.common",
+    "RunScale": "repro.experiments.common",
+    "SCHEDULERS": "repro.experiments.common",
+    "SMOKE": "repro.experiments.common",
+    "exp1": "repro.experiments.exp1",
+    "exp2": "repro.experiments.exp2",
+    "exp3": "repro.experiments.exp3",
+    "scale_from_env": "repro.experiments.common",
+})

@@ -15,12 +15,6 @@ import typing
 from repro.des import Environment, Resource, Timeout
 from repro.des.monitor import Counter, TimeWeighted
 from repro.machine.config import MachineConfig
-from repro.obs.timeseries import (
-    gauge,
-    size_hist,
-    utilisation_hist,
-    windowed_rate,
-)
 
 
 class ControlNode:
@@ -103,6 +97,13 @@ class ControlNode:
         self,
     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """Per-window CN utilisation and instantaneous CPU queue depth."""
+        from repro.obs.timeseries import (
+            gauge,
+            size_hist,
+            utilisation_hist,
+            windowed_rate,
+        )
+
         return {
             "cn.util": {
                 "probe": windowed_rate(self.busy.integral),

@@ -17,12 +17,6 @@ from repro.machine.config import MachineConfig
 from repro.machine.control_node import ControlNode
 from repro.machine.data_node import Cohort, Completion, DataProcessingNode
 from repro.machine.placement import DataPlacement
-from repro.obs.timeseries import (
-    gauge,
-    size_hist,
-    utilisation_hist,
-    windowed_rate,
-)
 
 
 class StepExecution:
@@ -136,6 +130,13 @@ class SharedNothingMachine:
         self,
     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """CN signals plus fleet-level DPN utilisation/queue trajectories."""
+        from repro.obs.timeseries import (
+            gauge,
+            size_hist,
+            utilisation_hist,
+            windowed_rate,
+        )
+
         nodes = self.data_nodes
         probes = self.control_node.timeseries_probes()
         if not nodes:

@@ -42,143 +42,75 @@ Public surface:
   ingesting BENCH/ARENA/EXPLAIN payloads and telemetry peaks (the
   store behind ``repro history`` and
   :mod:`repro.analysis.trends`).
+
+Every name is imported from its defining module on first use
+(:mod:`repro._facade`): a run that never writes a trace or telemetry
+never loads the exporters or the telemetry machinery.
 """
 
-from repro.obs.attrib import (
-    Attribution,
-    ConservationError,
-    Span,
-    TxnTimeline,
-    check_conservation,
-    fold_trace,
-    fold_trace_path,
-)
-from repro.obs.events import EVENT_KINDS, TraceEvent
-from repro.obs.history import (
-    HISTORY_SCHEMA_VERSION,
-    HistorySchemaError,
-    HistoryStore,
-    artifact_digest,
-    detect_family,
-    extract_records,
-    validate_history_record,
-)
-from repro.obs.export import (
-    render_summary,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    MemoryRecorder,
-    NullRecorder,
-    TraceRecorder,
-)
-from repro.obs.profile import (
-    NULL_PROFILER,
-    PHASES,
-    NullProfiler,
-    PhaseProfiler,
-    SimProfiler,
-    profiled,
-)
-from repro.obs.schema import TRACE_SCHEMA_VERSION, validate_event, validate_jsonl
-from repro.obs.telemetry import (
-    STATUS_SCHEMA_VERSION,
-    TELEMETRY_EVENT_KINDS,
-    TELEMETRY_SCHEMA_VERSION,
-    BatchStatus,
-    TelemetrySchemaError,
-    TelemetrySink,
-    WorkerTelemetry,
-    format_telemetry_record,
-    max_rss_kb,
-    read_status,
-    read_telemetry_records,
-    render_status,
-    telemetry_event_kinds,
-    validate_telemetry_event,
-    validate_telemetry_jsonl,
-    write_status,
-)
-from repro.obs.timeseries import (
-    SERIES_SCHEMA_VERSION,
-    FixedHistogram,
-    LogHistogram,
-    Series,
-    TimeSeriesSampler,
-    gauge,
-    load_series_json,
-    render_series_report,
-    sparkline,
-    validate_series,
-    windowed_rate,
-    write_series_csv,
-    write_series_json,
-)
+from repro._facade import lazy_exports
 
-__all__ = [
-    "Attribution",
-    "BatchStatus",
-    "ConservationError",
-    "EVENT_KINDS",
-    "FixedHistogram",
-    "HISTORY_SCHEMA_VERSION",
-    "HistorySchemaError",
-    "HistoryStore",
-    "LogHistogram",
-    "MemoryRecorder",
-    "NULL_PROFILER",
-    "NULL_RECORDER",
-    "NullProfiler",
-    "NullRecorder",
-    "PHASES",
-    "PhaseProfiler",
-    "SERIES_SCHEMA_VERSION",
-    "STATUS_SCHEMA_VERSION",
-    "Series",
-    "Span",
-    "SimProfiler",
-    "TELEMETRY_EVENT_KINDS",
-    "TELEMETRY_SCHEMA_VERSION",
-    "TRACE_SCHEMA_VERSION",
-    "TelemetrySchemaError",
-    "TelemetrySink",
-    "TimeSeriesSampler",
-    "TraceEvent",
-    "TraceRecorder",
-    "TxnTimeline",
-    "WorkerTelemetry",
-    "artifact_digest",
-    "check_conservation",
-    "detect_family",
-    "extract_records",
-    "fold_trace",
-    "fold_trace_path",
-    "format_telemetry_record",
-    "gauge",
-    "load_series_json",
-    "max_rss_kb",
-    "profiled",
-    "read_status",
-    "read_telemetry_records",
-    "render_series_report",
-    "render_status",
-    "render_summary",
-    "sparkline",
-    "telemetry_event_kinds",
-    "to_chrome_trace",
-    "validate_event",
-    "validate_history_record",
-    "validate_jsonl",
-    "validate_series",
-    "validate_telemetry_event",
-    "validate_telemetry_jsonl",
-    "windowed_rate",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_series_csv",
-    "write_series_json",
-    "write_status",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Attribution": "repro.obs.attrib",
+    "BatchStatus": "repro.obs.telemetry",
+    "ConservationError": "repro.obs.attrib",
+    "EVENT_KINDS": "repro.obs.events",
+    "FixedHistogram": "repro.obs.timeseries",
+    "HISTORY_SCHEMA_VERSION": "repro.obs.history",
+    "HistorySchemaError": "repro.obs.history",
+    "HistoryStore": "repro.obs.history",
+    "LogHistogram": "repro.obs.timeseries",
+    "MemoryRecorder": "repro.obs.recorder",
+    "NULL_PROFILER": "repro.obs.profile",
+    "NULL_RECORDER": "repro.obs.recorder",
+    "NullProfiler": "repro.obs.profile",
+    "NullRecorder": "repro.obs.recorder",
+    "PHASES": "repro.obs.profile",
+    "PhaseProfiler": "repro.obs.profile",
+    "SERIES_SCHEMA_VERSION": "repro.obs.timeseries",
+    "STATUS_SCHEMA_VERSION": "repro.obs.telemetry",
+    "Series": "repro.obs.timeseries",
+    "SimProfiler": "repro.obs.profile",
+    "Span": "repro.obs.attrib",
+    "TELEMETRY_EVENT_KINDS": "repro.obs.telemetry",
+    "TELEMETRY_SCHEMA_VERSION": "repro.obs.telemetry",
+    "TRACE_SCHEMA_VERSION": "repro.obs.schema",
+    "TelemetrySchemaError": "repro.obs.telemetry",
+    "TelemetrySink": "repro.obs.telemetry",
+    "TimeSeriesSampler": "repro.obs.timeseries",
+    "TraceEvent": "repro.obs.events",
+    "TraceRecorder": "repro.obs.recorder",
+    "TxnTimeline": "repro.obs.attrib",
+    "WorkerTelemetry": "repro.obs.telemetry",
+    "artifact_digest": "repro.obs.history",
+    "check_conservation": "repro.obs.attrib",
+    "detect_family": "repro.obs.history",
+    "extract_records": "repro.obs.history",
+    "fold_trace": "repro.obs.attrib",
+    "fold_trace_path": "repro.obs.attrib",
+    "format_telemetry_record": "repro.obs.telemetry",
+    "gauge": "repro.obs.timeseries",
+    "load_series_json": "repro.obs.timeseries",
+    "max_rss_kb": "repro.obs.telemetry",
+    "profiled": "repro.obs.profile",
+    "read_status": "repro.obs.telemetry",
+    "read_telemetry_records": "repro.obs.telemetry",
+    "render_series_report": "repro.obs.timeseries",
+    "render_status": "repro.obs.telemetry",
+    "render_summary": "repro.obs.export",
+    "sparkline": "repro.obs.timeseries",
+    "telemetry_event_kinds": "repro.obs.telemetry",
+    "to_chrome_trace": "repro.obs.export",
+    "validate_event": "repro.obs.schema",
+    "validate_history_record": "repro.obs.history",
+    "validate_jsonl": "repro.obs.schema",
+    "validate_series": "repro.obs.timeseries",
+    "validate_telemetry_event": "repro.obs.telemetry",
+    "validate_telemetry_jsonl": "repro.obs.telemetry",
+    "windowed_rate": "repro.obs.timeseries",
+    "write_chrome_trace": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+    "write_series_csv": "repro.obs.timeseries",
+    "write_series_json": "repro.obs.timeseries",
+    "write_status": "repro.obs.telemetry",
+})

@@ -22,63 +22,32 @@ Public surface:
 - :func:`default_runner` -- runner over the ``results/`` layout.
 """
 
-from repro.runner.backends import (
-    BackendCapabilities,
-    ExecutorBackend,
-    JobOutcome,
-    WorkerTaskError,
-    backend_names,
-    create_backend,
-    get_backend_info,
-    janitor_sweep,
-    register_backend,
-    worker_pool_loop,
-)
-from repro.runner.cache import ResultCache
-from repro.runner.registry import (
-    REGISTRY_FILENAME,
-    RunRegistry,
-    spec_digest,
-)
-from repro.runner.runner import (
-    ParallelRunner,
-    RunEvent,
-    default_runner,
-    print_progress,
-)
-from repro.runner.spec import (
-    CACHE_FORMAT_VERSION,
-    RunSpec,
-    WorkloadSpec,
-    register_workload,
-    workload_kinds,
-)
-from repro.runner.worker import execute_bench, execute_spec
+from repro._facade import lazy_exports
 
-__all__ = [
-    "BackendCapabilities",
-    "CACHE_FORMAT_VERSION",
-    "ExecutorBackend",
-    "JobOutcome",
-    "REGISTRY_FILENAME",
-    "ParallelRunner",
-    "ResultCache",
-    "RunEvent",
-    "RunRegistry",
-    "RunSpec",
-    "WorkerTaskError",
-    "WorkloadSpec",
-    "backend_names",
-    "create_backend",
-    "default_runner",
-    "execute_bench",
-    "execute_spec",
-    "get_backend_info",
-    "print_progress",
-    "register_backend",
-    "register_workload",
-    "janitor_sweep",
-    "spec_digest",
-    "worker_pool_loop",
-    "workload_kinds",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BackendCapabilities": "repro.runner.backends.base",
+    "CACHE_FORMAT_VERSION": "repro.runner.spec",
+    "ExecutorBackend": "repro.runner.backends.base",
+    "JobOutcome": "repro.runner.backends.base",
+    "ParallelRunner": "repro.runner.runner",
+    "REGISTRY_FILENAME": "repro.runner.registry",
+    "ResultCache": "repro.runner.cache",
+    "RunEvent": "repro.runner.runner",
+    "RunRegistry": "repro.runner.registry",
+    "RunSpec": "repro.runner.spec",
+    "WorkerTaskError": "repro.runner.backends.base",
+    "WorkloadSpec": "repro.runner.spec",
+    "backend_names": "repro.runner.backends",
+    "create_backend": "repro.runner.backends",
+    "default_runner": "repro.runner.runner",
+    "execute_bench": "repro.runner.worker",
+    "execute_spec": "repro.runner.worker",
+    "get_backend_info": "repro.runner.backends",
+    "janitor_sweep": "repro.runner.backends.shared_dir",
+    "print_progress": "repro.runner.runner",
+    "register_backend": "repro.runner.backends",
+    "register_workload": "repro.runner.spec",
+    "spec_digest": "repro.runner.registry",
+    "worker_pool_loop": "repro.runner.backends.shared_dir",
+    "workload_kinds": "repro.runner.spec",
+})

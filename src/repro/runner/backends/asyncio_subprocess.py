@@ -41,8 +41,6 @@ from repro.runner.backends.task import decode_result
 class AsyncioSubprocessBackend(ExecutorBackend):
     """Supervises one subprocess per run on a background event loop."""
 
-    name = "asyncio"
-
     def __init__(self, workers: int = 1, **_: typing.Any) -> None:
         self.workers = max(1, workers)
         self._outcomes: "queue.Queue[JobOutcome]" = queue.Queue()

@@ -111,9 +111,6 @@ class JobOutcome:
 class ExecutorBackend(abc.ABC):
     """Where runs execute; see the module docstring for the contract."""
 
-    #: registry name; subclasses override
-    name: str = "?"
-
     @property
     @abc.abstractmethod
     def capabilities(self) -> BackendCapabilities:

@@ -1,4 +1,4 @@
-"""The in-host backends: serial reference and the classic process pool.
+"""The classic in-host backend: one local process pool.
 
 :class:`LocalPoolBackend` is the historical ``ParallelRunner`` engine
 (one ``concurrent.futures.ProcessPoolExecutor``) moved behind the
@@ -9,13 +9,6 @@ pool), a worker death surfaces as ``BrokenProcessPool`` and converts
 batch (``isolates_runs=False`` -- the orchestrator triages bystanders),
 and a stall kill signals the worker pid directly, deliberately breaking
 the pool.
-
-:class:`SerialBackend` runs tasks in the parent process at submit time.
-It is the conformance *reference*: every other backend must reproduce
-its result bytes.  The runner short-circuits ``serial`` (and a
-single-worker local pool) to its historical in-process path, but the
-class is a fully working backend in its own right so the conformance
-battery can drive all backends through one interface.
 """
 
 from __future__ import annotations
@@ -31,52 +24,11 @@ from repro.runner.backends.base import (
     ExecutorBackend,
     JobOutcome,
 )
-from repro.runner.backends.task import run_task, run_task_indexed
-
-
-class SerialBackend(ExecutorBackend):
-    """Runs every task inline, in submission order (the reference)."""
-
-    name = "serial"
-
-    def __init__(self, workers: int = 1, **_: typing.Any) -> None:
-        del workers  # serial by definition
-        self._ready: typing.List[JobOutcome] = []
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(inline=True, max_workers=1)
-
-    def submit(
-        self, task: typing.Dict[str, typing.Any], isolated: bool = False
-    ) -> None:
-        del isolated
-        try:
-            result = run_task(task)
-        except Exception as exc:
-            self._ready.append(JobOutcome(
-                cell=task["cell"],
-                error=f"{type(exc).__name__}: {exc}",
-                exception=exc,
-            ))
-        else:
-            self._ready.append(JobOutcome(cell=task["cell"], result=result))
-
-    def poll(
-        self, timeout: typing.Optional[float]
-    ) -> typing.List[JobOutcome]:
-        del timeout  # everything completed at submit time
-        ready, self._ready = self._ready, []
-        return ready
-
-    def shutdown(self) -> None:
-        self._ready.clear()
+from repro.runner.backends.task import run_task_indexed
 
 
 class LocalPoolBackend(ExecutorBackend):
     """Today's process pool behind the protocol (default backend)."""
-
-    name = "local"
 
     def __init__(self, workers: int = 1, **_: typing.Any) -> None:
         self.workers = max(1, workers)

@@ -112,8 +112,6 @@ def _read_json(path: pathlib.Path) -> typing.Optional[typing.Any]:
 class SharedDirBackend(ExecutorBackend):
     """The submitter side of the spool protocol."""
 
-    name = "shared-dir"
-
     def __init__(
         self,
         workers: int = 1,

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import typing
 
-from repro.obs.telemetry import WorkerTelemetry
 from repro.runner.spec import RunSpec
 from repro.runner.worker import execute_bench, execute_spec
 from repro.sim.metrics import SimulationResult
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.telemetry import WorkerTelemetry
 
 Task = typing.Dict[str, typing.Any]
 
@@ -33,7 +35,7 @@ def sweep_task(
     spec: RunSpec,
     traces_dir: typing.Optional[str] = None,
     series_dir: typing.Optional[str] = None,
-    telemetry: typing.Optional[WorkerTelemetry] = None,
+    telemetry: typing.Optional["WorkerTelemetry"] = None,
 ) -> Task:
     """One cache-missed sweep cell as a backend-portable task."""
     return {
@@ -50,7 +52,7 @@ def bench_task(
     cell: int,
     spec: RunSpec,
     repeats: int,
-    telemetry: typing.Optional[WorkerTelemetry] = None,
+    telemetry: typing.Optional["WorkerTelemetry"] = None,
 ) -> Task:
     """One perf-measurement cell as a backend-portable task."""
     return {
@@ -66,9 +68,11 @@ def run_task(task: Task) -> typing.Any:
     """Execute ``task`` in this process; returns the live result object."""
     spec = RunSpec.from_dict(task["spec"])
     context = task.get("telemetry")
-    telemetry = (
-        WorkerTelemetry.from_dict(context) if context is not None else None
-    )
+    telemetry = None
+    if context is not None:
+        from repro.obs.telemetry import WorkerTelemetry
+
+        telemetry = WorkerTelemetry.from_dict(context)
     if task["kind"] == "bench":
         return execute_bench(
             spec, repeats=int(task.get("repeats", 1)), telemetry=telemetry

@@ -56,13 +56,6 @@ import tempfile
 import time
 import typing
 
-from repro.obs.telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
-    BatchStatus,
-    TelemetrySink,
-    WorkerTelemetry,
-    read_telemetry_records,
-)
 from repro.runner.backends import (
     ExecutorBackend,
     WorkerTaskError,
@@ -80,6 +73,9 @@ from repro.runner.worker import (
     trace_artifact_path,
 )
 from repro.sim.metrics import SimulationResult
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.telemetry import WorkerTelemetry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,8 +96,12 @@ class RunEvent:
     elapsed_s: float = 0.0
 
 
-def print_progress(event: RunEvent, stream: typing.TextIO = sys.stderr) -> None:
-    """Default progress listener: one console line per event."""
+def print_progress(
+    event: RunEvent, stream: typing.Optional[typing.TextIO] = None
+) -> None:
+    """Default progress listener: one console line per event (to
+    ``sys.stderr`` as it is at call time, unless ``stream`` is given)."""
+    stream = sys.stderr if stream is None else stream
     if event.kind == "batch-start":
         print(
             f"[runner] {event.label}: {event.total} run(s), "
@@ -174,6 +174,12 @@ class _BatchTelemetry:
         stall_timeout_s: typing.Optional[float],
         backend: str = "local",
     ) -> None:
+        from repro.obs.telemetry import (
+            TELEMETRY_SCHEMA_VERSION,
+            BatchStatus,
+            TelemetrySink,
+        )
+
         self.dir = pathlib.Path(runs_dir) / batch_id
         self.dir.mkdir(parents=True, exist_ok=True)
         self.path = self.dir / "telemetry.jsonl"
@@ -213,8 +219,10 @@ class _BatchTelemetry:
 
     # -- worker contexts ----------------------------------------------------
 
-    def worker_context(self, index: int) -> WorkerTelemetry:
+    def worker_context(self, index: int) -> "WorkerTelemetry":
         """A picklable lifecycle emitter for one pool job."""
+        from repro.obs.telemetry import WorkerTelemetry
+
         spec = self._specs[index]
         return WorkerTelemetry(
             str(self.path),
@@ -226,7 +234,7 @@ class _BatchTelemetry:
             progress_every=self.progress_every,
         )
 
-    def inline_worker(self, index: int) -> WorkerTelemetry:
+    def inline_worker(self, index: int) -> "WorkerTelemetry":
         """Same, for the serial path: every emit refreshes the status."""
         context = self.worker_context(index)
         context.on_emit = self._on_inline_record
@@ -256,6 +264,8 @@ class _BatchTelemetry:
 
     def tick(self, force: bool = False) -> typing.List[int]:
         """Fold new records in; returns cells that *just* went stalled."""
+        from repro.obs.telemetry import read_telemetry_records
+
         records, self._offset = read_telemetry_records(
             self.path, self._offset
         )

@@ -31,14 +31,14 @@ import pathlib
 import time
 import typing
 
-from repro.obs.export import write_jsonl
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MemoryRecorder
-from repro.obs.telemetry import WorkerTelemetry, max_rss_kb
-from repro.obs.timeseries import TimeSeriesSampler, write_series_json
 from repro.runner.spec import RunSpec
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulation import Simulation
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.telemetry import WorkerTelemetry
 
 #: test hook (stall-detection tests only): ``"cell:seconds[,...]"`` makes
 #: the named cells sleep -- heartbeat-free -- right after ``run.start``,
@@ -94,7 +94,7 @@ def execute_spec(
     spec: RunSpec,
     traces_dir: typing.Optional[typing.Union[str, pathlib.Path]] = None,
     series_dir: typing.Optional[typing.Union[str, pathlib.Path]] = None,
-    telemetry: typing.Optional[WorkerTelemetry] = None,
+    telemetry: typing.Optional["WorkerTelemetry"] = None,
 ) -> SimulationResult:
     """Run the simulation a spec describes; pure given the spec.
 
@@ -109,11 +109,11 @@ def execute_spec(
     started = time.perf_counter()
     try:
         recorder = MemoryRecorder() if spec.trace else None
-        sampler = (
-            TimeSeriesSampler(interval_ms=SERIES_INTERVAL_MS)
-            if spec.timeseries
-            else None
-        )
+        sampler = None
+        if spec.timeseries:
+            from repro.obs.timeseries import TimeSeriesSampler
+
+            sampler = TimeSeriesSampler(interval_ms=SERIES_INTERVAL_MS)
         simulation = Simulation(
             spec.config,
             spec.workload.build(),
@@ -128,11 +128,15 @@ def execute_spec(
             telemetry.install(simulation.env)
         result = simulation.run()
         if recorder is not None and traces_dir is not None:
+            from repro.obs.export import write_jsonl
+
             write_jsonl(
                 recorder.events, trace_artifact_path(traces_dir, spec),
                 meta=_spec_meta(spec), dropped=recorder.dropped,
             )
         if sampler is not None and series_dir is not None:
+            from repro.obs.timeseries import write_series_json
+
             write_series_json(
                 sampler, series_artifact_path(series_dir, spec),
                 meta=_spec_meta(spec),
@@ -154,7 +158,7 @@ def execute_indexed(
         RunSpec,
         typing.Optional[str],
         typing.Optional[str],
-        typing.Optional[WorkerTelemetry],
+        typing.Optional["WorkerTelemetry"],
     ],
 ) -> typing.Tuple[int, SimulationResult]:
     """Pool-friendly wrapper carrying the batch index through the pool."""
@@ -168,7 +172,7 @@ def execute_indexed(
 def execute_bench(
     spec: RunSpec,
     repeats: int = 1,
-    telemetry: typing.Optional[WorkerTelemetry] = None,
+    telemetry: typing.Optional["WorkerTelemetry"] = None,
 ) -> typing.Dict[str, typing.Any]:
     """Run ``spec`` as a perf measurement: speed + phase breakdown.
 
@@ -202,9 +206,11 @@ def execute_bench(
 def _bench_repeats(
     spec: RunSpec,
     repeats: int,
-    telemetry: typing.Optional[WorkerTelemetry],
+    telemetry: typing.Optional["WorkerTelemetry"],
 ) -> typing.Dict[str, typing.Any]:
     """Best-of-``repeats`` measurement loop of :func:`execute_bench`."""
+    from repro.obs.telemetry import max_rss_kb
+
     best: typing.Optional[typing.Dict[str, typing.Any]] = None
     for _ in range(repeats):
         profiler = PhaseProfiler()
@@ -251,7 +257,7 @@ def _bench_repeats(
 
 def execute_bench_indexed(
     job: typing.Tuple[
-        int, RunSpec, int, typing.Optional[WorkerTelemetry]
+        int, RunSpec, int, typing.Optional["WorkerTelemetry"]
     ],
 ) -> typing.Tuple[int, typing.Dict[str, typing.Any]]:
     """Pool-friendly wrapper for :func:`execute_bench`."""

@@ -9,14 +9,10 @@ contribution); this package collects the policies added on top:
   line-up in :mod:`repro.core.registry`.
 """
 
-from repro.schedulers.modern import (
-    ConflictPredictScheduler,
-    ConflictReorderScheduler,
-    DGCCScheduler,
-)
+from repro._facade import lazy_exports
 
-__all__ = [
-    "ConflictPredictScheduler",
-    "ConflictReorderScheduler",
-    "DGCCScheduler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ConflictPredictScheduler": "repro.schedulers.modern.predict",
+    "ConflictReorderScheduler": "repro.schedulers.modern.reorder",
+    "DGCCScheduler": "repro.schedulers.modern.dgcc",
+})

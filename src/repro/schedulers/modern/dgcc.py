@@ -42,7 +42,6 @@ import typing
 
 from repro.core.base import Decision
 from repro.des import Event
-from repro.obs.timeseries import gauge, size_hist
 from repro.schedulers.modern.base import DeclaredOrderScheduler
 from repro.txn.step import AccessMode
 from repro.txn.transaction import BatchTransaction
@@ -152,6 +151,8 @@ class DGCCScheduler(DeclaredOrderScheduler):
         self,
     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """Base catalogue plus batch occupancy and graph decomposition."""
+        from repro.obs.timeseries import gauge, size_hist
+
         probes = super().timeseries_probes()
         probes["sched.dgcc_batch"] = {
             "probe": gauge(lambda: len(self._live)),

@@ -41,7 +41,6 @@ from __future__ import annotations
 import typing
 
 from repro.core.base import Decision
-from repro.obs.timeseries import gauge, size_hist
 from repro.schedulers.modern.base import DeclaredOrderScheduler
 from repro.txn.step import AccessMode
 from repro.txn.transaction import BatchTransaction
@@ -151,6 +150,8 @@ class ConflictPredictScheduler(DeclaredOrderScheduler):
         self,
     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """Base catalogue plus model size and deferral pressure."""
+        from repro.obs.timeseries import gauge, size_hist
+
         probes = super().timeseries_probes()
         probes["sched.pred_files"] = {
             "probe": gauge(lambda: len(self._completions)),

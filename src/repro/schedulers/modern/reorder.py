@@ -37,7 +37,6 @@ from __future__ import annotations
 import typing
 
 from repro.core.base import Decision
-from repro.obs.timeseries import gauge, size_hist
 from repro.schedulers.modern.base import DeclaredOrderScheduler
 from repro.txn.step import AccessMode
 from repro.txn.transaction import BatchTransaction
@@ -186,6 +185,8 @@ class ConflictReorderScheduler(DeclaredOrderScheduler):
         self,
     ) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
         """Base catalogue plus queue skew and re-partition activity."""
+        from repro.obs.timeseries import gauge, size_hist
+
         probes = super().timeseries_probes()
         probes["sched.car_queue_max"] = {
             "probe": gauge(

@@ -29,10 +29,12 @@ from repro.machine.config import MachineConfig
 from repro.machine.machine import SharedNothingMachine
 from repro.obs.profile import SimProfiler, profiled
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
-from repro.obs.timeseries import TimeSeriesSampler, gauge, windowed_rate
 from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.txn.transaction import BatchTransaction
 from repro.txn.workload import Workload
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.timeseries import TimeSeriesSampler
 
 SchedulerFactory = typing.Callable[
     [Environment, MachineConfig, typing.Any], Scheduler
@@ -54,7 +56,7 @@ class Simulation:
         scheduler_factory: typing.Optional[SchedulerFactory] = None,
         max_arrivals: typing.Optional[int] = None,
         recorder: typing.Optional[TraceRecorder] = None,
-        sampler: typing.Optional[TimeSeriesSampler] = None,
+        sampler: typing.Optional["TimeSeriesSampler"] = None,
         profiler: typing.Optional[SimProfiler] = None,
     ) -> None:
         if duration_ms <= 0:
@@ -100,13 +102,15 @@ class Simulation:
             self._register_probes(sampler)
             self.env.sampler = sampler
 
-    def _register_probes(self, sampler: TimeSeriesSampler) -> None:
+    def _register_probes(self, sampler: "TimeSeriesSampler") -> None:
         """Wire the machine/scheduler/run-level series catalogue.
 
         Probes read state only: attaching a sampler never changes what a
         run computes (the determinism tests assert byte-identical
         results for every scheduler).
         """
+        from repro.obs.timeseries import gauge, windowed_rate
+
         sampler.add_probes(self.machine.timeseries_probes())
         sampler.add_probes(self.scheduler.timeseries_probes())
         sampler.add_probes({

@@ -11,6 +11,8 @@ the reference and cannot survive killing itself.
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.runner import (
     get_backend_info,
 )
 from repro.runner.backends import SharedDirBackend, worker_pool_loop
+from repro.runner.backends.base import ExecutorBackend, child_environment
 from repro.runner.backends.shared_dir import spool_dirs
 from repro.runner.backends.task import sweep_task
 from repro.runner.worker import EXIT_TEST_ENV, STALL_TEST_ENV, execute_spec
@@ -95,6 +98,33 @@ class TestRegistry:
     def test_shared_dir_requires_a_spool(self):
         with pytest.raises(ValueError, match="spool"):
             create_backend("shared-dir", workers=1)
+
+    def test_registered_paths_load_backend_classes(self):
+        for name in backend_names():
+            assert issubclass(get_backend_info(name).load(), ExecutorBackend)
+
+    def test_flags_and_summaries_import_no_backend_module(self):
+        script = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "from repro.runner.backends import backend_names, "
+            "get_backend_info\n"
+            "infos = [get_backend_info(n) for n in backend_names()]\n"
+            "assert all(i.summary and i.flags for i in infos)\n"
+            "assert main(['backends']) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=child_environment(),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        backend_modules = {
+            get_backend_info(name).path.rpartition(".")[0]
+            for name in backend_names()
+        }
+        assert "shared-dir" in out.stdout
+        assert backend_modules.isdisjoint(loaded)
 
 
 class TestConformance:
