@@ -2,7 +2,7 @@
 
 The result goldens (``tests/schedulers/paper_golden.json``) pin what a
 run computes; these pin the order in which it happened.  Every record
-of a traced run -- every quantum's ``node.queue``, every CN slice,
+of a traced run -- every ``node.queue`` depth change, every CN slice,
 every step boundary -- is folded into one SHA-256, so a change to the
 kernel or the machine model that reorders two same-instant events
 fails here even when the aggregate results happen to agree.
@@ -38,19 +38,19 @@ CELLS = {
 
 DIGESTS = {
     "OPT-exp1-dd8": (
-        "cbf271ae652f119818c414b23874fbb64371164dab7e8fa2909c8acb3537e174"
+        "12dde4747e306e15122ac1847230ed365b511963df10b5327c46ae533d1323b1"
     ),
     "GOW-exp2-dd4": (
-        "5ca4552320733f1e93d92780b9989162f78c80595f2ea405bf7651fe8d75fc28"
+        "0584846e203bbb731475f2f04e4845bbd6c62bff197cca87e5253c108f0aef24"
     ),
     "GOW-exp1-dd1": (
-        "f7cc9b5d9d3b21dc593385007440a74a4cccf6f5cfacffd945445f79b8228217"
+        "ea917bb4f00cb6bd02be3a5639db5a97b62747cd6be370851524e739106cc3a0"
     ),
     "LOW-exp1-dd1": (
-        "508e3aac5c88e31738b96c09cb4011f9a35968760bea4d5a0fd05ff60efd5b24"
+        "63901f35e400df28f9ac5dc90a33b4c2d56db99e73c0a3881d026853a7d51b0b"
     ),
     "LOW-LB-exp2-dd2": (
-        "ee036d7efe3eca9f7f76d158ff607a0debedf84f878ba433787d26d38c0fe6a9"
+        "5ace8dd572942a1c0ac9ef2d428125b4fe590efeb67ebc739ea72a53ea714894"
     ),
 }
 
