@@ -11,9 +11,14 @@ Sampling is driven by the DES clock itself: the engine calls
 cross a sample boundary, *before* the events at the new time fire.  A
 sample at boundary ``b`` therefore reflects the model state after all
 events strictly before ``b`` (sample-and-hold).  The sampler is pure
-observation -- it schedules no events, draws no randomness and never
-mutates model state -- so a sampled run is byte-identical to an
-unsampled one, exactly like tracing.
+observation -- it schedules no events and draws no randomness -- so a
+sampled run is byte-identical to an unsampled one, exactly like tracing.
+One gauge touches model state: ``dpn.backlog.objects`` makes each
+data-processing node book the quanta it served before ``b``
+(:meth:`~repro.machine.data_node.DataProcessingNode.book`).  Booking
+credits a quantum the same whenever it runs, so no result depends on
+it; but a cohort's ``scanned`` is only current after its node's
+``book(now)``, and between bookings it depends on who read last.
 
 Each :class:`Series` keeps
 
