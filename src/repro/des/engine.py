@@ -3,6 +3,9 @@
 Determinism: events scheduled for the same simulated time fire in FIFO
 order of scheduling (a monotonically increasing sequence number breaks
 ties), so a simulation with a fixed RNG seed replays identically.
+Callbacks registered with :meth:`Environment.call_at` take their place
+in that order as if each were an event of its own, though the calls due
+at one instant share one heap entry.
 """
 
 from __future__ import annotations
@@ -27,6 +30,51 @@ class StopSimulation(Exception):
     """Raised by :meth:`Environment.run` internals to end the run early."""
 
 
+class _CallBatch(list):
+    """The :meth:`Environment.call_at` calls due at one instant, as
+    ``(key, fn, arg)`` in key order.
+
+    It sits on the heap like an event (``step`` fires it through its
+    ``callbacks``) under the key of its first pending call.
+    """
+
+    __slots__ = ("env", "callbacks", "_processed")
+
+
+def _fire(batch: _CallBatch) -> None:
+    """Run a batch's calls in key order.
+
+    Before each call after the first the heap head is checked: an event
+    at the same instant with a smaller key was scheduled between two of
+    the calls, so it must fire first.  The rest of the batch then goes
+    back on the heap under its first call's key.  A call that raises
+    leaves the rest pending the same way.
+    """
+    env = batch.env
+    queue = env._queue
+    when = env._now
+    done = 0
+    try:
+        # a call appended while the loop runs is reached by it too
+        for key, fn, arg in batch:
+            if done and queue:
+                head = queue[0]
+                if head[0] == when and head[1] < key:
+                    break
+            done += 1
+            fn(arg)
+    finally:
+        if done < len(batch):
+            del batch[:done]
+            batch.callbacks = _FIRE
+            env._push(when, batch[0][0], batch)
+        else:
+            del env._batches[when]
+
+
+_FIRE = (_fire,)
+
+
 class Environment:
     """Simulation environment: clock, event heap and process factory."""
 
@@ -41,8 +89,12 @@ class Environment:
         #: packed int keeps entries at three slots while preserving the
         #: (time, priority, seq) order exactly, and the unique seq means
         #: Event objects are never compared
-        self._queue: typing.List[typing.Tuple[float, int, Event]] = []
+        self._queue: typing.List[
+            typing.Tuple[float, int, typing.Union[Event, _CallBatch]]
+        ] = []
         self._seq = 0
+        #: the pending :meth:`call_at` batch of each instant
+        self._batches: typing.Dict[float, _CallBatch] = {}
         self._active_process: typing.Optional[Process] = None
         #: processes whose generator has not finished, in start order
         #: (kept so :meth:`close` can reach the ones still parked)
@@ -121,15 +173,46 @@ class Environment:
 
         ``schedule(event, when - now)`` would fire at ``now + (when -
         now)``, which need not round back to ``when``; a caller that has
-        computed an instant itself (the DPN replaying its quanta) uses
-        this to keep it bit for bit.  Same-time events still fire in
-        FIFO order of scheduling.  The kernel's own events (``succeed``,
-        ``Timeout``) are enqueued here directly.
+        computed an instant itself uses this (or :meth:`call_at`) to keep
+        it bit for bit.  Same-time events still fire in FIFO order of
+        scheduling.  The kernel's own events (``succeed``, ``Timeout``)
+        are enqueued here directly.
         """
         if not when >= self._now:
             raise ValueError(f"when={when} lies in the past (now={self._now})")
         self._seq += 1
-        entry = (when, (priority << 62) | self._seq, event)
+        self._push(when, (priority << 62) | self._seq, event)
+
+    def call_at(
+        self, when: float, fn: typing.Callable[[typing.Any], None], arg: object
+    ) -> None:
+        """Call ``fn(arg)`` at exactly the time ``when``.
+
+        The call takes a sequence number as :meth:`schedule_at` would,
+        and fires in exactly the order an event scheduled in its place
+        would: FIFO among everything due at ``when``.  All calls due at
+        one instant share one heap entry, so a group of callbacks that
+        fall due together costs one push, one pop and one dispatch.
+        """
+        self._seq += 1
+        key = _CALL_PRIORITY | self._seq
+        batches = self._batches
+        if when in batches:
+            batches[when].append((key, fn, arg))
+            return
+        if not when >= self._now:
+            raise ValueError(f"when={when} lies in the past (now={self._now})")
+        batch = batches[when] = _CallBatch()
+        batch.append((key, fn, arg))
+        batch.env = self
+        batch.callbacks = _FIRE
+        self._push(when, key, batch)
+
+    def _push(
+        self, when: float, key: int, item: typing.Union[Event, _CallBatch]
+    ) -> None:
+        """Put one ``(time, key, event)`` entry on the heap."""
+        entry = (when, key, item)
         profile = self.profile
         if profile.enabled:
             start = _perf_counter()
@@ -176,14 +259,16 @@ class Environment:
         frame refers to the event it waits on, whose callback refers
         back to the process), so without this the run's whole object
         graph waits for a full cyclic collection.  Closing every parked
-        generator and dropping the pending events lets reference
-        counting free it at once.  The environment cannot run on.
+        generator and dropping the pending events and call batches (whose
+        bound methods refer back to the model) lets reference counting
+        free it at once.  The environment cannot run on.
         """
         processes, self._processes = self._processes, {}
         for process in processes:
             process._target = None
             process.generator.close()
         self._queue.clear()
+        self._batches.clear()
 
     # -- run loop ------------------------------------------------------------
 
@@ -249,3 +334,8 @@ class Environment:
                 sampler.advance_to(stop_at)
             self._now = stop_at
         return None
+
+
+#: the priority bits of every :meth:`Environment.call_at` key: calls
+#: take the default priority of :meth:`Environment.schedule_at`
+_CALL_PRIORITY = Environment.PRIORITY_NORMAL << 62

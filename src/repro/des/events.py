@@ -98,9 +98,6 @@ class Event:
         self.env.schedule_at(self, self.env._now)
         return self
 
-    def _mark_processed(self) -> None:
-        self._processed = True
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -115,7 +112,7 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
         if delay < 0:
@@ -125,7 +122,6 @@ class Timeout(Event):
         self.env = env
         self.callbacks = []
         self._processed = False
-        self.delay = delay
         self._ok = True
         self._value = value
         self._triggered = True

@@ -20,8 +20,10 @@ submission, a completion, or a read (``backlog_objects``,
 time-series gauges).  A submission re-arms the timer only when it moves
 the completion; a replaced timer is recognised as stale when it fires,
 by the generation number it carries.  A step's cohorts share one
-:class:`Completion`.  docs/MODEL.md states the booking rule for reads
-and the completion-order rule.
+:class:`Completion`.  The timer, an idle node's start hop and a step's
+completion relay are :meth:`~repro.des.Environment.call_at` calls, so
+those due at one instant share one heap entry.  docs/MODEL.md states the
+booking rule for reads and the completion-order rule.
 """
 
 from __future__ import annotations
@@ -66,9 +68,8 @@ class Completion(Event):
         if not self._relay:
             self.succeed()
             return
-        relay = Event(self.env)
-        relay.callbacks.append(lambda _relay: self.succeed())
-        relay.succeed()
+        env = self.env
+        env.call_at(env._now, Event.succeed, self)
 
 
 class Cohort:
@@ -189,7 +190,7 @@ class DataProcessingNode:
         #: cohort it finishes is on its last turn while this is below the
         #: ring's length (its final quantum comes within this round)
         self._before_final = 0
-        #: the armed timer's value; a timer carrying another is stale
+        #: the armed timer's generation; a timer carrying another is stale
         #: (held as a number, so the node and its timer form no cycle)
         self._generation = 0
         self.busy = TimeWeighted(env.now, 0.0, name=f"dpn{node_id}.busy")
@@ -240,9 +241,7 @@ class DataProcessingNode:
             # happens at this instant (more submissions, a LOW-LB backlog
             # read) sees the ring before the first quantum takes a cohort
             self._idle = False
-            start = Event(self.env)
-            start.callbacks.append(self._start)
-            start.succeed()
+            self.env.call_at(now, self._start, None)
         return cohort.done
 
     def book(self, horizon: float) -> None:
@@ -275,7 +274,7 @@ class DataProcessingNode:
 
     # -- service ----------------------------------------------------------------
 
-    def _start(self, _event: Event) -> None:
+    def _start(self, _arg: None) -> None:
         """An idle node starts serving after a submission."""
         now = self.env._now
         self.busy.update(now, 1.0)
@@ -319,9 +318,9 @@ class DataProcessingNode:
             start + ring[0].quantum_objects * obj_time if before else _INF
         )
         self._generation += 1
-        timer = Event(self.env)
-        timer.callbacks.append(self._complete)
-        timer.succeed(self._generation, t + finisher._last * obj_time)
+        self.env.call_at(
+            t + finisher._last * obj_time, self._complete, self._generation
+        )
 
     def _book(self, horizon: float) -> None:
         """Book the whole quanta ending by ``horizon`` (at least one is
@@ -347,9 +346,9 @@ class DataProcessingNode:
         self._next = end
         self._before_final = left
 
-    def _complete(self, timer: Event) -> None:
+    def _complete(self, generation: int) -> None:
         """The armed final quantum ends: a cohort finishes."""
-        if timer._value != self._generation:
+        if generation != self._generation:
             return  # re-armed since this timer was set
         now = self.env._now
         if self._before_final:

@@ -1,5 +1,7 @@
 """Unit tests for the Environment event loop."""
 
+import weakref
+
 import pytest
 
 from repro.des import Environment, StopSimulation
@@ -313,3 +315,102 @@ class TestAbsoluteTime:
         with pytest.raises(ValueError):
             env.schedule_at(env.event(), when)
         assert env.peek() == float("inf")
+
+
+class TestCallAt:
+    """``call_at`` calls due at one instant share one heap entry, yet
+    fire in exactly the order one event per call would."""
+
+    def test_calls_fire_at_the_given_time_as_one_entry(self, env):
+        fired = []
+        env.timeout(1.1)
+        env.run()
+        for name in "abc":
+            env.call_at(7.3, lambda name: fired.append((env.now, name)), name)
+        assert env.peek() == 7.3
+        env.run()
+        assert fired == [(7.3, "a"), (7.3, "b"), (7.3, "c")]
+        assert env.events_processed == 2  # the timeout and one batch
+
+    def test_event_scheduled_between_two_calls_fires_between_them(self, env):
+        order = []
+        env.call_at(5.0, order.append, "first")
+        env.timeout(5.0).callbacks.append(lambda _e: order.append("event"))
+        env.call_at(5.0, order.append, "last")
+        env.run()
+        assert order == ["first", "event", "last"]
+
+    def test_call_added_to_the_running_batch(self, env):
+        order = []
+
+        def first(_arg):
+            order.append("first")
+            # one event per call would give: second (already queued),
+            # then this timeout, then the call added after it
+            env.timeout(0).callbacks.append(lambda _e: order.append("event"))
+            env.call_at(env.now, order.append, "added")
+
+        env.call_at(5.0, first, None)
+        env.call_at(5.0, order.append, "second")
+        env.run()
+        assert order == ["first", "second", "event", "added"]
+
+    def test_batch_of_stale_calls(self, env):
+        """Like a DPN timer re-armed before it fires: every call sees a
+        newer generation and does nothing."""
+        fired = []
+        generation = [0]
+
+        def complete(armed):
+            if armed == generation[0]:
+                fired.append(armed)
+
+        for _ in range(3):
+            generation[0] += 1
+            env.call_at(4.0, complete, generation[0])
+        generation[0] += 1
+        env.run()
+        assert fired == [] and env.now == 4.0
+        assert env.peek() == float("inf")
+        env.call_at(4.0, fired.append, "later")
+        env.run()
+        assert fired == ["later"]
+
+    @pytest.mark.parametrize("when", [2.999999, float("nan")])
+    def test_time_in_the_past_raises(self, env, when):
+        env.run(until=3.0)
+        with pytest.raises(ValueError):
+            env.call_at(when, print, None)
+        assert env.peek() == float("inf")
+        assert env._batches == {}
+
+    def test_raising_call_propagates_and_keeps_the_rest_pending(self, env):
+        order = []
+
+        def boom(_arg):
+            raise RuntimeError("boom")
+
+        env.call_at(5.0, order.append, "before")
+        env.call_at(5.0, boom, None)
+        env.call_at(5.0, order.append, "after")
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        assert order == ["before"]
+        assert env.now == 5.0 and env.peek() == 5.0
+        env.run()
+        assert order == ["before", "after"]
+
+    def test_close_drops_pending_batches(self, env):
+        class Target:
+            def method(self, _arg):
+                raise AssertionError("a closed environment fired a call")
+
+        target = Target()
+        alive = weakref.ref(target)
+        env.call_at(5.0, target.method, None)
+        env.call_at(6.0, target.method, None)
+        env.close()
+        del target
+        # freed by reference counting alone: nothing cyclic is left
+        assert alive() is None
+        assert env.peek() == float("inf") and env._batches == {}
