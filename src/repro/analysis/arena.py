@@ -14,11 +14,7 @@ Two passes feed one report:
 1. **Metrics pass** -- ``run_batch`` over the matrix (byte-deterministic
    and cache-served on repeats): throughput, response times, abort rate,
    contention counters, utilisation.
-2. **Phase pass** (optional) -- ``run_bench`` over the same specs: the
-   self-profiler's per-phase wall-clock split, answering *where* each
-   scheduler spends its time (scheduler decisions vs. lock manager vs.
-   machine scan).
-3. **Explain pass** (optional) -- traced re-runs of the same specs
+2. **Explain pass** (optional) -- traced re-runs of the same specs
    folded through :func:`repro.obs.attrib.fold_trace_path`: the
    simulated time budget (queued / blocked / executing / wasted
    transaction-seconds), answering *why* each scheduler's response
@@ -129,22 +125,6 @@ def _abort_rate(result: "SimulationResult") -> float:
     return result.restarts / attempts if attempts else 0.0
 
 
-def _phase_summary(
-    row: typing.Optional[typing.Dict[str, typing.Any]],
-) -> typing.Optional[typing.Dict[str, float]]:
-    """Per-phase wall-second split of one bench row (None -> no pass)."""
-    if row is None:
-        return None
-    profile = row.get("profile", {})
-    phases = {
-        name: data["seconds"]
-        for name, data in profile.get("phases", {}).items()
-    }
-    if "other_s" in profile:
-        phases["other"] = profile["other_s"]
-    return phases
-
-
 def _budget_summary(
     budget: typing.Optional[typing.Dict[str, typing.Any]],
 ) -> typing.Optional[typing.Dict[str, typing.Any]]:
@@ -168,9 +148,6 @@ def _budget_summary(
 def arena_payload(
     specs: typing.Sequence[RunSpec],
     results: typing.Sequence[typing.Optional["SimulationResult"]],
-    bench_rows: typing.Optional[
-        typing.Sequence[typing.Optional[typing.Dict[str, typing.Any]]]
-    ] = None,
     *,
     time_budgets: typing.Optional[
         typing.Sequence[typing.Optional[typing.Dict[str, typing.Any]]]
@@ -181,19 +158,13 @@ def arena_payload(
     """Assemble the schema-versioned arena artifact.
 
     ``results`` aligns with ``specs`` (None marks a failed cell, which
-    is dropped with a note); ``bench_rows`` optionally aligns too and
-    contributes the per-phase cost split; ``time_budgets`` (dicts in
-    the shape of :meth:`Attribution.budget`, from the traced explain
-    pass) aligns as well and contributes the why columns.
+    is dropped with a note); ``time_budgets`` (dicts in the shape of
+    :meth:`Attribution.budget`, from the traced explain pass) optionally
+    aligns too and contributes the why columns.
     """
     if len(results) != len(specs):
         raise ValueError(
             f"results/specs length mismatch: {len(results)} vs {len(specs)}"
-        )
-    if bench_rows is not None and len(bench_rows) != len(specs):
-        raise ValueError(
-            f"bench_rows/specs length mismatch: "
-            f"{len(bench_rows)} vs {len(specs)}"
         )
     if time_budgets is not None and len(time_budgets) != len(specs):
         raise ValueError(
@@ -227,11 +198,6 @@ def arena_payload(
             "cn_utilisation": round(result.cn_utilisation, 6),
             "dpn_utilisation": round(result.dpn_utilisation, 6),
         }
-        phase = _phase_summary(
-            bench_rows[index] if bench_rows is not None else None
-        )
-        if phase is not None:
-            cell["phase_cost_s"] = phase
         budget = _budget_summary(
             time_budgets[index] if time_budgets is not None else None
         )
@@ -288,9 +254,6 @@ def validate_arena(payload: typing.Dict[str, typing.Any]) -> int:
             raise ValueError(
                 f"cell {index} has unknown family {cell['family']!r}"
             )
-        phases = cell.get("phase_cost_s")
-        if phases is not None and not isinstance(phases, dict):
-            raise ValueError(f"cell {index} phase_cost_s must be a mapping")
         budget = cell.get("time_budget")
         if budget is not None:
             if not isinstance(budget, dict):
@@ -332,16 +295,6 @@ def _groups(
     return [(key, grouped[key]) for key in order]
 
 
-def _hot_phase(cell: typing.Dict[str, typing.Any]) -> str:
-    phases = cell.get("phase_cost_s")
-    if not phases:
-        return "-"
-    name, seconds = max(phases.items(), key=lambda item: item[1])
-    total = sum(phases.values())
-    share = 100.0 * seconds / total if total > 0 else 0.0
-    return f"{name} ({share:.0f}%)"
-
-
 def _why_columns(cell: typing.Dict[str, typing.Any]) -> str:
     """The queued/blocked/executing/wasted share cells ('-' quartet
     when the cell has no explain pass)."""
@@ -376,10 +329,10 @@ def render_arena_markdown(payload: typing.Dict[str, typing.Any]) -> str:
         lines.append(
             "| scheduler | family | TPS | mean RT (s) | p95 RT (s) "
             "| abort rate | blocks | delays | CN util "
-            "| %queued | %blocked | %exec | %wasted | hot phase |"
+            "| %queued | %blocked | %exec | %wasted |"
         )
         lines.append("|---|---|---|---|---|---|---|---|---|---|---|---|"
-                     "---|---|")
+                     "---|")
         best = max(cells, key=lambda c: c["throughput_tps"])
         wins[best["scheduler"]] = wins.get(best["scheduler"], 0) + 1
         for cell in cells:
@@ -394,8 +347,7 @@ def render_arena_markdown(payload: typing.Dict[str, typing.Any]) -> str:
                 f"| {cell['blocks']} "
                 f"| {cell['delays']} "
                 f"| {cell['cn_utilisation']:.3f} "
-                f"| {_why_columns(cell)} "
-                f"| {_hot_phase(cell)} |"
+                f"| {_why_columns(cell)} |"
             )
         lines.append("")
 

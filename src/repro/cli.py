@@ -9,14 +9,6 @@ Commands:
   (worker pool + result cache + run manifest; ``--trace`` captures a
   per-run trace artifact, ``--timeseries`` a sampled-series artifact).
 - ``report``      -- terminal sparkline view of a series artifact.
-- ``bench``       -- the pinned perf matrix -> ``BENCH_<date>.json``;
-  ``--compare A B`` diffs two artifacts and fails on speed *or* memory
-  regressions.
-- ``history``     -- the longitudinal metrics history store:
-  ``ingest`` artifacts (BENCH/ARENA/EXPLAIN payloads, telemetry
-  streams) into ``results/history/``, ``report`` renders the
-  ``HISTORY.{json,md}`` trend dashboard, ``check`` exits non-zero on a
-  confirmed regression against the trailing window.
 - ``watch``       -- live console view of a telemetry-enabled batch
   (``--once`` renders a single frame, for CI).
 - ``runs``        -- ``list``/``show`` the persistent run registry.
@@ -29,7 +21,7 @@ Commands:
   lock hotspots, the makespan critical path and anomaly flags ->
   ``EXPLAIN.{json,md}``.
 - ``backends``    -- list the registered executor backends with their
-  capability flags (``sweep``/``bench``/``arena`` select one with
+  capability flags (``sweep``/``arena`` select one with
   ``--backend``).
 - ``cache``       -- result-cache stats, with optional age/count
   pruning (``--max-age-days`` / ``--max-entries`` / ``--dry-run``).
@@ -42,8 +34,8 @@ Commands:
 
 Each verb imports the modules it needs inside its handler, so a command
 loads only its own machinery.  Option defaults owned by such a module
-(bench tolerances, the history store, the arena horizon) parse as
-``None`` and are filled in from that module by the handler.
+(the arena horizon) parse as ``None`` and are filled in from that
+module by the handler.
 """
 
 from __future__ import annotations
@@ -168,94 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also fold this trace JSONL artifact and lead "
                           "with its time-budget headline ('' disables)")
 
-    ben = sub.add_parser(
-        "bench",
-        help="run the pinned perf matrix (or --compare two artifacts)",
-    )
-    ben.add_argument("--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
-                     default=None,
-                     help="diff two BENCH_*.json files instead of running")
-    ben.add_argument("--tolerance", type=float, default=None,
-                     help="regression tolerance as a fraction "
-                          "(default: repro.bench.DEFAULT_TOLERANCE)")
-    ben.add_argument("--mem-tolerance", type=float, default=None,
-                     help="peak-RSS growth tolerance for --compare "
-                          "(default: repro.bench.DEFAULT_MEM_TOLERANCE)")
-    ben.add_argument("--out", default="results/bench",
-                     help="artifact directory (default results/bench)")
-    ben.add_argument("--output", default="",
-                     help="exact artifact path (overrides --out naming)")
-    ben.add_argument("--duration", type=float, default=None,
-                     help="simulated ms per cell "
-                          "(default: repro.bench.DEFAULT_DURATION_MS)")
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--quick", action="store_true",
-                     help="run the reduced 9-cell per-PR matrix instead "
-                          "of the full 32-cell one")
-    ben.add_argument("--repeats", type=int, default=3,
-                     help="simulate each cell N times, report the fastest "
-                          "(default 3; the noise filter)")
-    ben.add_argument("--pool", type=int, default=1,
-                     help="worker processes (default 1: serial runs give "
-                          "the stablest wall-clock numbers)")
-    ben.add_argument("--telemetry", action="store_true",
-                     help="emit live telemetry for the bench batch")
-    ben.add_argument("--runs-dir", default="results/runs",
-                     help="registry/telemetry directory used with "
-                          "--telemetry (default results/runs)")
-    _add_backend_args(ben)
-
-    his = sub.add_parser(
-        "history",
-        help="longitudinal metrics history: ingest/report/check",
-    )
-    his_sub = his.add_subparsers(dest="history_command")
-    his_ing = his_sub.add_parser(
-        "ingest",
-        help="append artifacts to the history store (dedup by digest)",
-    )
-    his_ing.add_argument(
-        "artifacts", nargs="+",
-        help="BENCH/ARENA/EXPLAIN JSON payloads or telemetry .jsonl "
-             "streams (family auto-detected)")
-    his_ing.add_argument("--store", default=None,
-                         help="store directory (default: "
-                              "repro.obs.history.DEFAULT_STORE_DIR)")
-    his_ing.add_argument("--family", default="auto",
-                         help="override artifact family detection "
-                              "(one of repro.obs.history.FAMILIES)")
-    his_rep = his_sub.add_parser(
-        "report",
-        help="render the HISTORY.{json,md} trend dashboard",
-    )
-    his_chk = his_sub.add_parser(
-        "check",
-        help="exit non-zero on a confirmed regression vs the trailing "
-             "window",
-    )
-    for his_common in (his_rep, his_chk):
-        his_common.add_argument(
-            "--store", default=None,
-            help="store directory "
-                 "(default: repro.obs.history.DEFAULT_STORE_DIR)")
-        his_common.add_argument(
-            "--tolerance", type=float, default=None,
-            help="speed regression tolerance "
-                 "(default: repro.bench.DEFAULT_TOLERANCE)")
-        his_common.add_argument(
-            "--mem-tolerance", type=float, default=None,
-            help="memory growth tolerance "
-                 "(default: repro.bench.DEFAULT_MEM_TOLERANCE)")
-        his_common.add_argument(
-            "--window", type=int, default=None,
-            help="trailing snapshots forming the baseline median "
-                 "(default: repro.analysis.trends.DEFAULT_WINDOW)")
-    his_rep.add_argument("--out", default="",
-                         help="directory for HISTORY.json/HISTORY.md "
-                              "(default: the store directory)")
-    his_rep.add_argument("--width", type=int, default=24,
-                         help="sparkline width in cells (default 24)")
-
     wch = sub.add_parser(
         "watch",
         help="live console view of a telemetry-enabled batch",
@@ -329,12 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="result cache root ('' disables caching)")
     arn.add_argument("--out", default="results/arena",
                      help="report directory (default results/arena)")
-    arn.add_argument("--no-phases", action="store_true",
-                     help="skip the per-phase cost pass (one uncached "
-                          "bench run per cell)")
-    arn.add_argument("--phase-repeats", type=int, default=1,
-                     help="bench repeats per cell in the phase pass "
-                          "(default 1)")
     arn.add_argument("--no-explain", action="store_true",
                      help="skip the traced explain pass (the per-cell "
                           "queued/blocked/executing/wasted why columns)")
@@ -483,15 +381,6 @@ def _backend_options(args: argparse.Namespace) -> typing.Dict[str, object]:
             "--spool-workers only applies to --backend shared-dir"
         )
     return {}
-
-
-def _module_defaults(
-    args: argparse.Namespace, module: object, **constants: str
-) -> None:
-    """Fill each option left at ``None`` from ``module``'s constant."""
-    for option, constant in constants.items():
-        if getattr(args, option) is None:
-            setattr(args, option, getattr(module, constant))
 
 
 def _make_workload(args: argparse.Namespace):
@@ -902,152 +791,6 @@ def _command_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro import bench as bench_mod
-
-    _module_defaults(
-        args, bench_mod,
-        tolerance="DEFAULT_TOLERANCE",
-        mem_tolerance="DEFAULT_MEM_TOLERANCE",
-        duration="DEFAULT_DURATION_MS",
-    )
-    if args.compare is not None:
-        try:
-            baseline = bench_mod.load_bench_json(args.compare[0])
-            current = bench_mod.load_bench_json(args.compare[1])
-        except (OSError, ValueError) as exc:
-            print(f"[bench] ERROR: {exc}", file=sys.stderr)
-            return 1
-        report = bench_mod.compare_bench(
-            baseline, current,
-            tolerance=args.tolerance,
-            mem_tolerance=args.mem_tolerance,
-        )
-        print(bench_mod.render_compare_report(report))
-        return 1 if report["failed"] else 0
-    if args.duration <= 0:
-        raise SystemExit(f"--duration must be > 0, got {args.duration:g}")
-    if args.repeats < 1:
-        raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
-    if args.telemetry and not args.runs_dir:
-        raise SystemExit("--telemetry needs --runs-dir")
-    from repro.runner.runner import ParallelRunner, _git_sha
-
-    runner = ParallelRunner(
-        pool_size=args.pool,
-        cache=None,
-        runs_dir=(args.runs_dir or None) if args.telemetry else None,
-        telemetry=args.telemetry,
-        backend=args.backend,
-        backend_options=_backend_options(args),
-    )
-    matrix = (
-        bench_mod.BENCH_QUICK_MATRIX if args.quick
-        else bench_mod.BENCH_MATRIX
-    )
-    rows = runner.run_bench(
-        bench_mod.bench_specs(
-            duration_ms=args.duration, seed=args.seed, matrix=matrix
-        ),
-        label="cli-bench",
-        repeats=args.repeats,
-    )
-    payload = bench_mod.bench_payload(
-        rows,
-        git_sha=_git_sha(),
-        batch=runner.last_batch_id if args.telemetry else None,
-        backend=runner.backend_name,
-    )
-    bench_mod.validate_bench(payload)
-    path = args.output or bench_mod.default_bench_path(
-        args.out, payload["created"]
-    )
-    path = bench_mod.write_bench_json(payload, path)
-    print(bench_mod.render_bench_report(payload))
-    print()
-    print(f"[bench] artifact -> {path} (schema valid)")
-    return 0
-
-
-def _command_history(args: argparse.Namespace) -> int:
-    if not args.history_command:
-        print("[history] pick a subcommand: ingest | report | check",
-              file=sys.stderr)
-        return 2
-    from repro.obs import history as history_mod
-
-    _module_defaults(args, history_mod, store="DEFAULT_STORE_DIR")
-    store = history_mod.HistoryStore(args.store)
-    if args.history_command == "ingest":
-        if args.family not in ("auto",) + history_mod.FAMILIES:
-            raise SystemExit(
-                f"--family must be auto or one of {history_mod.FAMILIES}, "
-                f"got {args.family!r}"
-            )
-        failures = 0
-        for artifact in args.artifacts:
-            try:
-                outcome = store.ingest(artifact, family=args.family)
-            except (OSError, ValueError) as exc:
-                print(f"[history] ERROR: {artifact}: {exc}",
-                      file=sys.stderr)
-                failures += 1
-                continue
-            if outcome["skipped"]:
-                print(f"[history] {artifact}: already ingested "
-                      f"(snapshot {outcome['snapshot']})")
-            else:
-                print(f"[history] {artifact}: +{outcome['added']} "
-                      f"{outcome['family']} record(s) "
-                      f"(snapshot {outcome['snapshot']})")
-        print(f"[history] store -> {store.path}")
-        return 1 if failures else 0
-
-    from repro import bench as bench_mod
-    from repro.analysis import trends as trends_mod
-
-    _module_defaults(
-        args, bench_mod,
-        tolerance="DEFAULT_TOLERANCE",
-        mem_tolerance="DEFAULT_MEM_TOLERANCE",
-    )
-    _module_defaults(args, trends_mod, window="DEFAULT_WINDOW")
-    try:
-        payload = trends_mod.history_report(
-            store,
-            tolerance=args.tolerance,
-            mem_tolerance=args.mem_tolerance,
-            window=args.window,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"[history] ERROR: {exc}", file=sys.stderr)
-        return 1
-    if not payload["snapshots"]:
-        print(f"[history] store {store.path} is empty; run "
-              "`repro history ingest` first", file=sys.stderr)
-        return 1
-    verdict = payload["verdict"]
-    if args.history_command == "check":
-        status = "OK" if verdict["ok"] else "REGRESSION"
-        print(f"[history] {status}: {len(payload['snapshots'])} "
-              f"snapshot(s), {verdict['evaluated']} cell(s) evaluated, "
-              f"{verdict['regressions']} regressed "
-              f"(quorum {verdict['quorum']}), {verdict['mem_growth']} "
-              f"grew in memory (quorum {verdict['mem_quorum']})")
-        for reason in verdict["reasons"]:
-            print(f"[history]   - {reason}")
-        return 0 if verdict["ok"] else 1
-    out_dir = pathlib.Path(args.out) if args.out else store.root
-    json_path = out_dir / "HISTORY.json"
-    md_path = out_dir / "HISTORY.md"
-    trends_mod.write_history(payload, json_path, md_path)
-    print(trends_mod.render_history_markdown(
-        payload, spark_width=args.width
-    ))
-    print(f"[history] artifacts -> {json_path} + {md_path} (schema valid)")
-    return 1 if not verdict["ok"] else 0
-
-
 def _resolve_batch(
     runs_dir: str, token: str
 ) -> typing.Dict[str, typing.Any]:
@@ -1223,11 +966,10 @@ def _command_arena(args: argparse.Namespace) -> int:
     from repro.runner import ParallelRunner, ResultCache
     from repro.runner.runner import _git_sha
 
-    _module_defaults(
-        args, arena_mod,
-        duration="DEFAULT_DURATION_MS",
-        warmup="DEFAULT_WARMUP_MS",
-    )
+    if args.duration is None:
+        args.duration = arena_mod.DEFAULT_DURATION_MS
+    if args.warmup is None:
+        args.warmup = arena_mod.DEFAULT_WARMUP_MS
     _check_horizon(args)
     schedulers = (
         [s for s in args.schedulers.split(",") if s]
@@ -1249,10 +991,6 @@ def _command_arena(args: argparse.Namespace) -> int:
             )
     if args.pool is not None and args.pool < 1:
         raise SystemExit(f"--pool must be >= 1, got {args.pool}")
-    if args.phase_repeats < 1:
-        raise SystemExit(
-            f"--phase-repeats must be >= 1, got {args.phase_repeats}"
-        )
     specs = arena_mod.arena_specs(
         schedulers,
         rates,
@@ -1271,18 +1009,12 @@ def _command_arena(args: argparse.Namespace) -> int:
         backend_options=_backend_options(args),
     )
     results = runner.run_batch(specs, label="arena")
-    bench_rows = None
-    if not args.no_phases:
-        bench_rows = runner.run_bench(
-            specs, label="arena-phases", repeats=args.phase_repeats
-        )
     time_budgets = None
     if not args.no_explain:
         time_budgets = _arena_time_budgets(args, specs)
     payload = arena_mod.arena_payload(
         specs,
         results,
-        bench_rows,
         time_budgets=time_budgets,
         git_sha=_git_sha(),
         created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -1325,8 +1057,7 @@ def _command_backends() -> int:
     print(render_table(
         ["name", "capabilities", "description"],
         typing.cast(typing.List[typing.List[object]], rows),
-        title="executor backends (select with sweep/bench/arena "
-              "--backend)",
+        title="executor backends (select with sweep/arena --backend)",
     ))
     return 0
 
@@ -1489,10 +1220,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             return _command_sweep(args)
         if args.command == "report":
             return _command_report(args)
-        if args.command == "bench":
-            return _command_bench(args)
-        if args.command == "history":
-            return _command_history(args)
         if args.command == "watch":
             return _command_watch(args)
         if args.command == "runs":

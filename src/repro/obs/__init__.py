@@ -37,11 +37,6 @@ Public surface:
 - :mod:`repro.obs.telemetry` -- live batch telemetry: worker lifecycle
   JSONL streams, heartbeats, the ``status.json`` aggregator and the
   ``repro watch`` / ``repro tail`` renderers.
-- :mod:`repro.obs.history` -- the longitudinal metrics history store:
-  append-only schema-versioned JSONL under ``results/history/``
-  ingesting BENCH/ARENA/EXPLAIN payloads and telemetry peaks (the
-  store behind ``repro history`` and
-  :mod:`repro.analysis.trends`).
 
 Every name is imported from its defining module on first use
 (:mod:`repro._facade`): a run that never writes a trace or telemetry
@@ -56,9 +51,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ConservationError": "repro.obs.attrib",
     "EVENT_KINDS": "repro.obs.events",
     "FixedHistogram": "repro.obs.timeseries",
-    "HISTORY_SCHEMA_VERSION": "repro.obs.history",
-    "HistorySchemaError": "repro.obs.history",
-    "HistoryStore": "repro.obs.history",
     "LogHistogram": "repro.obs.timeseries",
     "MemoryRecorder": "repro.obs.recorder",
     "NULL_PROFILER": "repro.obs.profile",
@@ -82,10 +74,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "TraceRecorder": "repro.obs.recorder",
     "TxnTimeline": "repro.obs.attrib",
     "WorkerTelemetry": "repro.obs.telemetry",
-    "artifact_digest": "repro.obs.history",
     "check_conservation": "repro.obs.attrib",
-    "detect_family": "repro.obs.history",
-    "extract_records": "repro.obs.history",
     "fold_trace": "repro.obs.attrib",
     "fold_trace_path": "repro.obs.attrib",
     "format_telemetry_record": "repro.obs.telemetry",
@@ -102,7 +91,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "telemetry_event_kinds": "repro.obs.telemetry",
     "to_chrome_trace": "repro.obs.export",
     "validate_event": "repro.obs.schema",
-    "validate_history_record": "repro.obs.history",
     "validate_jsonl": "repro.obs.schema",
     "validate_series": "repro.obs.timeseries",
     "validate_telemetry_event": "repro.obs.telemetry",

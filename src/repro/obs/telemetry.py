@@ -1,7 +1,7 @@
 """Live fleet telemetry for the parallel runner.
 
-PR 2/3 observability is *post-hoc and per-run*: traces, series and bench
-artifacts only exist once a run finished.  This module is the *live*
+Traces and series are *post-hoc and per-run*: those artifacts only
+exist once a run finished.  This module is the *live*
 layer: while a batch executes, every worker appends structured lifecycle
 records (``run.start`` / ``run.heartbeat`` / ``run.done`` / ``run.error``)
 to a shared per-batch ``telemetry.jsonl``, and the parent folds that

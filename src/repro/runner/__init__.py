@@ -40,7 +40,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "backend_names": "repro.runner.backends",
     "create_backend": "repro.runner.backends",
     "default_runner": "repro.runner.runner",
-    "execute_bench": "repro.runner.worker",
     "execute_spec": "repro.runner.worker",
     "get_backend_info": "repro.runner.backends",
     "janitor_sweep": "repro.runner.backends.shared_dir",

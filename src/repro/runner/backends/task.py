@@ -1,15 +1,13 @@
 """The unit of work backends move around: one JSON-able task dict.
 
-A task fully describes one run -- kind (``sweep`` or ``bench``), cell
-index, spec, artifact directories, bench repeats and the optional
-worker-telemetry context -- as plain data, so every backend shares one
+A task fully describes one run -- kind (always ``sweep``), cell index,
+spec, artifact directories and the optional worker-telemetry context -- as plain data, so every backend shares one
 contract: the local pool pickles the dict to a pool worker, the asyncio
 backend writes it to a subprocess's stdin, the shared-dir backend
 renames it through a spool directory to another host.
 
 :func:`run_task` executes a task wherever it lands and returns the
-*live* result object (a :class:`~repro.sim.metrics.SimulationResult`
-or a bench row).  Backends that cross a host/stdio boundary encode that
+*live* :class:`~repro.sim.metrics.SimulationResult`.  Backends that cross a host/stdio boundary encode that
 with :func:`encode_result` and the parent restores it with
 :func:`decode_result`; the round-trip is the same ``to_dict`` /
 ``from_dict`` pair the result cache uses, so results stay
@@ -21,7 +19,7 @@ from __future__ import annotations
 import typing
 
 from repro.runner.spec import RunSpec
-from repro.runner.worker import execute_bench, execute_spec
+from repro.runner.worker import execute_spec
 from repro.sim.metrics import SimulationResult
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -48,24 +46,10 @@ def sweep_task(
     }
 
 
-def bench_task(
-    cell: int,
-    spec: RunSpec,
-    repeats: int,
-    telemetry: typing.Optional["WorkerTelemetry"] = None,
-) -> Task:
-    """One perf-measurement cell as a backend-portable task."""
-    return {
-        "kind": "bench",
-        "cell": cell,
-        "spec": spec.to_dict(),
-        "repeats": repeats,
-        "telemetry": telemetry.to_dict() if telemetry is not None else None,
-    }
-
-
-def run_task(task: Task) -> typing.Any:
+def run_task(task: Task) -> SimulationResult:
     """Execute ``task`` in this process; returns the live result object."""
+    if task["kind"] != "sweep":
+        raise ValueError(f"unknown task kind {task.get('kind')!r}")
     spec = RunSpec.from_dict(task["spec"])
     context = task.get("telemetry")
     telemetry = None
@@ -73,18 +57,12 @@ def run_task(task: Task) -> typing.Any:
         from repro.obs.telemetry import WorkerTelemetry
 
         telemetry = WorkerTelemetry.from_dict(context)
-    if task["kind"] == "bench":
-        return execute_bench(
-            spec, repeats=int(task.get("repeats", 1)), telemetry=telemetry
-        )
-    if task["kind"] == "sweep":
-        return execute_spec(
-            spec,
-            traces_dir=task.get("traces_dir"),
-            series_dir=task.get("series_dir"),
-            telemetry=telemetry,
-        )
-    raise ValueError(f"unknown task kind {task.get('kind')!r}")
+    return execute_spec(
+        spec,
+        traces_dir=task.get("traces_dir"),
+        series_dir=task.get("series_dir"),
+        telemetry=telemetry,
+    )
 
 
 def run_task_indexed(task: Task) -> typing.Tuple[int, typing.Any]:
@@ -92,15 +70,11 @@ def run_task_indexed(task: Task) -> typing.Tuple[int, typing.Any]:
     return task["cell"], run_task(task)
 
 
-def encode_result(task: Task, result: typing.Any) -> typing.Any:
+def encode_result(task: Task, result: SimulationResult) -> typing.Any:
     """The JSON form of a task's result, for transport."""
-    if task["kind"] == "sweep":
-        return typing.cast(SimulationResult, result).to_dict()
-    return result  # bench rows are already plain dicts
+    return result.to_dict()
 
 
-def decode_result(task: Task, payload: typing.Any) -> typing.Any:
+def decode_result(task: Task, payload: typing.Any) -> SimulationResult:
     """Restore a transported result to what :func:`run_task` returns."""
-    if task["kind"] == "sweep":
-        return SimulationResult.from_dict(payload)
-    return payload
+    return SimulationResult.from_dict(payload)

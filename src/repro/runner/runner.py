@@ -62,12 +62,11 @@ from repro.runner.backends import (
     create_backend,
     get_backend_info,
 )
-from repro.runner.backends.task import bench_task, sweep_task
+from repro.runner.backends.task import sweep_task
 from repro.runner.cache import ResultCache
 from repro.runner.registry import RunRegistry, spec_digest
 from repro.runner.spec import RunSpec
 from repro.runner.worker import (
-    execute_bench,
     execute_spec,
     series_artifact_path,
     trace_artifact_path,
@@ -168,7 +167,6 @@ class _BatchTelemetry:
         label: str,
         specs: typing.Sequence[RunSpec],
         keys: typing.Sequence[str],
-        kind: str,
         heartbeat_s: float,
         progress_every: int,
         stall_timeout_s: typing.Optional[float],
@@ -202,7 +200,6 @@ class _BatchTelemetry:
                 }
                 for index in range(len(specs))
             ],
-            kind=kind,
         )
         self._offset = 0
         self._last_write = 0.0
@@ -212,7 +209,7 @@ class _BatchTelemetry:
             batch=batch_id,
             label=label,
             total=len(specs),
-            mode=kind,
+            mode="sweep",
             backend=backend,
         )
         self.tick(force=True)
@@ -417,12 +414,12 @@ class ParallelRunner:
         self.cache_hits += hits
         self.cache_misses += len(specs) - hits
 
-        tele = self._open_telemetry(batch_id, label, specs, keys, "sweep")
+        tele = self._open_telemetry(batch_id, label, specs, keys)
         if tele is not None:
             for index, flag in enumerate(cached_flags):
                 if flag:
                     tele.mark_cached(index)
-        self._register(batch_id, label, "sweep", keys, "running", tele=tele)
+        self._register(batch_id, label, keys, "running", tele=tele)
 
         done = hits
         status = "complete"
@@ -467,7 +464,7 @@ class ParallelRunner:
             if tele is not None:
                 tele.finish(status, wall_s)
             self._register(
-                batch_id, label, "sweep", keys, status,
+                batch_id, label, keys, status,
                 wall_s=wall_s, tele=tele,
             )
             self._emit(
@@ -476,145 +473,6 @@ class ParallelRunner:
                 )
             )
         return typing.cast(typing.List[SimulationResult], results)
-
-    def run_bench(
-        self,
-        specs: typing.Sequence[RunSpec],
-        label: str = "bench",
-        repeats: int = 1,
-    ) -> typing.List[typing.Dict[str, typing.Any]]:
-        """Execute ``specs`` as perf measurements, in input order.
-
-        Deliberately bypasses the result cache and coalescing: every
-        spec is simulated afresh (a cache hit takes no wall time and
-        would report infinite speed).  Rows come from
-        :func:`~repro.runner.worker.execute_bench` (best of
-        ``repeats``).  With ``telemetry=True`` bench cells emit the
-        same lifecycle records as sweep cells (heartbeats add one
-        guarded check every ``progress_every`` events to the measured
-        loop).
-        """
-        specs = list(specs)
-        started = time.time()
-        batch_id = self._next_batch_id()
-        self.last_failures = {}
-        keys = [spec.cache_key() for spec in specs]
-        rows: typing.List[typing.Optional[typing.Dict[str, typing.Any]]] = (
-            [None] * len(specs)
-        )
-        tele = self._open_telemetry(batch_id, label, specs, keys, "bench")
-        self._register(batch_id, label, "bench", keys, "running", tele=tele)
-        self._emit(RunEvent("batch-start", label, 0, len(specs)))
-        done = 0
-        status = "complete"
-        try:
-            workers = min(self.pool_size, len(specs)) if specs else 0
-            if workers == 0 or self._inline_for(workers):
-                for index, spec in enumerate(specs):
-                    run_started = time.time()
-                    context = (
-                        tele.inline_worker(index) if tele is not None else None
-                    )
-                    rows[index] = execute_bench(
-                        spec, repeats=repeats, telemetry=context
-                    )
-                    done += 1
-                    self._emit(RunEvent(
-                        "run-done", label, done, len(specs), spec=spec,
-                        elapsed_s=time.time() - run_started,
-                    ))
-                    if tele is not None:
-                        tele.tick()
-            else:
-                done = self._run_bench_backend(
-                    specs, repeats, workers, label, rows, tele, started
-                )
-        except KeyboardInterrupt:
-            status = "interrupted"
-            raise
-        except BaseException:
-            status = "failed"
-            raise
-        finally:
-            wall_s = time.time() - started
-            self.runs_completed += len(specs)
-            if tele is not None:
-                tele.finish(status, wall_s)
-            self._register(
-                batch_id, label, "bench", keys, status,
-                wall_s=wall_s, tele=tele,
-            )
-            self._emit(
-                RunEvent(
-                    "batch-done", label, done, len(specs), elapsed_s=wall_s
-                )
-            )
-        return typing.cast(
-            typing.List[typing.Dict[str, typing.Any]], rows
-        )
-
-    def _run_bench_backend(
-        self,
-        specs: typing.Sequence[RunSpec],
-        repeats: int,
-        workers: int,
-        label: str,
-        rows: typing.List[typing.Optional[typing.Dict[str, typing.Any]]],
-        tele: typing.Optional[_BatchTelemetry],
-        started: float,
-    ) -> int:
-        """The fanned-out half of :meth:`run_bench`; returns done count.
-
-        Bench rows are measurements, not cacheable model results, so
-        there is no retry policy here: a worker death fails the batch
-        fast (a retried timing on a disturbed host would be a lie).
-        """
-        done = 0
-        backend = create_backend(
-            self.backend_name, workers=workers, **self.backend_options
-        )
-        try:
-            backend.prepare(len(specs))
-            outstanding: typing.Set[int] = set()
-            for index, spec in enumerate(specs):
-                context = (
-                    tele.worker_context(index) if tele is not None else None
-                )
-                backend.submit(bench_task(index, spec, repeats, context))
-                outstanding.add(index)
-            while outstanding:
-                outcomes = backend.poll(
-                    _BatchTelemetry.POLL_S if tele is not None else None
-                )
-                for outcome in outcomes:
-                    if outcome.cell not in outstanding:
-                        continue
-                    outstanding.discard(outcome.cell)
-                    if outcome.crashed:
-                        raise WorkerTaskError(
-                            f"bench worker died abruptly: {outcome.error}"
-                        )
-                    if outcome.error is not None:
-                        self._record_failure(
-                            outcome.cell, outcome.error, tele, emit=False
-                        )
-                        if outcome.exception is not None:
-                            raise outcome.exception
-                        raise WorkerTaskError(
-                            outcome.error, outcome.traceback
-                        )
-                    rows[outcome.cell] = outcome.result
-                    done += 1
-                    self._emit(RunEvent(
-                        "run-done", label, done, len(specs),
-                        spec=specs[outcome.cell],
-                        elapsed_s=time.time() - started,
-                    ))
-                if tele is not None:
-                    tele.tick()
-        finally:
-            backend.shutdown()
-        return done
 
     # -- execution ----------------------------------------------------------
 
@@ -889,12 +747,11 @@ class ParallelRunner:
         label: str,
         specs: typing.Sequence[RunSpec],
         keys: typing.Sequence[str],
-        kind: str,
     ) -> typing.Optional[_BatchTelemetry]:
         if not self.telemetry or self.runs_dir is None:
             return None
         return _BatchTelemetry(
-            self.runs_dir, batch_id, label, specs, keys, kind,
+            self.runs_dir, batch_id, label, specs, keys,
             heartbeat_s=self.heartbeat_s,
             progress_every=self.progress_every,
             stall_timeout_s=self.stall_timeout_s,
@@ -905,7 +762,6 @@ class ParallelRunner:
         self,
         batch_id: str,
         label: str,
-        kind: str,
         keys: typing.Sequence[str],
         status: str,
         wall_s: typing.Optional[float] = None,
@@ -916,7 +772,7 @@ class ParallelRunner:
         entry = {
             "batch": batch_id,
             "label": label,
-            "kind": kind,
+            "kind": "sweep",
             "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "git_sha": self._git_sha,
             "status": status,

@@ -12,11 +12,6 @@ content-addressed by the spec's cache key, so re-running the same spec
 overwrites the identical file and a batch manifest can reference it
 without coordination.
 
-:func:`execute_bench` is the perf-measurement variant used by ``repro
-bench``: it runs the spec with the wall-clock self-profiler attached
-and returns simulator speed (events/second, wall per simulated second)
-plus the per-phase breakdown instead of a cached model result.
-
 When the runner hands a job a :class:`~repro.obs.telemetry.WorkerTelemetry`
 context, the worker emits ``run.start`` immediately (so the parent
 learns its pid), heartbeats through the engine's progress hook while
@@ -31,7 +26,6 @@ import pathlib
 import time
 import typing
 
-from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MemoryRecorder
 from repro.runner.spec import RunSpec
 from repro.sim.metrics import SimulationResult
@@ -168,98 +162,3 @@ def execute_indexed(
         telemetry=telemetry,
     )
 
-
-def execute_bench(
-    spec: RunSpec,
-    repeats: int = 1,
-    telemetry: typing.Optional["WorkerTelemetry"] = None,
-) -> typing.Dict[str, typing.Any]:
-    """Run ``spec`` as a perf measurement: speed + phase breakdown.
-
-    Never consults or populates the result cache -- a cached run takes
-    ~0 wall seconds and would make every speed number meaningless.
-    With ``repeats > 1`` the cell is simulated that many times and the
-    *fastest* repetition reported (the standard noise filter: the
-    minimum is the run least disturbed by the host).  The model-level
-    outcome (commits, throughput) is included so a bench row can be
-    sanity-checked against the equivalent sweep result.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if telemetry is not None:
-        telemetry.start()
-        _apply_test_hooks(telemetry.cell)
-    bench_started = time.perf_counter()
-    try:
-        best = _bench_repeats(spec, repeats, telemetry)
-    except BaseException as exc:
-        if telemetry is not None:
-            telemetry.error(exc)
-        raise
-    if telemetry is not None:
-        telemetry.done(
-            time.perf_counter() - bench_started, best["events"]
-        )
-    return best
-
-
-def _bench_repeats(
-    spec: RunSpec,
-    repeats: int,
-    telemetry: typing.Optional["WorkerTelemetry"],
-) -> typing.Dict[str, typing.Any]:
-    """Best-of-``repeats`` measurement loop of :func:`execute_bench`."""
-    from repro.obs.telemetry import max_rss_kb
-
-    best: typing.Optional[typing.Dict[str, typing.Any]] = None
-    for _ in range(repeats):
-        profiler = PhaseProfiler()
-        simulation = Simulation(
-            spec.config,
-            spec.workload.build(),
-            scheduler=spec.scheduler,
-            seed=spec.seed,
-            duration_ms=spec.duration_ms,
-            warmup_ms=spec.warmup_ms,
-            profiler=profiler,
-        )
-        if telemetry is not None:
-            telemetry.install(simulation.env)
-        started = time.perf_counter()
-        result = simulation.run()
-        wall_s = time.perf_counter() - started
-        if best is not None and wall_s >= best["wall_s"]:
-            continue
-        events = simulation.env.events_processed
-        sim_s = spec.duration_ms / 1_000.0
-        best = {
-            "scheduler": spec.scheduler,
-            "workload": spec.workload.to_dict(),
-            "dd": spec.config.dd,
-            "seed": spec.seed,
-            "duration_ms": spec.duration_ms,
-            "warmup_ms": spec.warmup_ms,
-            "repeats": repeats,
-            "wall_s": round(wall_s, 6),
-            "events": events,
-            "events_per_s": (
-                round(events / wall_s, 3) if wall_s > 0 else None
-            ),
-            "wall_per_sim_s": round(wall_s / sim_s, 9),
-            "profile": profiler.report(total_s=wall_s),
-            "completed": result.completed,
-            "throughput_tps": result.throughput_tps,
-            "maxrss_kb": max_rss_kb(),
-        }
-    assert best is not None
-    return best
-
-
-def execute_bench_indexed(
-    job: typing.Tuple[
-        int, RunSpec, int, typing.Optional["WorkerTelemetry"]
-    ],
-) -> typing.Tuple[int, typing.Dict[str, typing.Any]]:
-    """Pool-friendly wrapper for :func:`execute_bench`."""
-    index, spec, repeats, telemetry = job
-    return index, execute_bench(spec, repeats=repeats, telemetry=telemetry)

@@ -92,29 +92,10 @@ class TestPayload:
         assert [c["scheduler"] for c in payload["cells"]] == ["NODC"]
         assert "failed cell(s) dropped" in render_arena_markdown(payload)
 
-    def test_bench_rows_contribute_phase_costs(self):
-        specs = arena_specs(("NODC",), rates=(0.8,), dds=(1,), **QUICK)
-        results = [execute_spec(specs[0])]
-        bench_rows = [{
-            "profile": {
-                "phases": {"sched.decision": {"seconds": 2.0, "calls": 9}},
-                "total_s": 3.0,
-                "other_s": 1.0,
-            },
-        }]
-        payload = arena_payload(specs, results, bench_rows)
-        assert payload["cells"][0]["phase_cost_s"] == {
-            "sched.decision": 2.0,
-            "other": 1.0,
-        }
-        assert "sched.decision (67%)" in render_arena_markdown(payload)
-
     def test_length_mismatches_raise(self):
         specs, payload = tiny_payload()
         with pytest.raises(ValueError):
             arena_payload(specs, [None])
-        with pytest.raises(ValueError):
-            arena_payload(specs, [None, None], bench_rows=[None])
 
 
 class TestValidation:
@@ -162,14 +143,6 @@ class TestValidation:
         bad_family["cells"][0]["family"] = "retro"
         with pytest.raises(ValueError, match="family"):
             validate_arena(bad_family)
-
-    def test_rejects_non_mapping_phases(self):
-        _specs, payload = tiny_payload()
-        broken = {**payload, "cells": [dict(payload["cells"][0])]}
-        broken["cells"][0]["phase_cost_s"] = [1, 2]
-        with pytest.raises(ValueError, match="phase_cost_s"):
-            validate_arena(broken)
-
 
 class TestMarkdown:
     def test_report_groups_and_crowns_a_winner(self):

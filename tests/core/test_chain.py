@@ -1,6 +1,7 @@
 """Unit and property tests for the chain-form machinery (GOW's core)."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +231,19 @@ class TestSolveComponent:
             fast, _ = solve_component(comp)
             slow, _ = brute_force_component(comp)
             assert fast == pytest.approx(slow)
+
+    def test_64_node_chain(self):
+        rng = random.Random(7)
+        comp = component(
+            [rng.uniform(0, 10) for _ in range(64)],
+            [
+                free_edge(i, i + 1, rng.uniform(0, 10), rng.uniform(0, 10))
+                for i in range(63)
+            ],
+        )
+        value, dirs = solve_component(comp)
+        assert len(dirs) == 63
+        assert value > 0
 
     @settings(max_examples=200, deadline=None)
     @given(

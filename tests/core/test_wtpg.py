@@ -1,6 +1,7 @@
 """Unit tests for the WTPG, including the paper's own examples."""
 
 import math
+import random
 
 import pytest
 
@@ -101,6 +102,24 @@ class TestMembership:
         wtpg.add_transaction(txn(3, [(B, "w", 1.0)]))
         assert not wtpg.conflict_edges()
         assert wtpg.neighbors(1) == set()
+
+    def test_churn_keeps_the_live_set(self):
+        """Add, grant and remove 300 two-step writers, 60 live at once."""
+        rng = random.Random(3)
+        wtpg = WTPG()
+        live = []
+        for txn_id in range(300):
+            first, second = rng.sample(range(16), 2)
+            t = txn(txn_id, [(first, "w", 1.0), (second, "w", 5.0)])
+            wtpg.add_transaction(t)
+            live.append(t)
+            for file_id in t.files:
+                fixes = wtpg.fixes_for_grant(t.txn_id, file_id)
+                if not wtpg.creates_cycle(fixes):
+                    wtpg.grant(t.txn_id, file_id, propagate=False)
+            if len(live) > 60:
+                wtpg.remove_transaction(live.pop(0).txn_id)
+        assert len(wtpg) == 60
 
 
 class TestGrantFixes:

@@ -114,6 +114,15 @@ class TestProcessIntegration:
         env.run()
         assert env.now == 10
 
+    def test_ten_thousand_timeouts_end_at_their_sum(self, env):
+        def ticker(env):
+            for _ in range(10_000):
+                yield env.timeout(1.0)
+
+        env.process(ticker(env))
+        env.run()
+        assert env.now == 10_000.0
+
     def test_process_return_value(self, env):
         def proc(env):
             yield env.timeout(1)

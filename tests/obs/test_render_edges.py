@@ -1,6 +1,6 @@
-"""Renderer edge cases feeding the history dashboard: sparkline and
-series reports with empty / single-sample / all-equal inputs, histogram
-export with zero observations."""
+"""Renderer edge cases: sparkline and series reports with empty /
+single-sample / all-equal inputs, histogram export with zero
+observations."""
 
 import json
 import math

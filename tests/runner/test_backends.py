@@ -30,7 +30,7 @@ from repro.runner import (
 from repro.runner.backends import SharedDirBackend, worker_pool_loop
 from repro.runner.backends.base import ExecutorBackend, child_environment
 from repro.runner.backends.shared_dir import spool_dirs
-from repro.runner.backends.task import sweep_task
+from repro.runner.backends.task import run_task, sweep_task
 from repro.runner.worker import EXIT_TEST_ENV, STALL_TEST_ENV, execute_spec
 
 ALL_BACKENDS = ["serial", "local", "asyncio", "shared-dir"]
@@ -127,6 +127,14 @@ class TestRegistry:
         assert backend_modules.isdisjoint(loaded)
 
 
+class TestTask:
+    def test_only_sweep_tasks_run(self):
+        task = sweep_task(0, make_specs(1)[0])
+        assert task["kind"] == "sweep"
+        with pytest.raises(ValueError, match="unknown task kind 'bench'"):
+            run_task({**task, "kind": "bench"})
+
+
 class TestConformance:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_results_byte_identical_to_serial_reference(
@@ -155,27 +163,6 @@ class TestConformance:
         counts = runner.last_batch["counts"]
         assert counts["cache_hits"] == 2
         assert counts["simulated"] == 0
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_bench_outcome_fields_identical_across_backends(
-        self, tmp_path, backend
-    ):
-        specs = make_specs(2)
-        reference = make_runner(tmp_path, "serial").run_bench(
-            specs, label="bench-ref", repeats=1
-        )
-        rows = make_runner(tmp_path, backend).run_bench(
-            specs, label=f"bench-{backend}", repeats=1
-        )
-        deterministic = (
-            "scheduler", "workload", "dd", "seed", "duration_ms",
-            "warmup_ms", "repeats", "events", "completed",
-            "throughput_tps",
-        )
-        for row, expected in zip(rows, reference):
-            assert set(row) == set(expected)  # same schema, any backend
-            for field in deterministic:
-                assert row[field] == expected[field]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_interrupt_finalizes_artifacts_and_shuts_down(

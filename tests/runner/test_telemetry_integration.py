@@ -233,17 +233,3 @@ class TestInterrupt:
         entry = RunRegistry(tmp_path / "runs").find("latest")
         assert entry["status"] == "interrupted"
         assert seen[-1] == "batch-done"
-
-
-class TestBenchTelemetry:
-    def test_bench_batch_emits_valid_stream(self, tmp_path):
-        runner = make_runner(tmp_path, pool_size=1)
-        rows = runner.run_bench(make_specs(2), label="bench", repeats=1)
-        assert all(row is not None for row in rows)
-        telemetry_path, status_path = batch_artifacts(runner)
-        assert validate_telemetry_jsonl(telemetry_path) > 0
-        status = read_status(status_path)
-        assert status["kind"] == "bench"
-        assert status["status"] == "complete"
-        entry = RunRegistry(tmp_path / "runs").find("latest")
-        assert entry["kind"] == "bench"

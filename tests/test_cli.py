@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.analysis.arena import load_arena
-from repro.bench import load_bench_json, validate_bench, write_bench_json
 from repro.cli import build_parser, main
 
 
@@ -221,178 +220,6 @@ class TestReportCommand:
         assert "ERROR" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def _bench(self, tmp_path, name, capsys):
-        path = tmp_path / name
-        assert main([
-            "bench", "--duration", "5000", "--repeats", "1",
-            "--output", str(path),
-        ]) == 0
-        capsys.readouterr()
-        return path
-
-    def test_bench_writes_valid_artifact(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_now.json"
-        assert main([
-            "bench", "--duration", "5000", "--repeats", "1",
-            "--output", str(path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "schema valid" in out
-        assert "events/s" in out
-        validate_bench(load_bench_json(path))
-
-    def test_compare_clean_exits_zero(self, tmp_path, capsys):
-        path = self._bench(tmp_path, "a.json", capsys)
-        assert main(["bench", "--compare", str(path), str(path)]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_compare_flags_injected_regression(self, tmp_path, capsys):
-        path = self._bench(tmp_path, "a.json", capsys)
-        payload = load_bench_json(path)
-        for row in payload["runs"]:
-            row["events_per_s"] *= 0.5  # synthetic 2x slowdown
-        slow = tmp_path / "slow.json"
-        write_bench_json(payload, slow)
-        assert main(["bench", "--compare", str(path), str(slow)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_compare_missing_file_fails(self, tmp_path, capsys):
-        assert main([
-            "bench", "--compare",
-            str(tmp_path / "a.json"), str(tmp_path / "b.json"),
-        ]) == 1
-        assert "ERROR" in capsys.readouterr().err
-
-    def test_bad_repeats_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--repeats", "0", "--duration", "1000"])
-
-    def test_compare_memory_regression_fails(self, tmp_path, capsys):
-        path = self._bench(tmp_path, "a.json", capsys)
-        payload = load_bench_json(path)
-        for row in payload["runs"]:
-            row["maxrss_kb"] = 100_000
-        base = tmp_path / "base.json"
-        write_bench_json(payload, base)
-        for row in payload["runs"]:
-            row["maxrss_kb"] = 160_000  # 1.6x > the 30% gate
-        grown = tmp_path / "grown.json"
-        write_bench_json(payload, grown)
-        assert main(["bench", "--compare", str(base), str(grown)]) == 1
-        out = capsys.readouterr().out
-        assert "+mem" in out and "FAIL" in out
-        # a looser gate lets the same artifacts pass
-        assert main([
-            "bench", "--compare", str(base), str(grown),
-            "--mem-tolerance", "0.75",
-        ]) == 0
-
-
-class TestHistoryCommand:
-    def _template(self, tmp_path, capsys):
-        """One real quick-bench payload reused as the artifact template
-        (measured wall-clock numbers are replaced with pinned synthetic
-        speeds so the trend verdict is deterministic)."""
-        path = tmp_path / "template.json"
-        assert main([
-            "bench", "--quick", "--duration", "5000", "--repeats", "1",
-            "--output", str(path),
-        ]) == 0
-        capsys.readouterr()
-        return load_bench_json(path)
-
-    def _bench_artifact(self, tmp_path, template, name, factor, created):
-        payload = json.loads(json.dumps(template))
-        payload["created"] = created
-        for row in payload["runs"]:
-            row["events_per_s"] = 100_000.0 * factor
-        return write_bench_json(payload, tmp_path / name)
-
-    def _seed_store(self, tmp_path, capsys, slow_last=False):
-        store = tmp_path / "history"
-        template = self._template(tmp_path, capsys)
-        factors = [1.0, 1.05, 0.98]
-        if slow_last:
-            factors.append(0.4)
-        paths = [
-            self._bench_artifact(
-                tmp_path, template, f"b{i}.json", factor,
-                f"2026-01-{i + 1:02d}T00:00:00Z",
-            )
-            for i, factor in enumerate(factors)
-        ]
-        assert main([
-            "history", "ingest", *[str(p) for p in paths],
-            "--store", str(store),
-        ]) == 0
-        capsys.readouterr()
-        return store, template
-
-    def test_ingest_reports_and_dedups(self, tmp_path, capsys):
-        store = tmp_path / "history"
-        template = self._template(tmp_path, capsys)
-        path = self._bench_artifact(
-            tmp_path, template, "b.json", 1.0, "2026-01-01T00:00:00Z"
-        )
-        assert main([
-            "history", "ingest", str(path), "--store", str(store),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "bench record(s)" in out
-        assert main([
-            "history", "ingest", str(path), "--store", str(store),
-        ]) == 0
-        assert "already ingested" in capsys.readouterr().out
-
-    def test_ingest_unknown_artifact_fails(self, tmp_path, capsys):
-        bogus = tmp_path / "x.json"
-        bogus.write_text('{"mystery": 1}', encoding="utf-8")
-        assert main([
-            "history", "ingest", str(bogus),
-            "--store", str(tmp_path / "history"),
-        ]) == 1
-        assert "ERROR" in capsys.readouterr().err
-
-    def test_report_writes_artifact_pair(self, tmp_path, capsys):
-        store, _template = self._seed_store(tmp_path, capsys)
-        assert main(["history", "report", "--store", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "# Metrics history" in out
-        assert "schema valid" in out
-        from repro.analysis.trends import load_history
-        payload = load_history(store / "HISTORY.json")
-        assert len(payload["snapshots"]) == 3
-        assert payload["verdict"]["ok"] is True
-        assert (store / "HISTORY.md").exists()
-
-    def test_check_passes_then_fails_on_injected_slowdown(
-        self, tmp_path, capsys
-    ):
-        store, template = self._seed_store(tmp_path, capsys)
-        assert main(["history", "check", "--store", str(store)]) == 0
-        assert "OK" in capsys.readouterr().out
-        slow = self._bench_artifact(
-            tmp_path, template, "slow.json", 0.4, "2026-01-09T00:00:00Z"
-        )
-        assert main([
-            "history", "ingest", str(slow), "--store", str(store),
-        ]) == 0
-        capsys.readouterr()
-        assert main(["history", "check", "--store", str(store)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_empty_store_is_an_error(self, tmp_path, capsys):
-        assert main([
-            "history", "report", "--store", str(tmp_path / "empty"),
-        ]) == 1
-        assert "empty" in capsys.readouterr().err
-
-    def test_missing_subcommand_exits_two(self, capsys):
-        assert main(["history"]) == 2
-        assert "subcommand" in capsys.readouterr().err
-
-
 class TestTelemetryCommands:
     def _sweep(self, tmp_path, capsys):
         assert main([
@@ -474,22 +301,6 @@ class TestTelemetryCommands:
                 "--runs-dir", "", "--telemetry",
             ])
 
-    def test_bench_telemetry_links_batch(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.json"
-        assert main([
-            "bench", "--duration", "5000", "--repeats", "1",
-            "--out", str(tmp_path), "--output", str(out_path),
-            "--telemetry", "--runs-dir", str(tmp_path / "runs"),
-        ]) == 0
-        payload = load_bench_json(out_path)
-        assert payload.get("batch")
-        capsys.readouterr()
-        assert main([
-            "runs", "list", "--runs-dir", str(tmp_path / "runs"),
-        ]) == 0
-        assert "bench" in capsys.readouterr().out
-
-
 class TestSchedulersCommand:
     def test_lists_modern_lineup_with_families(self, capsys):
         assert main(["schedulers"]) == 0
@@ -518,27 +329,17 @@ class TestArenaCommand:
         ])
 
     def test_writes_valid_report_pair(self, tmp_path, capsys):
-        assert self.run_arena(tmp_path, "--no-phases", "--no-explain") == 0
+        assert self.run_arena(tmp_path, "--no-explain") == 0
         out = capsys.readouterr().out
         assert "2 cell(s)" in out and "schema valid" in out
         payload = load_arena(tmp_path / "arena" / "ARENA.json")
         assert [c["scheduler"] for c in payload["cells"]] == ["NODC", "DGCC"]
-        assert "phase_cost_s" not in payload["cells"][0]
         assert "time_budget" not in payload["cells"][0]
         md = (tmp_path / "arena" / "ARENA.md").read_text(encoding="utf-8")
         assert "**(best)**" in md
 
-    def test_phase_pass_adds_cost_split(self, tmp_path, capsys):
-        assert self.run_arena(tmp_path, "--no-explain") == 0
-        payload = load_arena(tmp_path / "arena" / "ARENA.json")
-        for cell in payload["cells"]:
-            assert cell["phase_cost_s"]
-        assert "hot phase" in (tmp_path / "arena" / "ARENA.md").read_text(
-            encoding="utf-8"
-        )
-
     def test_explain_pass_adds_time_budgets(self, tmp_path, capsys):
-        assert self.run_arena(tmp_path, "--no-phases") == 0
+        assert self.run_arena(tmp_path) == 0
         payload = load_arena(tmp_path / "arena" / "ARENA.json")
         for cell in payload["cells"]:
             budget = cell["time_budget"]
@@ -590,15 +391,6 @@ class TestBackendsCommand:
         with pytest.raises(SystemExit, match="shared-dir"):
             main(["sweep", "NODC", "--rates", "0.4",
                   "--backend", "local", "--spool", str(tmp_path)])
-
-    def test_bench_artifact_records_backend(self, tmp_path, capsys):
-        path = tmp_path / "b.json"
-        assert main([
-            "bench", "--duration", "5000", "--repeats", "1",
-            "--quick", "--output", str(path), "--backend", "serial",
-        ]) == 0
-        assert load_bench_json(path)["backend"] == "serial"
-
 
 class TestCacheCommand:
     def _warm(self, tmp_path, capsys, rates="0.4"):

@@ -4,7 +4,7 @@ Every run the runner starts in a new interpreter (the benchmark's
 workers, the ``asyncio`` backend's one child per run) pays for each
 module it imports before the first event is simulated.  These tests pin
 what the serial sweep path and the subprocess worker entry may load:
-optional features (telemetry, trace export, history, analysis), the
+optional features (telemetry, trace export, analysis), the
 pool backends and their stdlib machinery (``asyncio``,
 ``multiprocessing``, ``concurrent.futures``, ``ssl``) stay out until a
 run asks for them.
@@ -23,11 +23,9 @@ FORBIDDEN = (
     "concurrent.futures",
     "ssl",
     "repro.obs.attrib",
-    "repro.obs.history",
     "repro.obs.export",
     "repro.obs.telemetry",
     "repro.analysis",
-    "repro.bench",
     "repro.runner.backends.asyncio_subprocess",
     "repro.runner.backends.shared_dir",
     "repro.runner.backends.local",
