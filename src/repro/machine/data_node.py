@@ -24,6 +24,13 @@ by the generation number it carries.  A step's cohorts share one
 completion relay are :meth:`~repro.des.Environment.call_at` calls, so
 those due at one instant share one heap entry.  docs/MODEL.md states the
 booking rule for reads and the completion-order rule.
+
+One node object may serve a *group* of nodes that the placement keeps
+in lockstep (:meth:`~repro.machine.placement.DataPlacement.node_groups`):
+a step then submits one cohort to the group, standing for an equal
+cohort on every member, and the group runs one ring and one timer for
+all of them.  Its trace records are still emitted once per member, in
+the order per-node service emits them.
 """
 
 from __future__ import annotations
@@ -77,13 +84,16 @@ class Cohort:
 
     ``objects`` is the cohort's total I/O demand in objects (step cost /
     DD) and ``quantum_objects`` the round-robin service unit (1/DD object).
-    ``scanned`` is current as of the node's last booking.
+    ``scanned`` is current as of the node's last booking.  A cohort for a
+    node group stands for one such share on each node of ``nodes``
+    (members in the step's submission order; ``node_id`` is the first).
     """
 
     __slots__ = (
         "txn_id",
         "file_id",
         "node_id",
+        "nodes",
         "objects",
         "scanned",
         "quantum_objects",
@@ -101,6 +111,7 @@ class Cohort:
         objects: float,
         quantum_objects: float,
         done: typing.Optional[Completion] = None,
+        nodes: typing.Optional[typing.Tuple[int, ...]] = None,
     ) -> None:
         if objects < 0:
             raise ValueError(f"cohort objects must be >= 0, got {objects}")
@@ -111,6 +122,7 @@ class Cohort:
         self.txn_id = txn_id
         self.file_id = file_id
         self.node_id = node_id
+        self.nodes = (node_id,) if nodes is None else nodes
         self.objects = objects
         self.scanned = 0.0
         self.quantum_objects = quantum_objects
@@ -165,13 +177,28 @@ def _service_turns(
 
 
 class DataProcessingNode:
-    """A DPN serving cohorts round-robin in quanta of 1/DD object."""
+    """A DPN serving cohorts round-robin in quanta of 1/DD object.
 
-    def __init__(self, env: Environment, node_id: int, obj_time_ms: float) -> None:
+    ``members`` are the node ids it serves as one, in order, starting
+    at ``node_id`` (default: ``node_id`` alone).
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        node_id: int,
+        obj_time_ms: float,
+        members: typing.Sequence[int] = (),
+    ) -> None:
         if obj_time_ms <= 0:
             raise ValueError(f"obj_time_ms must be > 0, got {obj_time_ms}")
         self.env = env
         self.node_id = node_id
+        self.members = tuple(members) or (node_id,)
+        #: the members in the order per-node service would emit their
+        #: trace records: that of the submission that last armed the
+        #: timer or scheduled the start
+        self._order = self.members
         self.obj_time_ms = obj_time_ms
         self._trace = env.trace
         #: resident cohorts in rotation order; while the node serves,
@@ -208,9 +235,10 @@ class DataProcessingNode:
 
     def submit(self, cohort: Cohort) -> Event:
         """Enqueue ``cohort`` for service; returns its completion event."""
-        if cohort.node_id != self.node_id:
+        nodes = cohort.nodes
+        if nodes != self.members and sorted(nodes) != list(self.members):
             raise ValueError(
-                f"cohort for node {cohort.node_id} submitted to {self.node_id}"
+                f"cohort for nodes {nodes} submitted to {self.members}"
             )
         turns, cohort._last = _service_turns(
             cohort.objects, cohort.quantum_objects, cohort.scanned
@@ -229,18 +257,21 @@ class DataProcessingNode:
         # within this round, the newcomer's turn comes before its last
         moved = self._before_final >= len(ring)
         ring.append(cohort)
-        if self._trace.enabled:
-            self._trace.emit(
-                now, "node.queue", node=self.node_id, depth=len(ring)
-            )
+        trace = self._trace
+        if trace.enabled:
+            depth = len(ring)
+            for node in nodes:
+                trace.emit(now, "node.queue", node=node, depth=depth)
         if self._serving:
             if moved:
+                self._order = nodes
                 self._arm()
         elif self._idle:
             # start from a same-instant event, not inline: whatever else
             # happens at this instant (more submissions, a LOW-LB backlog
             # read) sees the ring before the first quantum takes a cohort
             self._idle = False
+            self._order = nodes
             self.env.call_at(now, self._start, None)
         return cohort.done
 
@@ -278,8 +309,10 @@ class DataProcessingNode:
         """An idle node starts serving after a submission."""
         now = self.env._now
         self.busy.update(now, 1.0)
-        if self._trace.enabled:
-            self._trace.emit(now, "node.busy", node=self.node_id)
+        trace = self._trace
+        if trace.enabled:
+            for node in self._order:
+                trace.emit(now, "node.busy", node=node)
         self._serving = True
         self._t = now
         self._arm()
@@ -359,9 +392,10 @@ class DataProcessingNode:
         cohort.done.count_down()
         depth = len(ring)
         trace = self._trace
-        if trace.enabled:
-            trace.emit(now, "node.queue", node=self.node_id, depth=depth)
         if depth:
+            if trace.enabled:
+                for node in self._order:
+                    trace.emit(now, "node.queue", node=node, depth=depth)
             self._t = now
             self._arm()
             return
@@ -369,4 +403,6 @@ class DataProcessingNode:
         self._idle = True
         self.busy.update(now, 0.0)
         if trace.enabled:
-            trace.emit(now, "node.idle", node=self.node_id)
+            for node in self._order:
+                trace.emit(now, "node.queue", node=node, depth=0)
+                trace.emit(now, "node.idle", node=node)

@@ -5,7 +5,9 @@ placement.  The facade also implements the paper's execution model of one
 step: CN sends the transaction to the file's home node, the step is split
 into DD cohorts served round-robin on the DD nodes holding the file's
 partitions, the cohorts drain back to the home node and the transaction
-returns to the CN.
+returns to the CN.  Nodes the placement keeps in lockstep are served by
+one :class:`DataProcessingNode` (a node group), which takes one cohort
+per step for all its members.
 """
 
 from __future__ import annotations
@@ -23,13 +25,17 @@ from repro.machine.placement import DataPlacement
 class StepExecution:
     """Live progress of one step's scan (drives WTPG T0-weight updates).
 
-    Reads book the quanta the cohorts' nodes have served by now, so they
-    see what a quantum-by-quantum service would.
+    ``cohorts`` holds one cohort per node group the step reaches, in
+    submission order; ``shares`` (default: ``cohorts``) each node's
+    cohort in placement order, a group's repeated once per member, so
+    sums run one addition per node.  Reads book the quanta the cohorts'
+    nodes have served by now, so they see what a quantum-by-quantum
+    service would.
     """
 
     __slots__ = (
         "file_id", "declared_cost", "cohorts", "done", "_total_objects",
-        "_nodes",
+        "_nodes", "_shares",
     )
 
     def __init__(
@@ -39,6 +45,7 @@ class StepExecution:
         cohorts: typing.List[Cohort],
         done: Completion,
         nodes: typing.Sequence[DataProcessingNode],
+        shares: typing.Optional[typing.List[Cohort]] = None,
     ) -> None:
         self.file_id = file_id
         self.declared_cost = declared_cost
@@ -48,10 +55,19 @@ class StepExecution:
         #: the machine's nodes, indexed by node id (cohorts do not point
         #: back at their node)
         self._nodes = nodes
+        self._shares = cohorts if shares is None else shares
         # cohort demands are fixed at construction, so the denominator
         # of fraction_done() -- evaluated per WTPG node per scheduler
         # decision -- is summed once (same association as the property)
-        self._total_objects = sum(c.objects for c in cohorts)
+        self._total_objects = sum(c.objects for c in self._shares)
+
+    def submit(self) -> Completion:
+        """Submit each cohort to its node (a group's once, to the group);
+        returns the step's completion."""
+        nodes = self._nodes
+        for cohort in self.cohorts:
+            nodes[cohort.node_id].submit(cohort)
+        return self.done
 
     @property
     def total_objects(self) -> float:
@@ -62,9 +78,10 @@ class StepExecution:
         has served first."""
         nodes = self._nodes
         now = nodes[0].env.now
-        scanned = 0.0
         for cohort in self.cohorts:
             nodes[cohort.node_id].book(now)
+        scanned = 0.0
+        for cohort in self._shares:
             scanned += cohort.scanned
         return scanned
 
@@ -82,7 +99,11 @@ class StepExecution:
 
 
 class SharedNothingMachine:
-    """The machine model: CN + DPNs + placement + step executor."""
+    """The machine model: CN + DPNs + placement + step executor.
+
+    ``data_nodes[i]`` is the DPN serving node ``i``: the same object for
+    every member of a node group.
+    """
 
     def __init__(
         self,
@@ -92,39 +113,61 @@ class SharedNothingMachine:
     ) -> None:
         self.env = env
         self.config = config
-        self.placement = placement or DataPlacement(config)
         self.control_node = ControlNode(env, config)
-        self.data_nodes = [
-            DataProcessingNode(env, node_id, config.obj_time_ms)
-            for node_id in range(config.num_nodes)
-        ]
+        self.data_nodes: typing.List[DataProcessingNode] = []
+        self.placement = placement or DataPlacement(config)
+
+    @property
+    def placement(self) -> DataPlacement:
+        """The data placement.  Setting one (before any step runs)
+        rebuilds the DPNs for its node groups."""
+        return self._placement
+
+    @placement.setter
+    def placement(self, placement: DataPlacement) -> None:
+        self._placement = placement
+        self._layout = placement.cohort_layout
+        by_id: typing.Dict[int, DataProcessingNode] = {}
+        for members in placement.node_groups():
+            node = DataProcessingNode(
+                self.env, members[0], self.config.obj_time_ms, members
+            )
+            by_id.update(dict.fromkeys(members, node))
+        # in place: the time-series probes hold the list
+        self.data_nodes[:] = [by_id[node_id] for node_id in range(len(by_id))]
 
     def begin_step(
         self, txn_id: int, file_id: int, cost: float
     ) -> StepExecution:
-        """Create (but do not submit) the cohorts for one step.
+        """Create (but do not submit) the cohorts for one step: one per
+        node group the file lies on.
 
         The cohorts share the step's completion event, a countdown that
         fires one hop after the last of them finishes.
         """
-        nodes = self.placement.nodes_for(file_id)
+        layout = self._layout
+        if not 0 <= file_id < len(layout):
+            raise ValueError(
+                f"file {file_id} out of range [0, {len(layout)})"
+            )
+        nodes, groups = layout[file_id]
         dd = len(nodes)
         per_cohort = cost / dd
         quantum = 1.0 / dd
-        done = Completion(self.env, dd, relay=True)
+        env = self.env
+        done = Completion(env, len(groups), relay=True)
         cohorts = [
             Cohort(
-                self.env,
-                txn_id=txn_id,
-                file_id=file_id,
-                node_id=node_id,
-                objects=per_cohort,
-                quantum_objects=quantum,
-                done=done,
+                env, txn_id, file_id, members[0], per_cohort, quantum,
+                done, members,
             )
-            for node_id in nodes
+            for members in groups
         ]
-        return StepExecution(file_id, cost, cohorts, done, self.data_nodes)
+        # a file on a multi-node group lies on that group alone
+        shares = cohorts if len(cohorts) == dd else cohorts * dd
+        return StepExecution(
+            file_id, cost, cohorts, done, self.data_nodes, shares
+        )
 
     def run_step(
         self, txn_id: int, file_id: int, cost: float
@@ -139,9 +182,7 @@ class SharedNothingMachine:
         # CN -> home node: one message send (cohort fan-out at the home
         # node is a DPN control overhead the paper ignores).
         yield from self.control_node.send_message()
-        for cohort in execution.cohorts:
-            self.data_nodes[cohort.node_id].submit(cohort)
-        yield execution.done
+        yield execution.submit()
         # home node -> CN: one message receive.
         yield from self.control_node.receive_message()
         return execution

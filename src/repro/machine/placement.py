@@ -4,13 +4,24 @@ The paper's rule (Section 4.1): file ``f`` is homed at node
 ``f mod NumNodes``; when declustered over DD nodes it is split into DD
 partitions placed on the DD consecutive nodes starting at the home node
 (wrapping around).  A per-file DD override supports placement ablations.
+
+The placement also decides which nodes the machine serves as one
+(:meth:`DataPlacement.node_groups`): nodes that hold the same files,
+each of which lies on exactly those nodes, receive the same cohorts at
+the same instants and so stay in lockstep.
 """
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.machine.config import MachineConfig
+
+Nodes = typing.Tuple[int, ...]
+#: per file: its nodes (as :meth:`DataPlacement.nodes_for`) and the node
+#: groups a step on it submits to, each with its members in that order
+CohortLayout = typing.List[typing.Tuple[Nodes, typing.Tuple[Nodes, ...]]]
 
 
 class DataPlacement:
@@ -80,3 +91,58 @@ class DataPlacement:
             for f in range(self.config.num_files)
             if node_id in self.nodes_for(f)
         ]
+
+    def node_groups(self) -> typing.List[Nodes]:
+        """The nodes served as one DPN: each group's members in node
+        order, the groups ordered by their first member.
+
+        Two or more nodes form a group when they hold the same files and
+        each of those files lies on exactly them.  Every step on such a
+        file then reaches all members at once with equal cohorts, so
+        their service stays identical, and no step submits to a member
+        between two others (docs/MODEL.md, "Node groups").  Every other
+        node is a group of its own.
+        """
+        holders = [
+            tuple(sorted(self.nodes_for(f)))
+            for f in range(self.config.num_files)
+        ]
+        held: typing.List[typing.List[int]] = [
+            [] for _ in range(self.config.num_nodes)
+        ]
+        for file_id, nodes in enumerate(holders):
+            for node in nodes:
+                held[node].append(file_id)
+        groups: typing.List[Nodes] = []
+        placed: typing.Set[int] = set()
+        for node, files in enumerate(held):
+            if node in placed:
+                continue
+            members = holders[files[0]] if files else (node,)
+            if any(
+                holders[f] != members for member in members
+                for f in held[member]
+            ):
+                members = (node,)
+            groups.append(members)
+            placed.update(members)
+        return groups
+
+    @functools.cached_property
+    def cohort_layout(self) -> CohortLayout:
+        """Per file id: its nodes, and the node groups a step on it
+        submits one cohort to, in submission order.
+
+        A file lies either on exactly one group of :meth:`node_groups`
+        or on single-node groups only, so the groups are the file's
+        nodes taken whole or one at a time.
+        """
+        shared = {g for g in self.node_groups() if len(g) > 1}
+        layout: CohortLayout = []
+        for file_id in range(self.config.num_files):
+            nodes = tuple(self.nodes_for(file_id))
+            if tuple(sorted(nodes)) in shared:
+                layout.append((nodes, (nodes,)))
+            else:
+                layout.append((nodes, tuple((node,) for node in nodes)))
+        return layout

@@ -260,9 +260,7 @@ class Simulation:
         txn.current_execution = execution
         cn = self.machine.control_node
         yield from self._message(cn.send_message())
-        for cohort in execution.cohorts:
-            self.machine.data_nodes[cohort.node_id].submit(cohort)
-        yield execution.done
+        yield execution.submit()
         yield from self._message(cn.receive_message())
         if self.trace.enabled:
             self.trace.emit(

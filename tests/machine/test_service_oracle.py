@@ -6,14 +6,20 @@ event per quantum.  Driven through identical scenarios, the two must
 agree *exactly* (``==``, no tolerance) on every completion time, the
 ``busy`` integral, and every read a scheduler or the sampler makes:
 ``backlog_objects``, ``active_cohorts``, ``StepExecution.fraction_done``
-and the fleet gauges.
+and the fleet gauges.  A ``dd = NODES`` machine, which serves both nodes
+as one group, is held to per-node oracles the same way.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Environment
-from repro.machine import MachineConfig, SharedNothingMachine, StepExecution
+from repro.machine import (
+    DataPlacement,
+    MachineConfig,
+    SharedNothingMachine,
+    StepExecution,
+)
 from repro.machine.data_node import Cohort
 from repro.obs.timeseries import TimeSeriesSampler
 
@@ -24,25 +30,40 @@ NODES = 2
 QUANTA = (1.0, 0.5, 0.25, 0.125)
 
 
-def run_scenario(sparse, obj_time, submissions, reads, samples):
+class SingletonPlacement(DataPlacement):
+    """Per-node service: every node a group of its own."""
+
+    def node_groups(self):
+        return [(node,) for node in range(self.config.num_nodes)]
+
+
+def run_scenario(
+    sparse, obj_time, submissions, reads, samples, whole_steps=False
+):
     """Drive one machine through ``submissions`` and ``reads``.
 
-    ``submissions`` holds ``(time, node, objects, quantum)``; ``reads``
-    holds ``(time, kind, index)``; the sampler's interval is ``samples``
-    ms, or the run's horizon split into ``samples`` when an int.
-    Returns completion times by cohort, the reads in order, each node's
-    busy integral and the sampled DPN series.
+    ``submissions`` holds ``(time, node, objects, quantum)`` cohorts, or
+    with ``whole_steps`` ``(time, file, cost)`` steps on a ``dd =
+    NODES`` machine (one node group when ``sparse``); ``reads`` holds
+    ``(time, kind, index)``; the sampler's interval is ``samples`` ms,
+    or the run's horizon split into ``samples`` when an int.  Returns
+    completion times by submission, the reads in order, each node's busy
+    integral and the sampled DPN series.
     """
     env = Environment()
+    config = MachineConfig(
+        num_nodes=NODES, obj_time_ms=obj_time,
+        dd=NODES if whole_steps else 1,
+    )
     machine = SharedNothingMachine(
-        env, MachineConfig(num_nodes=NODES, obj_time_ms=obj_time)
+        env, config, None if sparse else SingletonPlacement(config)
     )
     if not sparse:
         machine.data_nodes = [
             PerQuantumNode(env, node_id, obj_time) for node_id in range(NODES)
         ]
     nodes = machine.data_nodes
-    work_ms = sum(objects for _, _, objects, _ in submissions) * obj_time
+    work_ms = sum(submission[2] for submission in submissions) * obj_time
     horizon = max(time for time, *_ in submissions) + work_ms + 1.0
     interval = horizon / samples if isinstance(samples, int) else samples
     sampler = TimeSeriesSampler(interval_ms=interval)
@@ -68,12 +89,19 @@ def run_scenario(sparse, obj_time, submissions, reads, samples):
                 # which is the order the booking rule stands for
                 yield env.timeout(0)
             if not is_read:
-                _, node_id, objects, quantum = submissions[index]
-                cohort = Cohort(env, index, 0, node_id, objects, quantum)
-                steps.append(
-                    StepExecution(0, objects, [cohort], cohort.done, nodes)
-                )
-                nodes[node_id].submit(cohort).callbacks.append(
+                if whole_steps:
+                    _, file_id, cost = submissions[index]
+                    step = machine.begin_step(index, file_id, cost)
+                    done = step.submit()
+                else:
+                    _, node_id, objects, quantum = submissions[index]
+                    cohort = Cohort(env, index, 0, node_id, objects, quantum)
+                    step = StepExecution(
+                        0, objects, [cohort], cohort.done, nodes
+                    )
+                    done = nodes[node_id].submit(cohort)
+                steps.append(step)
+                done.callbacks.append(
                     lambda _event, index=index: done_at.setdefault(
                         index, env.now
                     )
@@ -98,9 +126,13 @@ def run_scenario(sparse, obj_time, submissions, reads, samples):
     return done_at, seen, busy, series
 
 
-def assert_same(obj_time, submissions, reads, samples=40):
-    sparse = run_scenario(True, obj_time, submissions, reads, samples)
-    oracle = run_scenario(False, obj_time, submissions, reads, samples)
+def assert_same(obj_time, submissions, reads, samples=40, whole_steps=False):
+    sparse = run_scenario(
+        True, obj_time, submissions, reads, samples, whole_steps
+    )
+    oracle = run_scenario(
+        False, obj_time, submissions, reads, samples, whole_steps
+    )
     for got, want in zip(sparse, oracle):
         assert got == want
     return sparse
@@ -134,6 +166,27 @@ def test_event_sparse_service_replays_the_per_quantum_oracle(
     obj_time, submissions, reads, samples
 ):
     assert_same(obj_time, submissions, reads, samples)
+
+
+step = st.tuples(
+    st.floats(min_value=0.0, max_value=3_000.0),
+    st.integers(min_value=0, max_value=15),
+    objects,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    obj_time=st.sampled_from([1000.0, 100.0, 8.0, 37.5]),
+    steps=st.lists(step, min_size=1, max_size=14),
+    reads=st.lists(read, max_size=30),
+    samples=st.integers(min_value=5, max_value=120),
+)
+def test_node_group_replays_per_node_oracles(obj_time, steps, reads, samples):
+    """At dd = NODES one DPN serves both nodes; every step's completion,
+    each node's busy integral and every read match two per-quantum
+    nodes fed one cohort each."""
+    assert_same(obj_time, steps, reads, samples, whole_steps=True)
 
 
 @settings(max_examples=60, deadline=None)
