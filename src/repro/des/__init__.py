@@ -12,8 +12,6 @@ Public surface:
   awaitable events yielded from process generators.
 - :class:`Process` -- a running generator; itself awaitable.
 - :class:`Interrupt` -- exception thrown into an interrupted process.
-- :class:`Resource` -- FIFO multi-server resource (used for CPUs).
-- :class:`Store` -- FIFO message queue between processes.
 - :class:`RandomStreams` -- named, independently-seeded RNG streams.
 - :class:`monitor` -- time-weighted and tally statistics collectors.
 """
@@ -21,7 +19,6 @@ Public surface:
 from repro.des.engine import Environment, StopSimulation
 from repro.des.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.des.process import Process
-from repro.des.resources import Request, Resource, Store
 from repro.des.rng import RandomStreams
 from repro.des.monitor import Counter, Tally, TimeWeighted
 
@@ -34,10 +31,7 @@ __all__ = [
     "Interrupt",
     "Process",
     "RandomStreams",
-    "Request",
-    "Resource",
     "StopSimulation",
-    "Store",
     "Tally",
     "TimeWeighted",
     "Timeout",

@@ -34,7 +34,7 @@ class _CallBatch(list):
     """The :meth:`Environment.call_at` calls due at one instant, as
     ``(key, fn, arg)`` in key order.
 
-    It sits on the heap like an event (``step`` fires it through its
+    It sits on the heap like an event (the run loop fires it through its
     ``callbacks``) under the key of its first pending call.
     """
 
@@ -108,14 +108,15 @@ class Environment:
         #: the wall-clock self-profiler; same install-before-build
         #: contract as ``trace`` (components cache the reference)
         self.profile: SimProfiler = NULL_PROFILER
-        #: optional time-series sampler, consulted once per event pop
+        #: optional time-series sampler; the run loop compares each
+        #: event's time with its next boundary
         self.sampler: typing.Optional["TimeSeriesSampler"] = None
         #: events fired so far (simulator throughput accounting)
         self.events_processed = 0
         #: optional live-progress hook ``hook(now_ms, events_processed)``
         #: invoked every ``progress_every`` events -- the telemetry
-        #: heartbeat rides this; observation only, and the disabled path
-        #: costs one attribute load + None test per step
+        #: heartbeat rides this; observation only, and the run loop
+        #: compares its event count with one threshold either way
         self.progress_hook: typing.Optional[
             typing.Callable[[float, int], None]
         ] = None
@@ -223,34 +224,14 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
-        """Fire the single next event (advancing the clock to it)."""
-        if not self._queue:
+        """Fire the single next heap entry (advancing the clock to it)."""
+        queue = self._queue
+        if not queue:
             raise StopSimulation("event queue is empty")
-        profile = self.profile
-        if profile.enabled:
-            start = _perf_counter()
-            when, _key, event = _heappop(self._queue)
-            profile.span("des.heap", start, _perf_counter())
-        else:
-            when, _key, event = _heappop(self._queue)
-        sampler = self.sampler
-        if sampler is not None and when >= sampler.next_due:
-            # sample every boundary the clock is about to cross, before
-            # the events at the new time fire (sample-and-hold)
-            sampler.advance_to(when)
-        self._now = when
-        self.events_processed += 1
-        progress = self.progress_hook
-        if progress is not None and self.events_processed >= self._progress_next:
-            self._progress_next = self.events_processed + self.progress_every
-            progress(self._now, self.events_processed)
-        callbacks, event.callbacks = event.callbacks, []
-        event._processed = True
-        for callback in callbacks:
-            callback(event)
+        self._loop(_INF, queue[0][2])
 
     def close(self) -> None:
         """Tear down a finished run.
@@ -287,10 +268,10 @@ class Environment:
           value (or raising its exception).
         """
         if until is None:
-            stop_at = float("inf")
+            stop_at = _INF
             stop_event: typing.Optional[Event] = None
         elif isinstance(until, Event):
-            stop_at = float("inf")
+            stop_at = _INF
             stop_event = until
             if stop_event.processed:
                 if stop_event.ok:
@@ -304,18 +285,7 @@ class Environment:
                     f"until={stop_at} lies in the past (now={self._now})"
                 )
 
-        queue = self._queue
-        step = self.step
-        if stop_event is None:
-            while queue and queue[0][0] < stop_at:
-                step()
-        else:
-            while queue:
-                if stop_event._processed:
-                    break
-                if queue[0][0] >= stop_at:
-                    break
-                step()
+        self._loop(stop_at, stop_event)
 
         if stop_event is not None:
             if not stop_event.processed:
@@ -326,7 +296,7 @@ class Environment:
                 return stop_event.value
             raise typing.cast(BaseException, stop_event.value)
 
-        if stop_at != float("inf"):
+        if stop_at != _INF:
             sampler = self.sampler
             if sampler is not None and stop_at >= sampler.next_due:
                 # boundaries between the last event and the horizon:
@@ -335,7 +305,62 @@ class Environment:
             self._now = stop_at
         return None
 
+    def _loop(self, stop_at: float, stop_event: object) -> None:
+        """Pop and fire heap entries until the queue drains, the next
+        entry lies at or past ``stop_at``, or the entry ``stop_event``
+        (an event, or the head entry for :meth:`step`) has fired.
+
+        The sampler's next boundary, the progress threshold and whether
+        the profiler is on are read once per call; each changes only
+        through the sampler or the hook this loop itself calls.  The
+        event count is kept in a local and stored back before the hook
+        runs and when the loop ends.
+        """
+        queue = self._queue
+        pop = _heappop
+        sampler = self.sampler
+        due = _INF if sampler is None else sampler.next_due
+        profile = self.profile
+        profiled = profile.enabled
+        progress = self.progress_hook
+        report_at = _INF if progress is None else self._progress_next
+        count = self.events_processed
+        try:
+            while queue:
+                if profiled:
+                    start = _perf_counter()
+                    when, key, event = pop(queue)
+                    profile.span("des.heap", start, _perf_counter())
+                else:
+                    when, key, event = pop(queue)
+                if when >= stop_at:
+                    # not fired: back on the heap for the next run
+                    _heappush(queue, (when, key, event))
+                    break
+                if when >= due:
+                    # sample every boundary the clock is about to cross,
+                    # before the events at the new time fire
+                    # (sample-and-hold)
+                    sampler.advance_to(when)
+                    due = sampler.next_due
+                self._now = when
+                count += 1
+                if count >= report_at:
+                    self.events_processed = count
+                    report_at = self._progress_next = count + self.progress_every
+                    progress(when, count)
+                callbacks, event.callbacks = event.callbacks, []
+                event._processed = True
+                for callback in callbacks:
+                    callback(event)
+                if event is stop_event:
+                    break
+        finally:
+            self.events_processed = count
+
 
 #: the priority bits of every :meth:`Environment.call_at` key: calls
 #: take the default priority of :meth:`Environment.schedule_at`
 _CALL_PRIORITY = Environment.PRIORITY_NORMAL << 62
+
+_INF = float("inf")

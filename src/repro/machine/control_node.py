@@ -5,16 +5,46 @@ startup, two-phase-commit coordination, message send/receive, and all
 concurrency-control computation (deadlock tests, E(q), chain optimisation)
 -- is a FIFO job on this one CPU.  The CN is therefore a potential
 bottleneck exactly as in the paper's model.
+
+The CPU is a callback-driven FIFO server.  A slice is one event, fired at
+its end; the process that asked for it waits on that event alone.  The
+grant is a same-instant :meth:`~repro.des.Environment.call_at` hop to
+:meth:`ControlNode._start`, which schedules the end; the end's first
+callback, :meth:`ControlNode._finish`, books the slice and hands the CPU
+to the next waiter before the waiting process resumes.  Each sequence
+number, trace record and float is taken in the order a CPU granting
+request events (a grant event, then a resume at the grant and another at
+the end) would take it.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import typing
 
-from repro.des import Environment, Resource, Timeout
+from repro.des import Environment, Event
 from repro.des.monitor import Counter, TimeWeighted
 from repro.machine.config import MachineConfig
+from repro.obs.profile import profiled_call
+
+
+class _Slice(Event):
+    """One CN CPU slice: the event that fires when its service ends."""
+
+    __slots__ = ("cost_ms", "category")
+
+    def __init__(self, cn: "ControlNode", cost_ms: float, category: str) -> None:
+        # slots are assigned directly, as Timeout does: one per slice
+        self.env = cn.env
+        self.callbacks = [cn._finish]
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        #: the scaled service time
+        self.cost_ms = cost_ms
+        self.category = category
 
 
 class ControlNode:
@@ -24,10 +54,25 @@ class ControlNode:
         self.env = env
         self.config = config
         self._trace = env.trace
-        self.cpu = Resource(env, capacity=1, name="cn.cpu")
+        #: the slice holding the CPU, from its grant to its end
+        self._serving: typing.Optional[_Slice] = None
+        #: slices waiting for the CPU, in arrival order
+        self._waiting: typing.Deque[_Slice] = collections.deque()
         self.busy = TimeWeighted(env.now, 0.0, name="cn.busy")
         self.cpu_ms_by_category: typing.Dict[str, float] = {}
         self.messages = Counter("cn.messages")
+        if env.profile.enabled:
+            # the instance attributes shadow the methods, so the CPU's
+            # service callbacks are attributed to the phase
+            self._start = profiled_call(self._start, env.profile, "machine.cn")
+            self._finish = profiled_call(
+                self._finish, env.profile, "machine.cn"
+            )
+
+    @property
+    def queue_length(self) -> int:
+        """Number of slices waiting for the CPU."""
+        return len(self._waiting)
 
     def consume(
         self, cost_ms: float, category: str = "other"
@@ -42,39 +87,83 @@ class ControlNode:
             raise ValueError(f"CPU cost must be >= 0, got {cost_ms}")
         if cost_ms == 0:
             return
-        scaled = self.config.scaled(cost_ms)
-        env = self.env
-        busy = self.busy
-        trace = self._trace
-        cpu = self.cpu
-        # explicit request/release (not ``with``): this generator runs
-        # once per modelled CPU slice, and the context-manager protocol
-        # adds two calls per slice
-        req = cpu.request()
+        piece = _Slice(self, self.config.scaled(cost_ms), category)
+        if self._serving is None:
+            self._serving = piece
+            env = self.env
+            env.call_at(env._now, self._start, piece)
+        else:
+            self._waiting.append(piece)
+            if self._trace.enabled:
+                self._trace_queue()
         try:
-            yield req
-            if busy.value != 1.0:
-                busy.update(env.now, 1.0)
-            if trace.enabled:
-                trace.emit(
-                    env.now, "cn.exec_start",
-                    category=category, cost_ms=scaled,
-                )
-            yield Timeout(env, scaled)
-            categories = self.cpu_ms_by_category
-            categories[category] = categories.get(category, 0.0) + scaled
-            if trace.enabled:
-                trace.emit(env.now, "cn.exec_end", category=category)
-            if not cpu._waiting:
-                busy.update(env.now, 0.0)
+            yield piece
         except GeneratorExit:
-            # the run ended mid-slice and is closing its processes
-            # (Environment.close): hand the CPU to nobody
+            # the run ended and is closing its processes
+            # (Environment.close): drop every pending slice, whose
+            # callbacks refer back to this node, and grant nothing
+            self._serving = None
+            self._waiting.clear()
             raise
         except BaseException:
-            cpu.release(req)
+            self._withdraw(piece)
             raise
-        cpu.release(req)
+
+    def _start(self, piece: _Slice) -> None:
+        """The grant hop: put ``piece`` in service until its end."""
+        if piece is not self._serving:
+            return  # withdrawn between its grant and its start
+        env = self.env
+        now = env._now
+        busy = self.busy
+        if busy.value != 1.0:
+            busy.update(now, 1.0)
+        if self._trace.enabled:
+            self._trace.emit(
+                now, "cn.exec_start",
+                category=piece.category, cost_ms=piece.cost_ms,
+            )
+        piece._triggered = True
+        env.schedule_at(piece, now + piece.cost_ms)
+
+    def _finish(self, piece: _Slice) -> None:
+        """The end of ``piece``'s service, before its process resumes."""
+        now = self.env._now
+        category = piece.category
+        categories = self.cpu_ms_by_category
+        categories[category] = categories.get(category, 0.0) + piece.cost_ms
+        if self._trace.enabled:
+            self._trace.emit(now, "cn.exec_end", category=category)
+        if not self._waiting:
+            self.busy.update(now, 0.0)
+        self._grant_next()
+
+    def _grant_next(self) -> None:
+        """Hand the CPU to the oldest waiter, if any."""
+        waiting = self._waiting
+        if not waiting:
+            self._serving = None
+            return
+        piece = self._serving = waiting.popleft()
+        env = self.env
+        env.call_at(env._now, self._start, piece)
+        if self._trace.enabled:
+            self._trace_queue()
+
+    def _withdraw(self, piece: _Slice) -> None:
+        """Take ``piece`` off the CPU or out of the queue (an exception
+        was thrown into its process)."""
+        if piece is self._serving:
+            # a scheduled end now fires with nothing to do
+            piece.callbacks = []
+            self._grant_next()
+        else:
+            self._waiting.remove(piece)
+
+    def _trace_queue(self) -> None:
+        self._trace.emit(
+            self.env._now, "res.queue", name="cn.cpu", depth=len(self._waiting)
+        )
 
     def send_message(self) -> typing.Generator:
         """CPU work for sending one message (plus wire delay if any)."""
@@ -111,7 +200,7 @@ class ControlNode:
                 "hist": utilisation_hist(),
             },
             "cn.queue": {
-                "probe": gauge(lambda: self.cpu.queue_length),
+                "probe": gauge(lambda: self.queue_length),
                 "unit": "jobs",
                 "hist": size_hist(),
             },

@@ -32,7 +32,8 @@ Kinds are namespaced by subsystem:
     Control node: ``exec_start`` / ``exec_end`` CPU slices (with the
     Table-1 cost category).
 ``res.*``
-    Named DES resources: ``queue`` waiting-line depth changes.
+    Named waiting lines: ``queue`` depth changes (``cn.cpu``, the
+    slices waiting for the control node's CPU).
 ``trace.*``
     Stream metadata: ``meta`` (schema version, run identity).
 """

@@ -13,7 +13,8 @@ attributing host CPU to a small set of phases:
 ``lock.manager``
     Lock-table mutation (grants and commit/abort release sweeps).
 ``machine.cn``
-    Control-node CPU-cost modelling (startup/commit slices).
+    Control-node CPU-cost modelling: the startup/commit slices, and the
+    CPU's grant and end callbacks for every slice.
 ``machine.msg``
     Message send/receive modelling.
 ``machine.scan``

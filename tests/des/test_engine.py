@@ -268,6 +268,40 @@ class TestDeterminism:
 
         assert build_trace() == build_trace()
 
+    def test_stepping_replays_run(self):
+        """``step`` is the run loop bounded to one heap entry: driven a
+        step at a time, a run fires the same entries, calls the
+        progress hook at the same counts and ends at the same count."""
+
+        def drive(stepped):
+            env = Environment()
+            seen = []
+            env.progress_every = 3
+            env.progress_hook = lambda now, count: seen.append(
+                ("hook", now, count)
+            )
+
+            def proc(name, delays):
+                for delay in delays:
+                    yield env.timeout(delay)
+                    seen.append((env.now, name))
+                    env.call_at(env.now + 1.0, seen.append, (name, "call"))
+                    env.call_at(env.now + 1.0, seen.append, (name, "again"))
+
+            env.process(proc("a", [1, 2, 3]))
+            env.process(proc("b", [2, 2, 2]))
+            if stepped:
+                steps = 0
+                while env.peek() < 5.0:
+                    env.step()
+                    steps += 1
+                assert steps == env.events_processed
+            else:
+                env.run(until=5.0)
+            return seen, env.events_processed
+
+        assert drive(stepped=True) == drive(stepped=False)
+
 
 class TestAbsoluteTime:
     """``schedule_at`` and ``succeed(at=...)`` fire at the float they are

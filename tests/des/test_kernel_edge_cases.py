@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.des import Environment, Interrupt, Resource
+from repro.des import Environment, Interrupt
+
+from tests.machine.reference_cn import Resource
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for the ``Resource`` the control-node oracle grants from."""
 
 import pytest
 
-from repro.des import Environment, Resource, Store
+from repro.des import Environment
+
+from tests.machine.reference_cn import Resource
 
 
 @pytest.fixture
@@ -106,64 +108,3 @@ class TestResource:
         res.release(reqs[0])
         assert res.in_use == 2
 
-
-class TestStore:
-    def test_get_after_put(self, env):
-        store = Store(env)
-        store.put("item")
-        event = store.get()
-        assert event.triggered
-        assert event.value == "item"
-
-    def test_get_before_put_blocks_then_wakes(self, env):
-        store = Store(env)
-        received = []
-
-        def consumer(env, store):
-            item = yield store.get()
-            received.append((env.now, item))
-
-        def producer(env, store):
-            yield env.timeout(5)
-            store.put("late")
-
-        env.process(consumer(env, store))
-        env.process(producer(env, store))
-        env.run()
-        assert received == [(5, "late")]
-
-    def test_fifo_item_order(self, env):
-        store = Store(env)
-        for i in range(3):
-            store.put(i)
-        values = [store.get().value for _ in range(3)]
-        assert values == [0, 1, 2]
-
-    def test_fifo_getter_order(self, env):
-        store = Store(env)
-        received = []
-
-        def consumer(env, store, name):
-            item = yield store.get()
-            received.append((name, item))
-
-        env.process(consumer(env, store, "first"))
-        env.process(consumer(env, store, "second"))
-
-        def producer(env, store):
-            yield env.timeout(1)
-            store.put("x")
-            store.put("y")
-
-        env.process(producer(env, store))
-        env.run()
-        assert received == [("first", "x"), ("second", "y")]
-
-    def test_len_counts_buffered_items(self, env):
-        store = Store(env)
-        assert len(store) == 0
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        store.get()
-        assert len(store) == 1

@@ -5,7 +5,9 @@ closed, and the pending events and ``call_at`` batches are dropped.
 Everything a run built is then freed by reference counting alone, so
 peak memory does not wait for the cyclic collector.  A pending batch
 holds bound methods of the model, so one left behind keeps a
-node -> environment cycle alive; this pins that it is not.
+node -> environment cycle alive; this pins that it is not.  Likewise a
+CN slice in service or waiting at the horizon refers back to the control
+node, which drops its pending slices when the run closes.
 """
 
 import gc
@@ -13,8 +15,11 @@ import gc
 import pytest
 
 from repro.machine import MachineConfig
+from repro.obs import MemoryRecorder
 from repro.runner.spec import RunSpec, WorkloadSpec
 from repro.runner.worker import execute_spec
+from repro.sim.simulation import Simulation
+from repro.txn import experiment1_workload
 
 #: (scheduler, DD): one short cell each, over the service paths and the
 #: scheduler families that park processes
@@ -38,3 +43,30 @@ def test_finished_run_leaves_no_cyclic_garbage(scheduler, dd):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_run_ending_mid_slice_leaves_no_cyclic_garbage():
+    # GOW's CC slices on a quarter-speed CN: the CPU never drains
+    recorder = MemoryRecorder()
+    simulation = Simulation(
+        MachineConfig(dd=1, num_files=16, cpu_speed_mips=1.0),
+        experiment1_workload(2.0, num_files=16),
+        scheduler="GOW", seed=1,
+        duration_ms=60_000.0, warmup_ms=10_000.0, recorder=recorder,
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        simulation.run()
+        del simulation
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    records = [event.to_record() for event in recorder.events]
+    kinds = [record["kind"] for record in records]
+    # the horizon fell inside a slice, with others waiting for the CPU
+    assert kinds.count("cn.exec_start") == kinds.count("cn.exec_end") + 1
+    depths = [
+        record["depth"] for record in records if record["kind"] == "res.queue"
+    ]
+    assert depths[-1] > 0
