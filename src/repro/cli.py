@@ -20,14 +20,10 @@ Commands:
   traced run of a registry batch): span timelines, batch time budget,
   lock hotspots, the makespan critical path and anomaly flags ->
   ``EXPLAIN.{json,md}``.
-- ``backends``    -- list the registered executor backends with their
-  capability flags (``sweep``/``arena`` select one with
-  ``--backend``).
+- ``backends``    -- list the executor backends with how each isolates
+  its runs (``sweep``/``arena`` select one with ``--backend``).
 - ``cache``       -- result-cache stats, with optional age/count
   pruning (``--max-age-days`` / ``--max-entries`` / ``--dry-run``).
-- ``worker-pool`` -- serve a shared-dir spool: claim queued runs,
-  execute them, write results back (the multi-host worker side of
-  ``sweep --backend shared-dir``).
 - ``schedulers``  -- list the registered schedulers with family tags
   (paper / extension / modern) and descriptions.
 - ``experiments`` -- list the paper's tables/figures and how to run them.
@@ -270,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "backends",
-        help="list registered executor backends and capability flags",
+        help="list the executor backends and how each isolates runs",
     )
 
     cch = sub.add_parser(
@@ -286,35 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     cch.add_argument("--dry-run", action="store_true",
                      help="report what pruning would remove, delete "
                           "nothing")
-
-    wpl = sub.add_parser(
-        "worker-pool",
-        help="serve a shared-dir spool as a worker (multi-host sweeps)",
-    )
-    wpl.add_argument("--spool", required=True,
-                     help="spool directory shared with the sweeping host")
-    wpl.add_argument("--poll", type=float, default=0.2,
-                     help="seconds between claim attempts when idle "
-                          "(default 0.2)")
-    wpl.add_argument("--lease", type=float, default=15.0,
-                     help="claim lease in seconds; must match the "
-                          "sweeping host's (default 15)")
-    wpl.add_argument("--idle-exit", type=float, default=None,
-                     help="exit after this many idle seconds "
-                          "(default: serve forever)")
-    wpl.add_argument("--max-tasks", type=int, default=None,
-                     help="exit after executing this many runs "
-                          "(default: unbounded)")
-    wpl.add_argument("--janitor", action="store_true",
-                     help="sweep the spool once (expired-lease claims, "
-                          "orphaned sidecars and stale done/ litter "
-                          "removed) and exit instead of serving")
-    wpl.add_argument("--janitor-every", type=float, default=None,
-                     help="also sweep the spool every N seconds while "
-                          "serving (default: no periodic sweep)")
-    wpl.add_argument("--done-max-age", type=float, default=3600.0,
-                     help="done/ results older than this many seconds "
-                          "count as abandoned litter (default 3600)")
 
     sub.add_parser(
         "schedulers",
@@ -351,36 +318,6 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
                         default="local",
                         help="executor backend (default local; see "
                              "'repro backends')")
-    parser.add_argument("--spool", default="",
-                        help="spool directory for --backend shared-dir "
-                             "(must be reachable by every worker host)")
-    parser.add_argument("--spool-workers", type=int, default=None,
-                        help="local worker processes spawned against the "
-                             "spool (shared-dir only; default: --pool; "
-                             "0 relies entirely on remote 'repro "
-                             "worker-pool' hosts)")
-
-
-def _backend_options(args: argparse.Namespace) -> typing.Dict[str, object]:
-    """Translate --backend/--spool flags into backend constructor options."""
-    if args.backend == "shared-dir":
-        if not args.spool:
-            raise SystemExit("--backend shared-dir needs --spool")
-        options: typing.Dict[str, object] = {"spool": args.spool}
-        if args.spool_workers is not None:
-            if args.spool_workers < 0:
-                raise SystemExit(
-                    f"--spool-workers must be >= 0, got {args.spool_workers}"
-                )
-            options["local_workers"] = args.spool_workers
-        return options
-    if args.spool:
-        raise SystemExit("--spool only applies to --backend shared-dir")
-    if args.spool_workers is not None:
-        raise SystemExit(
-            "--spool-workers only applies to --backend shared-dir"
-        )
-    return {}
 
 
 def _make_workload(args: argparse.Namespace):
@@ -591,7 +528,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         telemetry=args.telemetry,
         stall_timeout_s=args.stall_timeout,
         backend=args.backend,
-        backend_options=_backend_options(args),
     )
     specs = [
         RunSpec(
@@ -942,7 +878,6 @@ def _arena_time_budgets(
         cache=ResultCache(args.cache_dir) if args.cache_dir else None,
         traces_dir=args.traces_dir,
         backend=args.backend,
-        backend_options=_backend_options(args),
     )
     runner.run_batch(traced, label="arena-explain")
     budgets: typing.List[typing.Optional[typing.Dict[str, typing.Any]]] = []
@@ -1006,7 +941,6 @@ def _command_arena(args: argparse.Namespace) -> int:
         pool_size=args.pool,
         cache=ResultCache(args.cache_dir) if args.cache_dir else None,
         backend=args.backend,
-        backend_options=_backend_options(args),
     )
     results = runner.run_batch(specs, label="arena")
     time_budgets = None
@@ -1042,20 +976,9 @@ def _command_backends() -> int:
     rows = []
     for name in backend_names():
         info = get_backend_info(name)
-        flags = info.flags
-        tags = [
-            tag
-            for tag, on in (
-                ("kill", flags.supports_kill),
-                ("isolates", flags.isolates_runs),
-                ("distributed", flags.distributed),
-                ("inline", flags.inline),
-            )
-            if on
-        ]
-        rows.append([name, ", ".join(tags) or "-", info.summary])
+        rows.append([name, info.isolation, info.summary])
     print(render_table(
-        ["name", "capabilities", "description"],
+        ["name", "isolation", "description"],
         typing.cast(typing.List[typing.List[object]], rows),
         title="executor backends (select with sweep/arena --backend)",
     ))
@@ -1120,61 +1043,6 @@ def _command_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_worker_pool(args: argparse.Namespace) -> int:
-    if args.poll <= 0:
-        raise SystemExit(f"--poll must be > 0, got {args.poll:g}")
-    if args.lease <= 0:
-        raise SystemExit(f"--lease must be > 0, got {args.lease:g}")
-    if args.idle_exit is not None and args.idle_exit < 0:
-        raise SystemExit(
-            f"--idle-exit must be >= 0, got {args.idle_exit:g}"
-        )
-    if args.max_tasks is not None and args.max_tasks < 1:
-        raise SystemExit(f"--max-tasks must be >= 1, got {args.max_tasks}")
-    if args.janitor_every is not None and args.janitor_every <= 0:
-        raise SystemExit(
-            f"--janitor-every must be > 0, got {args.janitor_every:g}"
-        )
-    if args.done_max_age < 0:
-        raise SystemExit(
-            f"--done-max-age must be >= 0, got {args.done_max_age:g}"
-        )
-    from repro.runner.backends.shared_dir import (
-        janitor_sweep,
-        worker_pool_loop,
-    )
-
-    if args.janitor:
-        counts = janitor_sweep(
-            args.spool,
-            lease_s=args.lease,
-            done_max_age_s=args.done_max_age,
-        )
-        print(f"[worker-pool] janitor swept {args.spool}: "
-              f"{counts['done_removed']} stale result(s), "
-              f"{counts['claims_removed']} expired claim(s), "
-              f"{counts['owners_removed']} orphaned sidecar(s), "
-              f"{counts['temps_removed']} temp file(s) removed")
-        return 0
-    print(f"[worker-pool] serving spool {args.spool} "
-          f"(lease={args.lease:g}s; Ctrl-C to stop)", flush=True)
-    try:
-        processed = worker_pool_loop(
-            args.spool,
-            poll_s=args.poll,
-            lease_s=args.lease,
-            idle_exit_s=args.idle_exit,
-            max_tasks=args.max_tasks,
-            janitor_every_s=args.janitor_every,
-            done_max_age_s=args.done_max_age,
-        )
-    except KeyboardInterrupt:
-        print("[worker-pool] interrupted", file=sys.stderr)
-        return 130
-    print(f"[worker-pool] done: {processed} run(s) executed")
-    return 0
-
-
 def _command_schedulers() -> int:
     from repro.analysis import render_table
     from repro.core.registry import entries
@@ -1234,8 +1102,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             return _command_backends()
         if args.command == "cache":
             return _command_cache(args)
-        if args.command == "worker-pool":
-            return _command_worker_pool(args)
         if args.command == "schedulers":
             return _command_schedulers()
         return _command_experiments()

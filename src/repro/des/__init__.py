@@ -11,13 +11,12 @@ Public surface:
 - :class:`Event` / :class:`Timeout` / :class:`AllOf` / :class:`AnyOf` --
   awaitable events yielded from process generators.
 - :class:`Process` -- a running generator; itself awaitable.
-- :class:`Interrupt` -- exception thrown into an interrupted process.
 - :class:`RandomStreams` -- named, independently-seeded RNG streams.
 - :class:`monitor` -- time-weighted and tally statistics collectors.
 """
 
 from repro.des.engine import Environment, StopSimulation
-from repro.des.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.des.events import AllOf, AnyOf, Event, Timeout
 from repro.des.process import Process
 from repro.des.rng import RandomStreams
 from repro.des.monitor import Counter, Tally, TimeWeighted
@@ -28,7 +27,6 @@ __all__ = [
     "Counter",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "StopSimulation",

@@ -78,7 +78,7 @@ _FIRE = (_fire,)
 class Environment:
     """Simulation environment: clock, event heap and process factory."""
 
-    #: scheduling priority for "urgent" events (interrupts)
+    #: scheduling priority that runs before same-instant normal events
     PRIORITY_URGENT = 0
     #: default scheduling priority
     PRIORITY_NORMAL = 1
@@ -246,7 +246,6 @@ class Environment:
         """
         processes, self._processes = self._processes, {}
         for process in processes:
-            process._target = None
             process.generator.close()
         self._queue.clear()
         self._batches.clear()

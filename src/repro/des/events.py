@@ -14,18 +14,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.engine import Environment
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries whatever object the interrupter passed
-    to :meth:`repro.des.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.des.events import Event, Interrupt
+from repro.des.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.engine import Environment
@@ -22,7 +22,7 @@ ProcessGenerator = typing.Generator[Event, object, object]
 class Process(Event):
     """A running simulation process wrapping a generator."""
 
-    __slots__ = ("generator", "name", "_target")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self,
@@ -35,8 +35,6 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: the event this process is currently waiting on (None when ready)
-        self._target: typing.Optional[Event] = None
         env._processes[self] = None
 
         # Kick the process off via an immediately-firing bootstrap event.
@@ -48,25 +46,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self._triggered
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a finished process is an error; interrupting a process
-        blocked on an event detaches it from that event first.
-        """
-        if self._triggered:
-            raise RuntimeError(f"{self!r} has already terminated")
-        target = self._target
-        if target is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._target = None
-        failed = Event(self.env)
-        failed.callbacks.append(self._resume)
-        failed._ok = False
-        failed._value = Interrupt(cause)
-        failed._triggered = True
-        self.env.schedule(failed, priority=0)
 
     # -- engine plumbing ---------------------------------------------------
 
@@ -82,13 +61,11 @@ class Process(Event):
                     typing.cast(BaseException, event._value)
                 )
         except StopIteration as stop:
-            self._target = None
             env._active_process = None
             env._processes.pop(self, None)
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._target = None
             env._active_process = None
             env._processes.pop(self, None)
             if env.strict:
@@ -104,7 +81,6 @@ class Process(Event):
             )
         if next_target.env is not env:
             raise ValueError("yielded event belongs to another environment")
-        self._target = next_target
         if next_target._processed:
             # Already fired and processed: resume on the next scheduling slot.
             relay = Event(self.env)

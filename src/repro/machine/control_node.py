@@ -105,14 +105,9 @@ class ControlNode:
             self._serving = None
             self._waiting.clear()
             raise
-        except BaseException:
-            self._withdraw(piece)
-            raise
 
     def _start(self, piece: _Slice) -> None:
         """The grant hop: put ``piece`` in service until its end."""
-        if piece is not self._serving:
-            return  # withdrawn between its grant and its start
         env = self.env
         now = env._now
         busy = self.busy
@@ -149,16 +144,6 @@ class ControlNode:
         env.call_at(env._now, self._start, piece)
         if self._trace.enabled:
             self._trace_queue()
-
-    def _withdraw(self, piece: _Slice) -> None:
-        """Take ``piece`` off the CPU or out of the queue (an exception
-        was thrown into its process)."""
-        if piece is self._serving:
-            # a scheduled end now fires with nothing to do
-            piece.callbacks = []
-            self._grant_next()
-        else:
-            self._waiting.remove(piece)
 
     def _trace_queue(self) -> None:
         self._trace.emit(

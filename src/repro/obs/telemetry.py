@@ -273,11 +273,9 @@ class WorkerTelemetry:
     carrying the simulated clock, the cumulative event count and the
     fraction of the run horizon reached.
 
-    Every worker-emitted record carries ``host`` so a multi-host fleet
-    (the shared-dir backend) stays attributable in one merged stream;
-    ``to_dict`` / ``from_dict`` let a context cross non-pickle
-    boundaries (subprocess stdin, spool files) -- the path must then
-    name a *shared* filesystem location.
+    Every worker-emitted record carries ``host``; ``to_dict`` /
+    ``from_dict`` let a context cross a non-pickle boundary (the asyncio
+    backend's subprocess stdin).
     """
 
     def __init__(

@@ -9,23 +9,21 @@ Public surface:
 
 - :class:`RunSpec` / :class:`WorkloadSpec` -- declarative run inputs.
 - :class:`ResultCache` -- content-addressed result store (with
-  ``stats``/``gc`` maintenance for long-lived shared caches).
+  ``stats``/``gc`` maintenance for long-lived caches).
 - :class:`ParallelRunner` -- batch orchestrator (dispatch + cache +
   manifest, plus live telemetry, stall detection and crash triage)
   over a pluggable :class:`ExecutorBackend`.
 - :func:`create_backend` / :func:`backend_names` -- the executor
-  registry: ``serial``, ``local`` (process pool), ``asyncio``
-  (subprocess-per-run) and ``shared-dir`` (multi-host spool).
+  backends: ``serial`` (in-process), ``local`` (process pool) and
+  ``asyncio`` (subprocess-per-run).
 - :class:`RunRegistry` -- persistent index of every executed batch.
 - :func:`execute_spec` -- one spec, inline, no orchestration.
-- :func:`worker_pool_loop` -- serve a shared-dir spool as a worker.
 - :func:`default_runner` -- runner over the ``results/`` layout.
 """
 
 from repro._facade import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "BackendCapabilities": "repro.runner.backends.base",
     "CACHE_FORMAT_VERSION": "repro.runner.spec",
     "ExecutorBackend": "repro.runner.backends.base",
     "JobOutcome": "repro.runner.backends.base",
@@ -42,11 +40,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "default_runner": "repro.runner.runner",
     "execute_spec": "repro.runner.worker",
     "get_backend_info": "repro.runner.backends",
-    "janitor_sweep": "repro.runner.backends.shared_dir",
     "print_progress": "repro.runner.runner",
-    "register_backend": "repro.runner.backends",
     "register_workload": "repro.runner.spec",
     "spec_digest": "repro.runner.registry",
-    "worker_pool_loop": "repro.runner.backends.shared_dir",
     "workload_kinds": "repro.runner.spec",
 })

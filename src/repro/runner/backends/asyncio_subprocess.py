@@ -6,7 +6,7 @@ must be triaged.  Here every run gets its own child process
 (``python -m repro.runner.backends.subproc``): the task dict goes in on
 stdin, the result comes back as one record-separator-framed JSON line
 on stdout, and killing a stalled run is ``SIGKILL`` on exactly one pid
--- siblings never notice (``supports_kill`` *and* ``isolates_runs``).
+-- siblings never notice (``isolates_runs``).
 
 Supervision runs on a private asyncio event loop in a daemon thread;
 ``workers`` concurrent children are admitted by a semaphore.  The
@@ -29,19 +29,20 @@ import threading
 import typing
 
 from repro.runner.backends.base import (
-    BackendCapabilities,
     ExecutorBackend,
     JobOutcome,
     child_environment,
 )
 from repro.runner.backends.subproc import RESULT_FRAME
-from repro.runner.backends.task import decode_result
+from repro.sim.metrics import SimulationResult
 
 
 class AsyncioSubprocessBackend(ExecutorBackend):
     """Supervises one subprocess per run on a background event loop."""
 
-    def __init__(self, workers: int = 1, **_: typing.Any) -> None:
+    isolates_runs = True
+
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, workers)
         self._outcomes: "queue.Queue[JobOutcome]" = queue.Queue()
         self._loop: typing.Optional[asyncio.AbstractEventLoop] = None
@@ -50,14 +51,6 @@ class AsyncioSubprocessBackend(ExecutorBackend):
         #: cell -> live child process, for per-run kill
         self._children: typing.Dict[int, typing.Any] = {}
         self._env = child_environment()
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            supports_kill=True,
-            isolates_runs=True,
-            max_workers=self.workers,
-        )
 
     # -- loop plumbing ------------------------------------------------------
 
@@ -152,7 +145,7 @@ class AsyncioSubprocessBackend(ExecutorBackend):
             )
         if reply.get("ok"):
             return JobOutcome(
-                cell=cell, result=decode_result(task, reply["result"])
+                cell=cell, result=SimulationResult.from_dict(reply["result"])
             )
         return JobOutcome(
             cell=cell,

@@ -5,19 +5,18 @@ lookups, stall detection, retry and isolation policy, manifests); a
 backend decides *where* it runs.  The contract is deliberately small:
 
 - :meth:`ExecutorBackend.submit` takes one :mod:`task <.task>` dict --
-  plain JSON-able data, so any backend can ship it across a process or
-  host boundary;
+  plain JSON-able data, so a backend can ship it across a process
+  boundary unpickled;
 - :meth:`ExecutorBackend.poll` returns completed work as
   :class:`JobOutcome`\\ s, with worker deaths reported as
   ``crashed=True`` outcomes rather than exceptions, so the runner can
   triage them (retry, requeue bystanders, fail repeat offenders);
-- :meth:`ExecutorBackend.kill` terminates one stalled run when the
-  backend's :class:`BackendCapabilities` advertise ``supports_kill``;
+- :meth:`ExecutorBackend.kill` terminates one stalled run;
 - :meth:`ExecutorBackend.shutdown` releases everything, including on
   Ctrl-C.
 
-``capabilities.isolates_runs`` tells the runner whether killing (or
-losing) one worker can take innocent in-flight runs down with it: a
+:attr:`ExecutorBackend.isolates_runs` tells the runner whether killing
+(or losing) one worker can take innocent in-flight runs down with it: a
 shared process pool breaks wholesale, a per-run subprocess does not.
 The triage logic uses that to decide who counts as a bystander.
 """
@@ -57,10 +56,10 @@ def child_environment() -> typing.Dict[str, str]:
 class WorkerTaskError(RuntimeError):
     """A deterministic in-run exception, re-raised across a boundary.
 
-    Backends that receive results as JSON (asyncio subprocess,
-    shared-dir spool) cannot reconstruct the original exception object;
-    the orchestrator raises this carrier instead, with the worker's
-    ``type: message`` string (and traceback, when available).
+    A backend that receives results as JSON (the asyncio subprocess)
+    cannot reconstruct the original exception object; the orchestrator
+    raises this carrier instead, with the worker's ``type: message``
+    string (and traceback, when available).
     """
 
     def __init__(
@@ -68,22 +67,6 @@ class WorkerTaskError(RuntimeError):
     ) -> None:
         super().__init__(message)
         self.traceback = traceback
-
-
-@dataclasses.dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can and cannot do, as data the runner branches on."""
-
-    #: :meth:`ExecutorBackend.kill` can terminate one stalled run
-    supports_kill: bool = False
-    #: killing/losing one worker cannot crash other in-flight runs
-    isolates_runs: bool = False
-    #: work may execute on other hosts (tasks/results travel as JSON)
-    distributed: bool = False
-    #: runs execute in the parent process itself (serial reference)
-    inline: bool = False
-    #: concurrent runs this instance will execute (None: unbounded)
-    max_workers: typing.Optional[int] = None
 
 
 @dataclasses.dataclass
@@ -111,10 +94,8 @@ class JobOutcome:
 class ExecutorBackend(abc.ABC):
     """Where runs execute; see the module docstring for the contract."""
 
-    @property
-    @abc.abstractmethod
-    def capabilities(self) -> BackendCapabilities:
-        """The capability flags the orchestrator branches on."""
+    #: killing or losing one worker cannot crash other in-flight runs
+    isolates_runs = False
 
     def prepare(self, jobs: int) -> None:
         """Sizing hint: about to submit ``jobs`` tasks as one round."""
@@ -142,24 +123,12 @@ class ExecutorBackend(abc.ABC):
         completes.
         """
 
-    def cancel(self, cell: int) -> bool:
-        """Stop tracking ``cell``; True when its work was withdrawn.
-
-        Called when the orchestrator abandons a run the backend cannot
-        kill (a stall on a ``supports_kill=False`` backend): the
-        backend should withdraw the work if it has not started and must
-        never report an outcome for the cell's current attempt again.
-        The default cannot withdraw anything.
-        """
-        del cell
-        return False
-
     def kill(self, cell: int, pid: typing.Optional[int]) -> bool:
         """Terminate the worker executing ``cell``; True when targeted.
 
         ``pid`` is the worker pid the telemetry stream reported (None
-        when the run never emitted ``run.start``).  Only called when
-        ``capabilities.supports_kill``; the default refuses.
+        when the run never emitted ``run.start``).  The runner calls it
+        for every stalled run of a pool backend; the default refuses.
         """
         del cell, pid
         return False

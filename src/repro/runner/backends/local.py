@@ -19,30 +19,20 @@ import os
 import signal
 import typing
 
-from repro.runner.backends.base import (
-    BackendCapabilities,
-    ExecutorBackend,
-    JobOutcome,
-)
+from repro.runner.backends.base import ExecutorBackend, JobOutcome
 from repro.runner.backends.task import run_task_indexed
 
 
 class LocalPoolBackend(ExecutorBackend):
     """Today's process pool behind the protocol (default backend)."""
 
-    def __init__(self, workers: int = 1, **_: typing.Any) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, workers)
         self._width = self.workers
         self._pool: typing.Optional[
             concurrent.futures.ProcessPoolExecutor
         ] = None
         self._inflight: typing.Dict[concurrent.futures.Future, int] = {}
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            supports_kill=True, max_workers=self.workers
-        )
 
     def prepare(self, jobs: int) -> None:
         """Recycle the pool per round (the historical pool lifecycle).

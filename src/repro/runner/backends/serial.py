@@ -12,24 +12,16 @@ from __future__ import annotations
 
 import typing
 
-from repro.runner.backends.base import (
-    BackendCapabilities,
-    ExecutorBackend,
-    JobOutcome,
-)
+from repro.runner.backends.base import ExecutorBackend, JobOutcome
 from repro.runner.backends.task import run_task
 
 
 class SerialBackend(ExecutorBackend):
     """Runs every task inline, in submission order (the reference)."""
 
-    def __init__(self, workers: int = 1, **_: typing.Any) -> None:
+    def __init__(self, workers: int = 1) -> None:
         del workers  # serial by definition
         self._ready: typing.List[JobOutcome] = []
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(inline=True, max_workers=1)
 
     def submit(
         self, task: typing.Dict[str, typing.Any], isolated: bool = False

@@ -31,13 +31,12 @@ def main(
     # heavy imports happen inside the try so even an import-time crash
     # produces a framed error reply instead of an unexplained exit
     try:
-        from repro.runner.backends.task import encode_result, run_task
+        from repro.runner.backends.task import run_task
 
-        task = json.loads(stdin.read())
-        result = run_task(task)
+        result = run_task(json.loads(stdin.read()))
         reply: typing.Dict[str, typing.Any] = {
             "ok": True,
-            "result": encode_result(task, result),
+            "result": result.to_dict(),
         }
     except Exception as exc:
         reply = {

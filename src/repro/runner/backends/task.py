@@ -1,17 +1,16 @@
 """The unit of work backends move around: one JSON-able task dict.
 
 A task fully describes one run -- kind (always ``sweep``), cell index,
-spec, artifact directories and the optional worker-telemetry context -- as plain data, so every backend shares one
-contract: the local pool pickles the dict to a pool worker, the asyncio
-backend writes it to a subprocess's stdin, the shared-dir backend
-renames it through a spool directory to another host.
+spec, artifact directories and the optional worker-telemetry context --
+as plain data, so every backend shares one contract: the local pool
+pickles the dict to a pool worker, the asyncio backend writes it to a
+subprocess's stdin.
 
 :func:`run_task` executes a task wherever it lands and returns the
-*live* :class:`~repro.sim.metrics.SimulationResult`.  Backends that cross a host/stdio boundary encode that
-with :func:`encode_result` and the parent restores it with
-:func:`decode_result`; the round-trip is the same ``to_dict`` /
-``from_dict`` pair the result cache uses, so results stay
-byte-identical whichever backend carried them.
+*live* :class:`~repro.sim.metrics.SimulationResult`.  The asyncio
+backend carries it back over stdout as ``to_dict`` JSON and restores it
+with ``from_dict`` -- the round-trip the result cache uses, so results
+stay byte-identical whichever backend carried them.
 """
 
 from __future__ import annotations
@@ -68,13 +67,3 @@ def run_task(task: Task) -> SimulationResult:
 def run_task_indexed(task: Task) -> typing.Tuple[int, typing.Any]:
     """Pool-friendly wrapper carrying the cell index through the pool."""
     return task["cell"], run_task(task)
-
-
-def encode_result(task: Task, result: SimulationResult) -> typing.Any:
-    """The JSON form of a task's result, for transport."""
-    return result.to_dict()
-
-
-def decode_result(task: Task, payload: typing.Any) -> SimulationResult:
-    """Restore a transported result to what :func:`run_task` returns."""
-    return SimulationResult.from_dict(payload)

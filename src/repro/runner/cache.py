@@ -82,7 +82,7 @@ class ResultCache:
             return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
 
-    # -- maintenance (multi-host caches grow without bound otherwise) -------
+    # -- maintenance (long-lived caches grow without bound otherwise) -------
 
     def _entries(self) -> typing.Iterator[pathlib.Path]:
         if self.root.exists():

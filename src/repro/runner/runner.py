@@ -7,8 +7,8 @@ order, no matter how execution interleaves:
 - duplicate specs inside a batch are *coalesced* (simulated once);
 - specs seen before are served from the :class:`ResultCache`;
 - the remainder fans out over an :class:`ExecutorBackend` (the local
-  process pool by default; ``backend=`` selects an asyncio-subprocess
-  or shared-directory multi-host fabric instead), streaming a progress
+  process pool by default; ``backend=`` selects one subprocess per run
+  or the in-process serial reference instead), streaming a progress
   line per completed run;
 - every batch appends a JSON manifest under ``runs_dir`` recording the
   specs, git SHA, wall time and cache hit/miss counts, and registers
@@ -18,12 +18,12 @@ Because each run is a pure function of its spec, results are identical
 for any pool size *and any backend* -- the determinism tests assert
 byte-identical output for pool sizes 1 and N, and the backend
 conformance battery asserts it against the serial reference for every
-registered backend.
+backend.
 
 The runner is the *orchestration core*: it owns dispatch order,
 dedup/coalescing, cache lookups, stall detection, retry and isolation
 policy, and manifest/registry/status writing.  Backends own process
-(or host) placement behind the small protocol in
+placement behind the small protocol in
 :mod:`repro.runner.backends.base`; worker deaths come back as crashed
 outcomes the runner triages, never as exceptions that lose the batch.
 
@@ -32,14 +32,12 @@ to ``<runs_dir>/<batch_id>/telemetry.jsonl`` and the runner folds them
 into an atomically rewritten ``status.json`` (watch it with ``repro
 watch``).  With a ``stall_timeout_s`` the runner watches heartbeats: a
 running worker silent for that long is marked *stalled*, then killed
-when the backend supports it (per-run on isolating backends; breaking
-the shared pool on the local one) or abandoned when it does not
-(shared-dir: the worker may be on another host), and (``stall_retry``)
-resubmitted once -- a hung cell can fail, but it can never hang the
-batch.  A worker process that dies abruptly (OOM kill, segfault)
-surfaces as a crashed outcome: the affected cells are recorded as
-failed in the manifest and the batch returns its partial results
-instead of losing everything.  ``KeyboardInterrupt`` writes a partial
+(per-run on an isolating backend; breaking the shared pool on the
+local one) and (``stall_retry``) resubmitted once -- a hung cell can
+fail, but it can never hang the batch.  A worker process that dies
+abruptly (OOM kill, segfault) surfaces as a crashed outcome: the
+affected cells are recorded as failed in the manifest and the batch
+returns its partial results instead of losing everything.  ``KeyboardInterrupt`` writes a partial
 manifest marked ``interrupted`` before propagating.
 """
 
@@ -314,9 +312,6 @@ class ParallelRunner:
         heartbeat_s: float = 0.5,
         progress_every: int = 4096,
         backend: str = "local",
-        backend_options: typing.Optional[
-            typing.Dict[str, typing.Any]
-        ] = None,
     ) -> None:
         if pool_size is not None and pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -333,7 +328,6 @@ class ParallelRunner:
         except KeyError as exc:
             raise ValueError(str(exc)) from None
         self.backend_name = backend
-        self.backend_options = dict(backend_options or {})
         self.pool_size = pool_size or os.cpu_count() or 1
         self.cache = cache
         self.runs_dir = pathlib.Path(runs_dir) if runs_dir is not None else None
@@ -509,9 +503,7 @@ class ParallelRunner:
                 specs, pending, traces_dir, series_dir, tele
             )
         else:
-            backend = create_backend(
-                self.backend_name, workers=workers, **self.backend_options
-            )
+            backend = create_backend(self.backend_name, workers=workers)
             try:
                 yield from self._execute_backend(
                     specs, pending, traces_dir, series_dir, tele, backend
@@ -572,20 +564,17 @@ class ParallelRunner:
 
         The loop never blocks indefinitely on the backend: with
         telemetry it polls at most ``POLL_S`` between ticks.  A stalled
-        worker is killed where the backend supports it -- per-run on an
-        isolating backend; on the shared local pool the kill breaks the
-        pool and the backend reports *every* in-flight run as a crashed
-        casualty for triage (retry the stalled cell once, resubmit
-        innocent bystanders, fail the rest).  Where it does not
-        (shared-dir: the worker may be on another host), the attempt is
-        abandoned instead and triaged the same way.
+        worker is killed -- per-run on an isolating backend; on the
+        shared local pool the kill breaks the pool and the backend
+        reports *every* in-flight run as a crashed casualty for triage
+        (retry the stalled cell once, resubmit innocent bystanders,
+        fail the rest).
         """
-        capabilities = backend.capabilities
         # bystanders exist only where one worker's death can break
         # others; on isolating backends a crash always indicts its own
         # cell (treating it as a bystander would resubmit a
         # deterministic crasher forever)
-        bystander_possible = not capabilities.isolates_runs
+        bystander_possible = not backend.isolates_runs
         remaining = list(pending)
         retried: typing.Set[int] = set()
         killed: typing.Set[int] = set()
@@ -621,7 +610,7 @@ class ParallelRunner:
                 crash_reason = "worker process lost"
                 for outcome in outcomes:
                     if outcome.cell not in inflight:
-                        continue  # late echo of an abandoned attempt
+                        continue  # no attempt of this round
                     inflight.discard(outcome.cell)
                     if outcome.crashed:
                         crashed.append(outcome.cell)
@@ -662,21 +651,9 @@ class ParallelRunner:
                     killed.difference_update(crashed)
                 if tele is not None:
                     for cell in tele.tick():
-                        if cell not in inflight:
-                            continue
-                        if capabilities.supports_kill:
+                        if cell in inflight:
                             killed.add(cell)
                             backend.kill(cell, tele.status.pid_of(cell))
-                        else:
-                            # no cross-host kill: abandon this attempt
-                            # and triage it like a kill casualty
-                            backend.cancel(cell)
-                            inflight.discard(cell)
-                            self._triage_casualties(
-                                [cell], {cell}, retried, remaining,
-                                "stalled", tele, bystander_possible=False,
-                                stall_note="abandoned; backend cannot kill",
-                            )
 
     def _triage_casualties(
         self,
@@ -687,7 +664,6 @@ class ParallelRunner:
         reason: str,
         tele: typing.Optional[_BatchTelemetry],
         bystander_possible: bool,
-        stall_note: str = "worker killed",
     ) -> None:
         """Decide each crashed casualty's fate: retry, requeue, fail."""
         for cell in casualties:
@@ -701,7 +677,7 @@ class ParallelRunner:
                     self._record_failure(
                         cell,
                         "stalled: no heartbeat for "
-                        f"{self.stall_timeout_s}s ({stall_note})",
+                        f"{self.stall_timeout_s}s (worker killed)",
                         tele,
                     )
             elif killed and bystander_possible:
@@ -933,7 +909,6 @@ def default_runner(
     telemetry: bool = False,
     stall_timeout_s: typing.Optional[float] = None,
     backend: str = "local",
-    backend_options: typing.Optional[typing.Dict[str, typing.Any]] = None,
 ) -> ParallelRunner:
     """A runner with the conventional on-disk layout under ``results/``."""
     cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -947,5 +922,4 @@ def default_runner(
         telemetry=telemetry,
         stall_timeout_s=stall_timeout_s,
         backend=backend,
-        backend_options=backend_options,
     )

@@ -205,31 +205,6 @@ class TestProcessIntegration:
         assert observed == [p]
         assert env.active_process is None
 
-    def test_interrupt_delivers_cause(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(50)
-                return "overslept"
-            except Exception as exc:  # Interrupt
-                return exc.cause
-
-        def controller(env, target):
-            yield env.timeout(5)
-            target.interrupt(cause="alarm")
-
-        target = env.process(sleeper(env))
-        env.process(controller(env, target))
-        assert env.run(until=target) == "alarm"
-
-    def test_interrupt_finished_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
     def test_is_alive_transitions(self, env):
         def proc(env):
             yield env.timeout(2)

@@ -13,7 +13,7 @@ import math
 import pytest
 
 import repro.machine.machine as machine_module
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 from repro.machine import ControlNode, MachineConfig
 from repro.obs import MemoryRecorder
 from repro.obs.timeseries import TimeSeriesSampler
@@ -78,37 +78,24 @@ def test_whole_runs_replay_the_resource_cn(cell, monkeypatch):
 
 # -- unit scenarios, each run under both CNs --------------------------------
 
-def scenario(cn_class, jobs, interrupts=()):
+def scenario(cn_class, jobs):
     """Run ``jobs`` -- ``(start_ms, cost_ms, category)`` -- as one process
-    each and interrupt job ``index`` at ``at_ms`` for every
-    ``(at_ms, index)`` in ``interrupts``.  Returns what every job saw,
-    the trace records, the CPU's booking and busy integral."""
+    each.  Returns what every job saw, the trace records, the CPU's
+    booking and busy integral."""
     env = Environment()
     recorder = MemoryRecorder()
     env.trace = recorder
     cn = cn_class(env, MachineConfig())
     seen = []
-    processes = []
 
     def job(index, start, cost, category):
         if start:
             yield env.timeout(start)
-        try:
-            yield from cn.consume(cost, category)
-        except Interrupt:
-            seen.append((index, "interrupted", env.now))
-            return
+        yield from cn.consume(cost, category)
         seen.append((index, "done", env.now))
 
-    def interrupter(at, index):
-        if at:
-            yield env.timeout(at)
-        processes[index].interrupt()
-
     for index, (start, cost, category) in enumerate(jobs):
-        processes.append(env.process(job(index, start, cost, category)))
-    for at, index in interrupts:
-        env.process(interrupter(at, index))
+        env.process(job(index, start, cost, category))
     env.run()
     records = [event.to_record() for event in recorder.events]
     return (
@@ -117,9 +104,9 @@ def scenario(cn_class, jobs, interrupts=()):
     )
 
 
-def both(jobs, interrupts=()):
-    served = scenario(ControlNode, jobs, interrupts)
-    assert served == scenario(ReferenceControlNode, jobs, interrupts)
+def both(jobs):
+    served = scenario(ControlNode, jobs)
+    assert served == scenario(ReferenceControlNode, jobs)
     return served
 
 
@@ -151,43 +138,6 @@ def test_queue_depth_records():
     ] == [(0.0, 1), (0.0, 2), (3.0, 1), (4.0, 2), (6.0, 1), (9.0, 0)]
     assert {record["name"] for record in records
             if record["kind"] == "res.queue"} == {"cn.cpu"}
-
-
-def test_interrupt_while_queued_withdraws_the_slice():
-    seen, records, booked, busy, waiting = both(
-        [(0.0, 10.0, "a"), (0.0, 5.0, "b"), (0.0, 3.0, "c")],
-        interrupts=[(2.0, 1)],
-    )
-    assert seen == [
-        (1, "interrupted", 2.0), (0, "done", 10.0), (2, "done", 13.0),
-    ]
-    assert booked == {"a": 10.0, "c": 3.0}
-    assert busy == 13.0
-    assert waiting == 0
-
-
-def test_interrupt_in_service_hands_the_cpu_on():
-    seen, records, booked, busy, waiting = both(
-        [(0.0, 10.0, "a"), (0.0, 5.0, "b")], interrupts=[(4.0, 0)],
-    )
-    assert seen == [(0, "interrupted", 4.0), (1, "done", 9.0)]
-    assert booked == {"b": 5.0}
-    ends = [record["t"] for record in records
-            if record["kind"] == "cn.exec_end"]
-    assert ends == [9.0]
-    assert busy == 9.0
-
-
-def test_interrupt_between_grant_and_start():
-    # the interrupt comes from a process started after the job's, before
-    # the job's same-instant grant fires, and fires first (urgent)
-    seen, records, booked, busy, waiting = both(
-        [(0.0, 10.0, "a"), (0.0, 5.0, "b")], interrupts=[(0.0, 0)],
-    )
-    assert seen == [(0, "interrupted", 0.0), (1, "done", 5.0)]
-    assert booked == {"b": 5.0}
-    assert [record["category"] for record in records
-            if record["kind"] == "cn.exec_start"] == ["b"]
 
 
 def test_zero_cost_slice_yields_nothing():

@@ -9,8 +9,6 @@ the reference and cannot survive killing itself.
 """
 
 import json
-import os
-import signal
 import subprocess
 import sys
 
@@ -24,24 +22,16 @@ from repro.runner import (
     RunSpec,
     WorkloadSpec,
     backend_names,
-    create_backend,
     get_backend_info,
 )
-from repro.runner.backends import SharedDirBackend, worker_pool_loop
 from repro.runner.backends.base import ExecutorBackend, child_environment
-from repro.runner.backends.shared_dir import spool_dirs
 from repro.runner.backends.task import run_task, sweep_task
 from repro.runner.worker import EXIT_TEST_ENV, STALL_TEST_ENV, execute_spec
 
-ALL_BACKENDS = ["serial", "local", "asyncio", "shared-dir"]
+#: every backend, so none can exist without conformance coverage
+ALL_BACKENDS = backend_names()
 #: backends that execute jobs in child processes (kill/death scenarios)
-POOL_BACKENDS = ["local", "asyncio", "shared-dir"]
-
-
-def backend_options(name, tmp_path):
-    if name == "shared-dir":
-        return {"spool": tmp_path / "spool"}
-    return {}
+POOL_BACKENDS = [name for name in ALL_BACKENDS if name != "serial"]
 
 
 def make_specs(count, duration_ms=15_000.0):
@@ -68,7 +58,6 @@ def make_runner(tmp_path, backend, **overrides):
         heartbeat_s=0.0,
         progress_every=16,
         backend=backend,
-        backend_options=backend_options(backend, tmp_path),
     )
     options.update(overrides)
     return ParallelRunner(**options)
@@ -81,7 +70,9 @@ def batch_records(runner):
 
 class TestRegistry:
     def test_all_expected_backends_registered(self):
-        assert set(ALL_BACKENDS) <= set(backend_names())
+        # the battery compares every backend with the serial reference
+        assert "serial" in ALL_BACKENDS
+        assert POOL_BACKENDS
 
     def test_unknown_backend_is_rejected_with_candidates(self):
         with pytest.raises(KeyError, match="registered:"):
@@ -90,14 +81,13 @@ class TestRegistry:
             ParallelRunner(backend="fpga")
 
     def test_capability_flags(self):
-        assert get_backend_info("serial").flags.inline
-        assert get_backend_info("local").flags.supports_kill
-        assert get_backend_info("asyncio").flags.isolates_runs
-        assert get_backend_info("shared-dir").flags.distributed
-
-    def test_shared_dir_requires_a_spool(self):
-        with pytest.raises(ValueError, match="spool"):
-            create_backend("shared-dir", workers=1)
+        assert set(backend_names()) == {"serial", "local", "asyncio"}
+        assert not get_backend_info("local").load().isolates_runs
+        assert get_backend_info("asyncio").load().isolates_runs
+        # the isolation the table prints matches the flag triage reads
+        for name in POOL_BACKENDS:
+            info = get_backend_info(name)
+            assert info.load().isolates_runs == (info.isolation == "per run")
 
     def test_registered_paths_load_backend_classes(self):
         for name in backend_names():
@@ -110,7 +100,7 @@ class TestRegistry:
             "from repro.runner.backends import backend_names, "
             "get_backend_info\n"
             "infos = [get_backend_info(n) for n in backend_names()]\n"
-            "assert all(i.summary and i.flags for i in infos)\n"
+            "assert all(i.summary and i.isolation for i in infos)\n"
             "assert main(['backends']) == 0\n"
             "print(json.dumps(sorted(sys.modules)))\n"
         )
@@ -123,7 +113,7 @@ class TestRegistry:
             get_backend_info(name).path.rpartition(".")[0]
             for name in backend_names()
         }
-        assert "shared-dir" in out.stdout
+        assert "asyncio" in out.stdout
         assert backend_modules.isdisjoint(loaded)
 
 
@@ -240,85 +230,3 @@ class TestWorkerDeathAcrossBackends:
         assert [r["status"] for r in manifest["runs"]] == [
             "done", "failed", "done",
         ]
-
-
-class TestSharedDirProtocol:
-    def test_remote_only_spool_served_by_worker_pool_loop(self, tmp_path):
-        # local_workers=0: the sweeping side only spools tickets; an
-        # explicit worker_pool_loop call (the `repro worker-pool` body)
-        # plays the remote host
-        import threading
-
-        spool = tmp_path / "spool"
-        server = threading.Thread(
-            target=worker_pool_loop,
-            args=(spool,),
-            kwargs={"idle_exit_s": 30.0, "max_tasks": 2},
-            daemon=True,
-        )
-        server.start()
-        runner = make_runner(
-            tmp_path, "shared-dir",
-            backend_options={"spool": spool, "local_workers": 0},
-        )
-        results = runner.run_batch(make_specs(2), label="remote-only")
-        server.join(timeout=30.0)
-        assert [r.to_dict() for r in results] == [
-            execute_spec(spec).to_dict() for spec in make_specs(2)
-        ]
-
-    def test_expired_lease_counts_as_crash_and_is_resubmitted(
-        self, tmp_path
-    ):
-        # a ticket claimed by a worker that vanishes (host reboot: no
-        # dead local pid to observe) must come back via lease expiry
-        spool = tmp_path / "spool"
-        claimed = spool_dirs(spool)[1]
-        backend = SharedDirBackend(
-            workers=1, spool=spool, local_workers=0, lease_s=1.0
-        )
-        try:
-            spec = make_specs(1)[0]
-            task = sweep_task(0, spec, None, None, None)
-            # forge an already-claimed ticket from a foreign host so the
-            # backend's first scan sees a claim it cannot attribute to
-            # any local worker
-            name = "zzz-remote-c0-a1.task.json"
-            (claimed / name).write_text(json.dumps(task))
-            old = os.stat(claimed / name).st_mtime - 60.0
-            os.utime(claimed / name, (old, old))
-            backend._inflight[name] = task  # as submit() would have
-            outcomes = backend.poll(10.0)
-            assert len(outcomes) == 1
-            assert outcomes[0].crashed
-            assert "lease" in (outcomes[0].error or "")
-        finally:
-            backend.shutdown()
-
-    def test_cancel_unlinks_pending_tickets(self, tmp_path):
-        spool = tmp_path / "spool"
-        backend = SharedDirBackend(
-            workers=1, spool=spool, local_workers=0
-        )
-        try:
-            spec = make_specs(1)[0]
-            backend.submit(sweep_task(0, spec, None, None, None))
-            pending = spool_dirs(spool)[0]
-            assert list(pending.iterdir())
-            assert backend.cancel(0)
-            assert not list(pending.iterdir())
-        finally:
-            backend.shutdown()
-
-    def test_shutdown_reaps_spawned_workers(self, tmp_path):
-        backend = SharedDirBackend(
-            workers=2, spool=tmp_path / "spool", local_workers=2
-        )
-        spec = make_specs(1)[0]
-        backend.submit(sweep_task(0, spec, None, None, None))
-        pids = [proc.pid for proc in backend._procs]
-        assert pids
-        backend.shutdown()
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, signal.SIGCONT)

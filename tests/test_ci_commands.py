@@ -125,7 +125,12 @@ class TestExtraction:
 
     def test_workflow_has_commands(self):
         verbs = {argv[0] for argv in ci_commands()}
-        assert {"trace", "sweep", "arena", "explain", "worker-pool"} <= verbs
+        assert {"trace", "sweep", "arena", "explain", "backends"} <= verbs
+
+    def test_retired_spool_commands_fail_to_parse(self):
+        assert not parses(["worker-pool", "--spool", "x"])
+        assert not parses(["sweep", "NODC", "--spool", "x"])
+        assert parses(["sweep", "NODC"])
 
 
 @pytest.mark.parametrize(

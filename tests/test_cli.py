@@ -364,10 +364,9 @@ class TestBackendsCommand:
     def test_backends_lists_registry_with_capabilities(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("serial", "local", "asyncio", "shared-dir"):
+        for name in ("serial", "local", "asyncio"):
             assert name in out
-        assert "distributed" in out
-        assert "kill" in out
+        assert "isolation" in out and "per run" in out
 
     def test_sweep_accepts_and_reports_backend(self, tmp_path, capsys):
         assert main([
@@ -382,15 +381,6 @@ class TestBackendsCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "NODC", "--backend", "fpga"])
 
-    def test_shared_dir_requires_spool(self):
-        with pytest.raises(SystemExit, match="--spool"):
-            main(["sweep", "NODC", "--rates", "0.4",
-                  "--backend", "shared-dir"])
-
-    def test_spool_rejected_for_other_backends(self, tmp_path):
-        with pytest.raises(SystemExit, match="shared-dir"):
-            main(["sweep", "NODC", "--rates", "0.4",
-                  "--backend", "local", "--spool", str(tmp_path)])
 
 class TestCacheCommand:
     def _warm(self, tmp_path, capsys, rates="0.4"):
@@ -430,35 +420,6 @@ class TestCacheCommand:
     def test_dry_run_without_criteria_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["cache", "--cache-dir", str(tmp_path), "--dry-run"])
-
-
-class TestWorkerPoolCommand:
-    def test_worker_pool_drains_a_spooled_ticket(self, tmp_path, capsys):
-        import threading
-
-        spool = tmp_path / "spool"
-        sweep = threading.Thread(target=main, args=([
-            "sweep", "NODC", "--rates", "0.4",
-            "--duration", "20000", "--warmup", "0",
-            "--cache-dir", "", "--runs-dir", "",
-            "--backend", "shared-dir", "--spool", str(spool),
-            "--spool-workers", "0",
-        ],))
-        sweep.start()
-        code = main([
-            "worker-pool", "--spool", str(spool),
-            "--idle-exit", "30", "--max-tasks", "1",
-        ])
-        sweep.join(timeout=60.0)
-        assert code == 0
-        assert "1 run(s) executed" in capsys.readouterr().out
-
-    def test_worker_pool_validates_flags(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["worker-pool", "--spool", str(tmp_path), "--poll", "0"])
-        with pytest.raises(SystemExit):
-            main(["worker-pool", "--spool", str(tmp_path),
-                  "--max-tasks", "0"])
 
 
 class TestExplainCommand:
@@ -530,30 +491,3 @@ class TestExplainCommand:
         out = capsys.readouterr().out
         assert out.startswith("time budget")
         assert "queued" in out and "wasted" in out
-
-
-class TestJanitorCommand:
-    def test_janitor_sweeps_and_reports_counts(self, tmp_path, capsys):
-        from repro.runner.backends.shared_dir import spool_dirs
-
-        _pending, _claimed, done = spool_dirs(tmp_path)
-        litter = done / "old.result.json"
-        litter.write_text("{}")
-        import os as os_mod
-
-        old = litter.stat().st_mtime - 7200.0
-        os_mod.utime(litter, (old, old))
-        assert main([
-            "worker-pool", "--spool", str(tmp_path), "--janitor",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "1 stale result(s)" in out
-        assert not litter.exists()
-
-    def test_janitor_flags_validated(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["worker-pool", "--spool", str(tmp_path),
-                  "--janitor-every", "0"])
-        with pytest.raises(SystemExit):
-            main(["worker-pool", "--spool", str(tmp_path),
-                  "--done-max-age", "-1"])

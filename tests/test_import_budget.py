@@ -27,7 +27,6 @@ FORBIDDEN = (
     "repro.obs.telemetry",
     "repro.analysis",
     "repro.runner.backends.asyncio_subprocess",
-    "repro.runner.backends.shared_dir",
     "repro.runner.backends.local",
     "repro.sim.replication",
     "repro.experiments.exp2",
