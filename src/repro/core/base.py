@@ -37,7 +37,6 @@ from repro.des.monitor import Counter
 from repro.core.locks import LockTable
 from repro.machine.config import MachineConfig
 from repro.machine.control_node import ControlNode
-from repro.obs.profile import profiled
 from repro.txn.step import AccessMode
 from repro.txn.transaction import BatchTransaction, TransactionState
 
@@ -97,8 +96,6 @@ class Scheduler(abc.ABC):
         #: trace sink (cached: the disabled path must stay one attribute
         #: check per instrumented site)
         self._trace = env.trace
-        #: self-profiler, cached under the same contract as the trace
-        self._profile = env.profile
         #: waiters woken by any commit (delayed requests, admissions),
         #: as (priority, event) with priority = transaction arrival time
         self._commit_waiters: typing.List[typing.Tuple[float, Event]] = []
@@ -115,7 +112,7 @@ class Scheduler(abc.ABC):
         """Wait until the transaction may start (MPL + policy admission)."""
         yield from self._enter_mpl_gate()
         while True:
-            admitted = yield from self._evaluate(self._try_admit(txn))
+            admitted = yield from self._try_admit(txn)
             if admitted:
                 self._active_count += 1
                 txn.state = TransactionState.ACTIVE
@@ -149,9 +146,7 @@ class Scheduler(abc.ABC):
         while True:
             if self._doomed_check(txn):
                 raise TransactionAborted(txn.txn_id)
-            decision = yield from self._evaluate(
-                self._try_acquire(txn, file_id, mode)
-            )
+            decision = yield from self._try_acquire(txn, file_id, mode)
             if decision is Decision.GRANT:
                 self.stats.grants.increment()
                 if self._trace.enabled and wait_started is not None:
@@ -195,28 +190,10 @@ class Scheduler(abc.ABC):
                 self.stats.delays.increment()
                 yield from self._wait_for_commit(priority=txn.arrival_time)
 
-    def _evaluate(self, attempt: typing.Generator) -> typing.Generator:
-        """Drive one policy evaluation, self-profiled when enabled."""
-        if self._profile.enabled:
-            return (
-                yield from profiled(attempt, self._profile, "sched.decision")
-            )
-        return (yield from attempt)
-
-    def _release_all(self, txn_id: int) -> typing.List[int]:
-        """Lock-table release sweep, attributed to the lock manager."""
-        profile = self._profile
-        if profile.enabled:
-            profile.push("lock.manager")
-            released = self.lock_table.release_all(txn_id)
-            profile.pop()
-            return released
-        return self.lock_table.release_all(txn_id)
-
     def commit(self, txn: BatchTransaction) -> typing.Generator:
         """Release locks, drop scheduler state, wake waiters."""
         yield from self._on_commit(txn)
-        released = self._release_all(txn.txn_id)
+        released = self.lock_table.release_all(txn.txn_id)
         txn.state = TransactionState.COMMITTED
         txn.commit_time = self.env.now
         self.stats.commits.increment()
@@ -236,7 +213,7 @@ class Scheduler(abc.ABC):
     def abort(self, txn: BatchTransaction) -> typing.Generator:
         """Abandon an active transaction (OPT validation failure)."""
         yield from self._on_abort(txn)
-        released = self._release_all(txn.txn_id)
+        released = self.lock_table.release_all(txn.txn_id)
         txn.state = TransactionState.ABORTED
         self.stats.aborts.increment()
         if self._trace.enabled:
@@ -444,13 +421,7 @@ class Scheduler(abc.ABC):
     def _grant_lock(
         self, txn: BatchTransaction, file_id: int, mode: AccessMode
     ) -> None:
-        profile = self._profile
-        if profile.enabled:
-            profile.push("lock.manager")
-            self.lock_table.grant(txn.txn_id, file_id, mode)
-            profile.pop()
-        else:
-            self.lock_table.grant(txn.txn_id, file_id, mode)
+        self.lock_table.grant(txn.txn_id, file_id, mode)
         if self._trace.enabled:
             self._trace.emit(
                 self.env.now,

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import heapq
 import typing
-from time import perf_counter as _perf_counter
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 from repro.des.events import AllOf, AnyOf, Event, Timeout
-from repro.obs.profile import NULL_PROFILER, SimProfiler
 from repro.des.process import Process, ProcessGenerator
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
@@ -67,7 +65,7 @@ def _fire(batch: _CallBatch) -> None:
         if done < len(batch):
             del batch[:done]
             batch.callbacks = _FIRE
-            env._push(when, batch[0][0], batch)
+            _heappush(queue, (when, batch[0][0], batch))
         else:
             del env._batches[when]
 
@@ -78,17 +76,10 @@ _FIRE = (_fire,)
 class Environment:
     """Simulation environment: clock, event heap and process factory."""
 
-    #: scheduling priority that runs before same-instant normal events
-    PRIORITY_URGENT = 0
-    #: default scheduling priority
-    PRIORITY_NORMAL = 1
-
     def __init__(self, initial_time: float = 0.0, strict: bool = True) -> None:
         self._now = float(initial_time)
-        #: (time, key, event) with key = (priority << 62) | seq -- one
-        #: packed int keeps entries at three slots while preserving the
-        #: (time, priority, seq) order exactly, and the unique seq means
-        #: Event objects are never compared
+        #: (time, seq, event): the unique seq breaks same-time ties in
+        #: FIFO order and means Event objects are never compared
         self._queue: typing.List[
             typing.Tuple[float, int, typing.Union[Event, _CallBatch]]
         ] = []
@@ -105,9 +96,6 @@ class Environment:
         #: stays the shared no-op recorder unless a run installs a real
         #: one *before* building components (they cache the reference)
         self.trace: TraceRecorder = NULL_RECORDER
-        #: the wall-clock self-profiler; same install-before-build
-        #: contract as ``trace`` (components cache the reference)
-        self.profile: SimProfiler = NULL_PROFILER
         #: optional time-series sampler; the run loop compares each
         #: event's time with its next boundary
         self.sampler: typing.Optional["TimeSeriesSampler"] = None
@@ -161,15 +149,11 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(
-        self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
-    ) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue a triggered event to fire ``delay`` from now."""
-        self.schedule_at(event, self._now + delay, priority)
+        self.schedule_at(event, self._now + delay)
 
-    def schedule_at(
-        self, event: Event, when: float, priority: int = PRIORITY_NORMAL
-    ) -> None:
+    def schedule_at(self, event: Event, when: float) -> None:
         """Enqueue a triggered event to fire at exactly the time ``when``.
 
         ``schedule(event, when - now)`` would fire at ``now + (when -
@@ -182,7 +166,7 @@ class Environment:
         if not when >= self._now:
             raise ValueError(f"when={when} lies in the past (now={self._now})")
         self._seq += 1
-        self._push(when, (priority << 62) | self._seq, event)
+        _heappush(self._queue, (when, self._seq, event))
 
     def call_at(
         self, when: float, fn: typing.Callable[[typing.Any], None], arg: object
@@ -196,7 +180,7 @@ class Environment:
         fall due together costs one push, one pop and one dispatch.
         """
         self._seq += 1
-        key = _CALL_PRIORITY | self._seq
+        key = self._seq
         batches = self._batches
         if when in batches:
             batches[when].append((key, fn, arg))
@@ -207,20 +191,7 @@ class Environment:
         batch.append((key, fn, arg))
         batch.env = self
         batch.callbacks = _FIRE
-        self._push(when, key, batch)
-
-    def _push(
-        self, when: float, key: int, item: typing.Union[Event, _CallBatch]
-    ) -> None:
-        """Put one ``(time, key, event)`` entry on the heap."""
-        entry = (when, key, item)
-        profile = self.profile
-        if profile.enabled:
-            start = _perf_counter()
-            _heappush(self._queue, entry)
-            profile.span("des.heap", start, _perf_counter())
-        else:
-            _heappush(self._queue, entry)
+        _heappush(self._queue, (when, key, batch))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
@@ -309,29 +280,21 @@ class Environment:
         entry lies at or past ``stop_at``, or the entry ``stop_event``
         (an event, or the head entry for :meth:`step`) has fired.
 
-        The sampler's next boundary, the progress threshold and whether
-        the profiler is on are read once per call; each changes only
-        through the sampler or the hook this loop itself calls.  The
-        event count is kept in a local and stored back before the hook
-        runs and when the loop ends.
+        The sampler's next boundary and the progress threshold are read
+        once per call; each changes only through the sampler or the hook
+        this loop itself calls.  The event count is kept in a local and
+        stored back before the hook runs and when the loop ends.
         """
         queue = self._queue
         pop = _heappop
         sampler = self.sampler
         due = _INF if sampler is None else sampler.next_due
-        profile = self.profile
-        profiled = profile.enabled
         progress = self.progress_hook
         report_at = _INF if progress is None else self._progress_next
         count = self.events_processed
         try:
             while queue:
-                if profiled:
-                    start = _perf_counter()
-                    when, key, event = pop(queue)
-                    profile.span("des.heap", start, _perf_counter())
-                else:
-                    when, key, event = pop(queue)
+                when, key, event = pop(queue)
                 if when >= stop_at:
                     # not fired: back on the heap for the next run
                     _heappush(queue, (when, key, event))
@@ -357,9 +320,5 @@ class Environment:
         finally:
             self.events_processed = count
 
-
-#: the priority bits of every :meth:`Environment.call_at` key: calls
-#: take the default priority of :meth:`Environment.schedule_at`
-_CALL_PRIORITY = Environment.PRIORITY_NORMAL << 62
 
 _INF = float("inf")

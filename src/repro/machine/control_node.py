@@ -26,7 +26,6 @@ import typing
 from repro.des import Environment, Event
 from repro.des.monitor import Counter, TimeWeighted
 from repro.machine.config import MachineConfig
-from repro.obs.profile import profiled_call
 
 
 class _Slice(Event):
@@ -61,13 +60,6 @@ class ControlNode:
         self.busy = TimeWeighted(env.now, 0.0, name="cn.busy")
         self.cpu_ms_by_category: typing.Dict[str, float] = {}
         self.messages = Counter("cn.messages")
-        if env.profile.enabled:
-            # the instance attributes shadow the methods, so the CPU's
-            # service callbacks are attributed to the phase
-            self._start = profiled_call(self._start, env.profile, "machine.cn")
-            self._finish = profiled_call(
-                self._finish, env.profile, "machine.cn"
-            )
 
     @property
     def queue_length(self) -> int:

@@ -42,7 +42,6 @@ import typing
 
 from repro.des import Environment, Event
 from repro.des.monitor import TimeWeighted
-from repro.obs.profile import profiled_call
 
 #: tolerance when deciding a cohort has scanned all its objects
 _EPSILON = 1e-9
@@ -221,15 +220,6 @@ class DataProcessingNode:
         #: (held as a number, so the node and its timer form no cycle)
         self._generation = 0
         self.busy = TimeWeighted(env.now, 0.0, name=f"dpn{node_id}.busy")
-        if env.profile.enabled:
-            # the instance attributes shadow the methods, so every
-            # service callback is attributed to the phase
-            self._start = profiled_call(
-                self._start, env.profile, "machine.scan"
-            )
-            self._complete = profiled_call(
-                self._complete, env.profile, "machine.scan"
-            )
 
     # -- public interface ----------------------------------------------------
 

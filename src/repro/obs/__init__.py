@@ -31,9 +31,10 @@ Public surface:
 - :mod:`repro.obs.timeseries` -- DES-clock time-series sampler with
   ring-buffered series, histograms, CSV/JSON export and sparkline
   reports.
-- :mod:`repro.obs.profile` -- wall-clock self-profiler attributing
-  simulator time to DES-heap, scheduler-decision, lock-manager and
-  machine-modelling phases.
+- :mod:`repro.obs.profile` -- the wall-clock profiler: it wraps one
+  run's entry points from outside the model and attributes the
+  simulator's own time to its layers (event loop, machine, scheduler,
+  lock table, WTPG, metrics).
 - :mod:`repro.obs.telemetry` -- live batch telemetry: worker lifecycle
   JSONL streams, heartbeats, the ``status.json`` aggregator and the
   ``repro watch`` / ``repro tail`` renderers.
@@ -53,16 +54,12 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "FixedHistogram": "repro.obs.timeseries",
     "LogHistogram": "repro.obs.timeseries",
     "MemoryRecorder": "repro.obs.recorder",
-    "NULL_PROFILER": "repro.obs.profile",
     "NULL_RECORDER": "repro.obs.recorder",
-    "NullProfiler": "repro.obs.profile",
     "NullRecorder": "repro.obs.recorder",
-    "PHASES": "repro.obs.profile",
     "PhaseProfiler": "repro.obs.profile",
     "SERIES_SCHEMA_VERSION": "repro.obs.timeseries",
     "STATUS_SCHEMA_VERSION": "repro.obs.telemetry",
     "Series": "repro.obs.timeseries",
-    "SimProfiler": "repro.obs.profile",
     "Span": "repro.obs.attrib",
     "TELEMETRY_EVENT_KINDS": "repro.obs.telemetry",
     "TELEMETRY_SCHEMA_VERSION": "repro.obs.telemetry",
@@ -81,7 +78,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "gauge": "repro.obs.timeseries",
     "load_series_json": "repro.obs.timeseries",
     "max_rss_kb": "repro.obs.telemetry",
-    "profiled": "repro.obs.profile",
     "read_status": "repro.obs.telemetry",
     "read_telemetry_records": "repro.obs.telemetry",
     "render_series_report": "repro.obs.timeseries",

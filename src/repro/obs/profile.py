@@ -1,134 +1,152 @@
-"""Wall-clock self-profiling of the simulator itself.
+"""Wall-clock profiling of the simulator, from outside the model.
 
-The simulator's trace answers "what did the *modelled* system do";
-this module answers "where does the *simulator's own* wall time go",
-attributing host CPU to a small set of phases:
+The simulator's trace answers "what did the *modelled* system do"; this
+module answers "where does the *simulator's own* wall time go".  The
+model carries no hook for it: :meth:`PhaseProfiler.attach` wraps the
+entry points of one run's own objects (:data:`ENTRY_POINTS`) as instance
+attributes, so class attributes and module globals never change and
+nothing needs undoing.
 
-``des.heap``
-    Event-heap operations (push on :meth:`Environment.schedule`, pop in
-    :meth:`Environment.step`).
-``sched.decision``
-    Scheduler policy evaluation (``_try_admit`` / ``_try_acquire``
-    resume segments, chain solving, WTPG maintenance).
-``lock.manager``
-    Lock-table mutation (grants and commit/abort release sweeps).
-``machine.cn``
-    Control-node CPU-cost modelling: the startup/commit slices, and the
-    CPU's grant and end callbacks for every slice.
-``machine.msg``
-    Message send/receive modelling.
-``machine.scan``
-    DPN round-robin cohort service: the callbacks that start a node's
-    service and end each quantum (booking the scan, completing or
-    rotating the cohort, starting the next quantum).
-
-Attribution is *exclusive*: phases form a stack, and elapsed time always
-lands on the innermost open phase, so nested instrumentation (a lock
-grant inside a scheduler decision) never double-counts.  Whatever is not
-covered by any phase is reported as ``other`` against the run's total.
-
-Like the trace recorders, the disabled path is one class-attribute check
-per instrumented site (``if profiler.enabled:``) -- no call, no clock
-read -- and the profiler never interacts with the simulation state, so a
-profiled run is byte-identical to an unprofiled one.
+A span stack gives every layer its *self* time: a span's duration minus
+the time covered by the spans opened inside it, so the layers tile the
+profiled time without double counting.  A plain function is one span
+per call; a generator (a scheduler's ``acquire``,
+``ControlNode.consume``) is one span per resume, never over the
+simulated time it spends suspended, with sends, throws, return values
+and ``close()`` relayed unchanged.  ``des`` is the event loop itself:
+the heap, event dispatch, and every callback and process body without
+an entry point of its own.  A wrapper only reads the clock, so a
+profiled run computes byte-identical results.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 import typing
 
-_perf_counter = time.perf_counter
+_clock = time.perf_counter
 
-#: canonical reporting order of the instrumented phases
-PHASES: typing.Tuple[str, ...] = (
-    "des.heap",
-    "sched.decision",
-    "lock.manager",
-    "machine.cn",
-    "machine.msg",
-    "machine.scan",
+#: (layer, path from the Simulation to the objects, method names) per
+#: wrapped entry point; no names means every public method.  A path that
+#: leads nowhere (a scheduler without a WTPG) is skipped, and a list (a
+#: node group repeats one DPN per member) yields each object once.
+ENTRY_POINTS = (
+    ("des", "env", ("run",)),
+    ("machine", "machine.control_node", ("consume",)),
+    ("machine", "machine.data_nodes", ("submit",)),
+    ("machine", "machine", ("begin_step",)),
+    ("sched", "scheduler",
+     ("admit", "acquire", "commit", "abort", "validate_at_commit")),
+    ("locks", "scheduler.lock_table", ()),
+    ("wtpg", "scheduler.wtpg", ()),
+    ("sim", "metrics", ("record_commit", "record_restart")),
 )
 
-
-class SimProfiler:
-    """Phase-stack wall-clock profiler (disabled base; see subclass)."""
-
-    #: instrumented sites skip push/pop entirely when this is False
-    enabled: bool = False
-
-    def push(self, phase: str) -> None:
-        """Open ``phase``; time now accrues to it (no-op when disabled)."""
-
-    def pop(self) -> None:
-        """Close the innermost phase (no-op when disabled)."""
-
-    def span(self, phase: str, start: float, end: float) -> None:
-        """Attribute the ``[start, end]`` interval to ``phase``.
-
-        Equivalent to a ``push(phase)`` at ``start`` followed by a
-        ``pop()`` at ``end``, fused into one call for instrumentation
-        sites that bracket a single short operation (the event-heap
-        push/pop): the caller reads the clock twice and hands both
-        stamps over, avoiding the per-call stack churn.  No-op when
-        disabled.
-        """
+#: layer names, in reporting order (a subset of perfbench's layers)
+LAYERS = tuple(dict.fromkeys(layer for layer, _, _ in ENTRY_POINTS))
 
 
-class NullProfiler(SimProfiler):
-    """The always-off profiler; every Environment starts with one."""
+def _objects(simulation: typing.Any, path: str) -> typing.List[typing.Any]:
+    found = simulation
+    for name in path.split("."):
+        found = getattr(found, name, None)
+    if found is None:
+        return []
+    return list(dict.fromkeys(found)) if isinstance(found, list) else [found]
 
-    __slots__ = ()
+
+def _public_methods(obj: typing.Any) -> typing.List[str]:
+    cls = type(obj)
+    return [
+        name for name in dir(cls)
+        if not name.startswith("_") and inspect.isfunction(getattr(cls, name))
+    ]
 
 
-#: shared default instance -- stateless, so one is enough for everyone
-NULL_PROFILER = NullProfiler()
-
-
-class PhaseProfiler(SimProfiler):
-    """Accumulates exclusive wall time per phase via ``perf_counter``."""
-
-    enabled = True
+class PhaseProfiler:
+    """Self wall time and call count per layer via ``perf_counter``."""
 
     def __init__(self) -> None:
         self.seconds: typing.Dict[str, float] = {}
+        #: invocations per layer (a generator counts once, not per resume)
         self.calls: typing.Dict[str, int] = {}
-        #: (phase, entered-at) frames; the top frame owns elapsing time
-        self._stack: typing.List[typing.Tuple[str, float]] = []
+        #: one ``[seconds covered by child spans]`` cell per open span
+        self._stack: typing.List[typing.List[float]] = []
 
-    def push(self, phase: str) -> None:
-        now = _perf_counter()
-        stack = self._stack
-        if stack:
-            seconds = self.seconds
-            parent, since = stack[-1]
-            seconds[parent] = seconds.get(parent, 0.0) + (now - since)
-        stack.append((phase, now))
-        calls = self.calls
-        calls[phase] = calls.get(phase, 0) + 1
+    def attach(self, simulation: typing.Any) -> None:
+        """Wrap ``simulation``'s entry points (its machine and scheduler
+        are built) as attributes of its own objects."""
+        for layer, path, names in ENTRY_POINTS:
+            for obj in _objects(simulation, path):
+                for name in names or _public_methods(obj):
+                    setattr(obj, name, self.wrap(layer, getattr(obj, name)))
 
-    def pop(self) -> None:
-        now = _perf_counter()
+    def _close(
+        self, layer: str, start: float, frame: typing.List[float]
+    ) -> None:
+        elapsed = _clock() - start
         stack = self._stack
-        phase, since = stack.pop()
+        stack.pop()
         seconds = self.seconds
-        seconds[phase] = seconds.get(phase, 0.0) + (now - since)
+        seconds[layer] = seconds.get(layer, 0.0) + elapsed - frame[0]
         if stack:
-            parent, _ = stack[-1]
-            stack[-1] = (parent, now)
+            stack[-1][0] += elapsed
 
-    def span(self, phase: str, start: float, end: float) -> None:
-        seconds = self.seconds
+    def wrap(self, layer: str, fn: typing.Callable) -> typing.Callable:
+        """``fn`` as one ``layer`` span per call, or per resume for a
+        generator function."""
         stack = self._stack
-        if stack:
-            # exclusive attribution: carve the interval out of the
-            # enclosing phase exactly as a nested push/pop pair would
-            parent, since = stack[-1]
-            seconds[parent] = seconds.get(parent, 0.0) + (start - since)
-            stack[-1] = (parent, end)
-        seconds[phase] = seconds.get(phase, 0.0) + (end - start)
+        close = self._close
         calls = self.calls
-        calls[phase] = calls.get(phase, 0) + 1
+
+        if not inspect.isgeneratorfunction(fn):
+
+            @functools.wraps(fn)
+            def call(*args: typing.Any, **kwargs: typing.Any) -> typing.Any:
+                calls[layer] = calls.get(layer, 0) + 1
+                frame = [0.0]
+                stack.append(frame)
+                start = _clock()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    close(layer, start, frame)
+
+            return call
+
+        def drive(gen: typing.Generator) -> typing.Generator:
+            send_value: typing.Any = None
+            thrown: typing.Optional[BaseException] = None
+            while True:
+                frame = [0.0]
+                stack.append(frame)
+                start = _clock()
+                try:
+                    if thrown is not None:
+                        exc, thrown = thrown, None
+                        item = gen.throw(exc)
+                    else:
+                        item = gen.send(send_value)
+                except StopIteration as stop:
+                    return stop.value
+                finally:
+                    close(layer, start, frame)
+                try:
+                    send_value = yield item
+                except GeneratorExit:
+                    gen.close()
+                    raise
+                except BaseException as exc:  # relayed into the generator
+                    thrown = exc
+
+        @functools.wraps(fn)
+        def resume(*args: typing.Any, **kwargs: typing.Any) -> typing.Any:
+            calls[layer] = calls.get(layer, 0) + 1
+            return drive(fn(*args, **kwargs))
+
+        return resume
 
     def reset(self) -> None:
         """Drop everything accumulated so far."""
@@ -139,17 +157,18 @@ class PhaseProfiler(SimProfiler):
     def report(
         self, total_s: typing.Optional[float] = None
     ) -> typing.Dict[str, typing.Any]:
-        """Per-phase seconds/calls, plus ``other`` when ``total_s`` given.
+        """Per-layer seconds/calls, plus ``other_s`` when ``total_s`` given.
 
-        ``total_s`` is the whole run's wall time measured by the caller
-        (the profiler cannot know it: it only sees instrumented spans).
+        ``total_s`` is the whole run's wall time measured by the caller;
+        ``other_s`` is the part of it no wrapped entry point covered
+        (building the run, collecting its result, the caller's own code).
         """
         phases = {
-            phase: {
-                "seconds": round(self.seconds.get(phase, 0.0), 6),
-                "calls": self.calls.get(phase, 0),
+            layer: {
+                "seconds": round(self.seconds.get(layer, 0.0), 6),
+                "calls": self.calls.get(layer, 0),
             }
-            for phase in sorted(set(PHASES) | set(self.seconds))
+            for layer in [*LAYERS, *sorted(set(self.seconds) - set(LAYERS))]
         }
         payload: typing.Dict[str, typing.Any] = {"phases": phases}
         if total_s is not None:
@@ -157,65 +176,3 @@ class PhaseProfiler(SimProfiler):
             payload["total_s"] = round(total_s, 6)
             payload["other_s"] = round(max(0.0, total_s - covered), 6)
         return payload
-
-    def __repr__(self) -> str:
-        spans = ", ".join(
-            f"{phase}={self.seconds[phase]:.3g}s"
-            for phase in sorted(self.seconds)
-        )
-        return f"<PhaseProfiler {spans or 'empty'}>"
-
-
-def profiled(
-    gen: typing.Generator,
-    profiler: SimProfiler,
-    phase: str,
-) -> typing.Generator:
-    """Drive ``gen``, attributing each *resume segment* to ``phase``.
-
-    A simulation process spends most of its lifetime suspended on
-    events; only the CPU bursts between yields are the simulator's own
-    work.  This wrapper times exactly those bursts, relaying sends and
-    throws transparently so the wrapped generator behaves identically
-    (same yields, same return value, same exceptions).
-    """
-    send_value: typing.Any = None
-    thrown: typing.Optional[BaseException] = None
-    push = profiler.push
-    pop = profiler.pop
-    send = gen.send
-    while True:
-        push(phase)
-        try:
-            if thrown is not None:
-                exc, thrown = thrown, None
-                item = gen.throw(exc)
-            else:
-                item = send(send_value)
-        except StopIteration as stop:
-            return stop.value
-        finally:
-            pop()
-        try:
-            send_value = yield item
-        except GeneratorExit:
-            gen.close()
-            raise
-        except BaseException as exc:
-            thrown = exc
-
-
-def profiled_call(
-    fn: typing.Callable[..., typing.Any], profiler: SimProfiler, phase: str
-) -> typing.Callable[..., typing.Any]:
-    """``fn`` with each call attributed to ``phase``: :func:`profiled`
-    for model code driven by event callbacks instead of a process."""
-
-    def call(*args: typing.Any) -> typing.Any:
-        profiler.push(phase)
-        try:
-            return fn(*args)
-        finally:
-            profiler.pop()
-
-    return call

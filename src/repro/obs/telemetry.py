@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import socket
 import sys
 import tempfile
 import time
@@ -273,9 +272,8 @@ class WorkerTelemetry:
     carrying the simulated clock, the cumulative event count and the
     fraction of the run horizon reached.
 
-    Every worker-emitted record carries ``host``; ``to_dict`` /
-    ``from_dict`` let a context cross a non-pickle boundary (the asyncio
-    backend's subprocess stdin).
+    ``to_dict`` / ``from_dict`` let a context cross a non-pickle
+    boundary (the asyncio backend's subprocess stdin).
     """
 
     def __init__(
@@ -332,10 +330,7 @@ class WorkerTelemetry:
     def _emit(self, kind: str, **fields: typing.Any) -> None:
         if self._sink is None:
             self._sink = TelemetrySink(self.path, after_emit=self.on_emit)
-        self._sink.emit(
-            kind, cell=self.cell, pid=os.getpid(),
-            host=socket.gethostname(), **fields,
-        )
+        self._sink.emit(kind, cell=self.cell, pid=os.getpid(), **fields)
 
     def start(self) -> None:
         """Emit ``run.start``; call before any simulation work."""
@@ -423,7 +418,6 @@ class BatchStatus:
                 "until_ms": float(info.get("until_ms", 0.0)),
                 "events": 0,
                 "pid": None,
-                "host": None,
                 "attempt": 0,
                 "stalled": False,
                 "error": None,
@@ -471,7 +465,6 @@ class BatchStatus:
         elif kind == "run.start":
             cell["state"] = "running"
             cell["pid"] = record.get("pid")
-            cell["host"] = record.get("host")
             cell["attempt"] += 1
             cell["stalled"] = False
             cell["last_activity_ts"] = stamp
@@ -522,7 +515,6 @@ class BatchStatus:
         elif kind == "run.retry":
             cell["state"] = "pending"
             cell["pid"] = None
-            cell["host"] = None
 
     def pid_of(self, cell: int) -> typing.Optional[int]:
         return self.cells[cell]["pid"]
@@ -578,12 +570,7 @@ class BatchStatus:
             ),
             "eta_s": eta_s,
             "workers": [
-                # host only when a worker reported one, so single-host
-                # snapshots stay byte-for-byte what they always were
-                dict(
-                    {"pid": c["pid"], "cell": c["cell"]},
-                    **({"host": c["host"]} if c["host"] else {}),
-                )
+                {"pid": c["pid"], "cell": c["cell"]}
                 for c in self.cells
                 if c["state"] in ("running", "stalled")
                 and c["pid"] is not None
@@ -679,9 +666,6 @@ def render_status(
         suffix = state
         if state == "running" and cell.get("pid"):
             suffix += f" pid={cell['pid']}"
-            host = cell.get("host")
-            if host and host != socket.gethostname():
-                suffix += f"@{host}"
         if state in ("running", "stalled") and cell.get("stalled"):
             last = cell.get("last_activity_ts")
             idle = f" {now - last:.0f}s" if last else ""

@@ -27,13 +27,13 @@ from repro.des import Environment, RandomStreams
 from repro.des.monitor import TimeWeighted
 from repro.machine.config import MachineConfig
 from repro.machine.machine import SharedNothingMachine
-from repro.obs.profile import SimProfiler, profiled
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.txn.transaction import BatchTransaction
 from repro.txn.workload import Workload
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.profile import PhaseProfiler
     from repro.obs.timeseries import TimeSeriesSampler
 
 SchedulerFactory = typing.Callable[
@@ -57,7 +57,7 @@ class Simulation:
         max_arrivals: typing.Optional[int] = None,
         recorder: typing.Optional[TraceRecorder] = None,
         sampler: typing.Optional["TimeSeriesSampler"] = None,
-        profiler: typing.Optional[SimProfiler] = None,
+        profiler: typing.Optional["PhaseProfiler"] = None,
     ) -> None:
         if duration_ms <= 0:
             raise ValueError(f"duration must be > 0, got {duration_ms}")
@@ -79,10 +79,6 @@ class Simulation:
         #: and scheduler are built so every component caches the real one
         self.trace = recorder if recorder is not None else NULL_RECORDER
         self.env.trace = self.trace
-        #: wall-clock self-profiler, same install-before-build contract
-        self.profiler = profiler
-        if profiler is not None:
-            self.env.profile = profiler
         self.sampler = sampler
         self.streams = RandomStreams(seed)
         self.machine = SharedNothingMachine(self.env, config)
@@ -101,6 +97,8 @@ class Simulation:
         if sampler is not None:
             self._register_probes(sampler)
             self.env.sampler = sampler
+        if profiler is not None:
+            profiler.attach(self)
 
     def _register_probes(self, sampler: "TimeSeriesSampler") -> None:
         """Wire the machine/scheduler/run-level series catalogue.
@@ -178,7 +176,7 @@ class Simulation:
         while True:
             attempt_started = self.env.now
             yield from scheduler.admit(attempt)
-            yield from self._cn_slice(self.config.sot_time_ms, "startup")
+            yield from cn.consume(self.config.sot_time_ms, "startup")
 
             try:
                 while not attempt.finished_all_steps:
@@ -208,7 +206,7 @@ class Simulation:
                 attempt = restarted
                 continue
 
-            yield from self._cn_slice(self.config.cot_time_ms, "commit")
+            yield from cn.consume(self.config.cot_time_ms, "commit")
             if scheduler.validate_at_commit(attempt):
                 yield from scheduler.commit(attempt)
                 if self.auditor is not None:
@@ -230,21 +228,6 @@ class Simulation:
                 )
             attempt = restarted
 
-    def _cn_slice(self, cost_ms: float, category: str) -> typing.Generator:
-        """One CN CPU slice, self-profiled as machine.cn when enabled."""
-        work = self.machine.control_node.consume(cost_ms, category)
-        if self.env.profile.enabled:
-            yield from profiled(work, self.env.profile, "machine.cn")
-        else:
-            yield from work
-
-    def _message(self, work: typing.Generator) -> typing.Generator:
-        """A CN message send/receive, profiled as machine.msg."""
-        if self.env.profile.enabled:
-            yield from profiled(work, self.env.profile, "machine.msg")
-        else:
-            yield from work
-
     def _run_step(self, txn: BatchTransaction) -> typing.Generator:
         """The machine-level scan of the current step (Section 4.1)."""
         step = txn.current_step
@@ -259,9 +242,9 @@ class Simulation:
         )
         txn.current_execution = execution
         cn = self.machine.control_node
-        yield from self._message(cn.send_message())
+        yield from cn.send_message()
         yield execution.submit()
-        yield from self._message(cn.receive_message())
+        yield from cn.receive_message()
         if self.trace.enabled:
             self.trace.emit(
                 self.env.now, "txn.step_end", txn=txn.txn_id,

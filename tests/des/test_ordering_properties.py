@@ -1,8 +1,8 @@
 """Property tests: event ordering is deterministic under same-time ties.
 
-The kernel's heap entries are ``(time, priority, seq, event)``; the
-monotone ``seq`` makes equal-time, equal-priority events fire in the
-order they were scheduled (FIFO).  Every downstream reproducibility
+The kernel's heap entries are ``(time, seq, event)``; the monotone
+``seq`` makes equal-time events fire in the order they were scheduled
+(FIFO).  Every downstream reproducibility
 claim -- byte-identical reruns, pool-size-independent batch results,
 observation-only tracing -- rests on this.
 """

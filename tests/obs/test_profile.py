@@ -1,67 +1,60 @@
-"""Unit tests for the wall-clock self-profiler and generator wrapper."""
+"""Unit tests for the wall-clock profiler and its span wrappers."""
 
 import pytest
 
-from repro.obs.profile import (
-    NULL_PROFILER,
-    PHASES,
-    NullProfiler,
-    PhaseProfiler,
-    profiled,
-)
+from repro.obs.profile import LAYERS, PhaseProfiler
 
 
-class TestNullProfiler:
-    def test_disabled_and_noop(self):
-        assert NULL_PROFILER.enabled is False
-        NULL_PROFILER.push("des.heap")
-        NULL_PROFILER.pop()
-
-    def test_shared_instance(self):
-        assert isinstance(NULL_PROFILER, NullProfiler)
+def _busy():
+    return sum(i for i in range(20_000))  # measurable work
 
 
 class TestPhaseProfiler:
-    def test_push_pop_accumulates(self):
+    def test_wrapped_call_accumulates(self):
         profiler = PhaseProfiler()
-        profiler.push("des.heap")
-        profiler.pop()
-        assert profiler.calls["des.heap"] == 1
-        assert profiler.seconds["des.heap"] >= 0.0
+        wrapped = profiler.wrap("locks", lambda x: x + 1)
+        assert wrapped(1) == 2
+        assert profiler.calls["locks"] == 1
+        assert profiler.seconds["locks"] >= 0.0
         assert not profiler._stack
 
     def test_nested_attribution_is_exclusive(self):
-        # time inside the inner phase must not double-count to the outer
+        # time inside the inner span must not double-count to the outer
         profiler = PhaseProfiler()
-        profiler.push("sched.decision")
-        profiler.push("lock.manager")
-        busy = sum(i for i in range(20_000))  # measurable inner work
-        profiler.pop()
-        profiler.pop()
-        assert busy > 0
+        inner = profiler.wrap("locks", _busy)
+        outer = profiler.wrap("sched", lambda: inner())
+        assert outer() > 0
         total = sum(profiler.seconds.values())
-        inner = profiler.seconds["lock.manager"]
-        outer = profiler.seconds["sched.decision"]
         # exclusive: outer only owns its own (tiny) segments
-        assert inner > 0.0
-        assert outer < total
+        assert profiler.seconds["locks"] > 0.0
+        assert profiler.seconds["sched"] < total
+        assert profiler.calls == {"sched": 1, "locks": 1}
 
     def test_report_includes_all_phases_and_other(self):
         profiler = PhaseProfiler()
-        profiler.push("machine.cn")
-        profiler.pop()
+        profiler.wrap("machine", _busy)()
         report = profiler.report(total_s=1.0)
-        for phase in PHASES:
-            assert phase in report["phases"]
+        assert list(report["phases"]) == list(LAYERS)
+        assert report["phases"]["machine"]["calls"] == 1
         assert report["total_s"] == 1.0
-        assert 0.0 <= report["other_s"] <= 1.0
+        covered = profiler.seconds["machine"]
+        assert report["other_s"] == pytest.approx(1.0 - covered, abs=1e-6)
 
     def test_reset(self):
         profiler = PhaseProfiler()
-        profiler.push("des.heap")
-        profiler.pop()
+        profiler.wrap("des", _busy)()
         profiler.reset()
         assert profiler.seconds == {} and profiler.calls == {}
+
+    def test_raising_call_closes_its_span(self):
+        def fail():
+            raise KeyError("boom")
+
+        profiler = PhaseProfiler()
+        with pytest.raises(KeyError):
+            profiler.wrap("wtpg", fail)()
+        assert not profiler._stack
+        assert profiler.calls["wtpg"] == 1
 
 
 class TestProfiledWrapper:
@@ -73,14 +66,29 @@ class TestProfiledWrapper:
             return "done"
 
         profiler = PhaseProfiler()
-        wrapped = profiled(gen(), profiler, "sched.decision")
+        wrapped = profiler.wrap("sched", gen)()
         assert next(wrapped) == "a"
         assert wrapped.send(1) == "b"
         with pytest.raises(StopIteration) as stop:
             next(wrapped)
         assert stop.value.value == "done"
-        assert profiler.calls["sched.decision"] == 3
+        assert profiler.calls["sched"] == 1  # invocations, not resumes
         assert not profiler._stack  # balanced even across StopIteration
+
+    def test_each_resume_is_a_span(self):
+        def gen():
+            _busy()
+            yield
+            _busy()
+
+        profiler = PhaseProfiler()
+        outer = profiler.wrap("des", lambda: [_busy() for step in wrapped])
+        wrapped = profiler.wrap("machine", gen)()
+        outer()
+        # the generator's resumes are carved out of the enclosing span
+        assert profiler.seconds["machine"] > 0.0
+        assert profiler.seconds["des"] > 0.0
+        assert not profiler._stack
 
     def test_relays_thrown_exceptions(self):
         caught = []
@@ -92,7 +100,7 @@ class TestProfiledWrapper:
                 caught.append(exc)
                 yield "recovered"
 
-        wrapped = profiled(gen(), PhaseProfiler(), "sched.decision")
+        wrapped = PhaseProfiler().wrap("sched", gen)()
         assert next(wrapped) == "x"
         assert wrapped.throw(KeyError("boom")) == "recovered"
         assert len(caught) == 1
@@ -103,11 +111,11 @@ class TestProfiledWrapper:
             raise RuntimeError("inner")
 
         profiler = PhaseProfiler()
-        wrapped = profiled(gen(), profiler, "machine.scan")
+        wrapped = profiler.wrap("machine", gen)()
         next(wrapped)
         with pytest.raises(RuntimeError, match="inner"):
             next(wrapped)
-        assert not profiler._stack  # pop ran despite the exception
+        assert not profiler._stack  # the span closed despite the exception
 
     def test_close_propagates_to_inner_generator(self):
         closed = []
@@ -118,18 +126,7 @@ class TestProfiledWrapper:
             finally:
                 closed.append(True)
 
-        wrapped = profiled(gen(), PhaseProfiler(), "machine.scan")
+        wrapped = PhaseProfiler().wrap("machine", gen)()
         next(wrapped)
         wrapped.close()
         assert closed == [True]
-
-    def test_works_with_null_profiler(self):
-        def gen():
-            yield 1
-            return 2
-
-        wrapped = profiled(gen(), NULL_PROFILER, "des.heap")
-        assert next(wrapped) == 1
-        with pytest.raises(StopIteration) as stop:
-            next(wrapped)
-        assert stop.value.value == 2

@@ -405,6 +405,28 @@ class TestRendering:
         assert "failed" in frame
         assert "ValueError" in frame
 
+    def test_records_and_status_with_a_host_field_still_load(self, tmp_path):
+        # streams and status files written while workers reported a host
+        path = tmp_path / "telemetry.jsonl"
+        records = [
+            {"ts": 1.0, "kind": "batch.meta", **EXAMPLES["batch.meta"]},
+            {"ts": 2.0, "kind": "run.start", "host": "node-a",
+             **EXAMPLES["run.start"]},
+            {"ts": 3.0, "kind": "run.done", "host": "node-a",
+             **EXAMPLES["run.done"]},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert validate_telemetry_jsonl(path) == 3
+        status = BatchStatus("b1", "sweep", _cells(1))
+        status.consume(records[1])
+        assert status.snapshot()["workers"] == [{"pid": 4242, "cell": 0}]
+        old = status.snapshot()
+        old["workers"][0]["host"] = "node-a"
+        old["cells"][0]["host"] = "node-a"
+        status_path = write_status(old, tmp_path / "status.json")
+        frame = render_status(read_status(status_path))
+        assert "pid=4242" in frame and "node-a" not in frame
+
     @pytest.mark.parametrize("kind", sorted(TELEMETRY_EVENT_KINDS))
     def test_format_covers_every_kind(self, kind):
         line = format_telemetry_record(

@@ -11,12 +11,17 @@ The load-bearing properties, mirroring the tracing contract:
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
+from repro.core.base import Scheduler
+from repro.core.locks import LockTable
 from repro.core.registry import available
+from repro.des.engine import Environment
 from repro.machine import MachineConfig
-from repro.obs.profile import NULL_PROFILER, PhaseProfiler
+from repro.machine.control_node import ControlNode
+from repro.obs.profile import PhaseProfiler
 from repro.obs.timeseries import TimeSeriesSampler, load_series_json, write_series_json
 from repro.sim.simulation import Simulation, run_simulation
 from repro.txn.workload import experiment1_workload
@@ -46,7 +51,7 @@ class TestObservationOnly:
         assert dataclasses.asdict(sampled) == dataclasses.asdict(bare)
         assert sampler.samples_taken == 80  # 40s / 500ms
 
-    @pytest.mark.parametrize("scheduler", ["LOW", "C2PL", "OPT"])
+    @pytest.mark.parametrize("scheduler", available())
     def test_profiled_run_is_byte_identical(self, scheduler):
         bare = _run(scheduler)
         profiled = _run(scheduler, profiler=PhaseProfiler())
@@ -112,27 +117,43 @@ class TestSampledTrajectories:
         assert set(payload["series"]) == set(sampler.series)
 
 
+def _wrapped_attributes(sim):
+    """Names of the functions stored on the run's own objects."""
+    scheduler = sim.scheduler
+    objects = [sim.env, sim.machine, sim.machine.control_node, sim.metrics,
+               scheduler, scheduler.lock_table, getattr(scheduler, "wtpg", None),
+               *sim.machine.data_nodes]
+    return sorted(
+        f"{type(obj).__name__}.{name}"
+        for obj in objects if obj is not None
+        for name, value in vars(obj).items() if inspect.isfunction(value)
+    )
+
+
 class TestProfilerIntegration:
     def test_phases_attributed(self):
-        profiler = PhaseProfiler()
-        _run("LOW", profiler=profiler)
-        for phase in ("des.heap", "sched.decision", "machine.scan",
-                      "machine.msg", "machine.cn"):
-            assert profiler.calls.get(phase, 0) > 0, phase
-        assert not profiler._stack  # every push matched a pop
+        for scheduler, layers in (("LOW", ("des", "machine", "sched", "locks")),
+                                  ("GOW", ("wtpg",))):
+            profiler = PhaseProfiler()
+            _run(scheduler, profiler=profiler)
+            for layer in layers:
+                assert profiler.calls.get(layer, 0) > 0, (scheduler, layer)
+                assert profiler.seconds[layer] > 0.0, (scheduler, layer)
+            assert not profiler._stack  # every span closed
 
-    def test_default_is_null_profiler(self):
-        sim = Simulation(MachineConfig(), experiment1_workload(1.0))
-        assert sim.env.profile is NULL_PROFILER
-        assert sim.scheduler._profile is NULL_PROFILER
-
-    def test_profiler_installed_before_components_build(self):
-        profiler = PhaseProfiler()
-        sim = Simulation(
-            MachineConfig(), experiment1_workload(1.0), profiler=profiler
-        )
-        assert sim.env.profile is profiler
-        assert sim.scheduler._profile is profiler
+    def test_profiled_run_leaves_classes_untouched(self):
+        originals = (Scheduler.acquire, ControlNode.consume, Environment.run,
+                     LockTable.grant)
+        profiled = Simulation(MachineConfig(), experiment1_workload(1.0),
+                              scheduler="GOW", duration_ms=10_000.0,
+                              profiler=PhaseProfiler())
+        assert "ControlNode.consume" in _wrapped_attributes(profiled)
+        profiled.run()
+        assert (Scheduler.acquire, ControlNode.consume, Environment.run,
+                LockTable.grant) == originals
+        fresh = Simulation(MachineConfig(), experiment1_workload(1.0),
+                           scheduler="GOW")
+        assert _wrapped_attributes(fresh) == []
 
 
 class TestEngineSamplerHook:

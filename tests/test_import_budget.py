@@ -4,8 +4,8 @@ Every run the runner starts in a new interpreter (the benchmark's
 workers, the ``asyncio`` backend's one child per run) pays for each
 module it imports before the first event is simulated.  These tests pin
 what the serial sweep path and the subprocess worker entry may load:
-optional features (telemetry, trace export, analysis), the
-pool backends and their stdlib machinery (``asyncio``,
+optional features (telemetry, trace export, the wall-clock profiler,
+analysis), the pool backends and their stdlib machinery (``asyncio``,
 ``multiprocessing``, ``concurrent.futures``, ``ssl``) stay out until a
 run asks for them.
 """
@@ -24,6 +24,7 @@ FORBIDDEN = (
     "ssl",
     "repro.obs.attrib",
     "repro.obs.export",
+    "repro.obs.profile",
     "repro.obs.telemetry",
     "repro.analysis",
     "repro.runner.backends.asyncio_subprocess",
