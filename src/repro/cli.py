@@ -6,8 +6,9 @@ Commands:
 - ``trace``       -- one simulation with tracing on: JSONL artifact,
   optional Chrome/Perfetto trace, terminal summary.
 - ``sweep``       -- a scheduler x rate grid through the parallel runner
-  (worker pool + result cache + run manifest; ``--trace`` captures a
-  per-run trace artifact, ``--timeseries`` a sampled-series artifact).
+  (worker pool + result cache + run manifest; ``--pool 1`` runs every
+  cell in-process, the reference path; ``--trace`` captures a per-run
+  trace artifact, ``--timeseries`` a sampled-series artifact).
 - ``report``      -- terminal sparkline view of a series artifact.
 - ``watch``       -- live console view of a telemetry-enabled batch
   (``--once`` renders a single frame, for CI).
@@ -20,8 +21,6 @@ Commands:
   traced run of a registry batch): span timelines, batch time budget,
   lock hotspots, the makespan critical path and anomaly flags ->
   ``EXPLAIN.{json,md}``.
-- ``backends``    -- list the executor backends with how each isolates
-  its runs (``sweep``/``arena`` select one with ``--backend``).
 - ``cache``       -- result-cache stats, with optional age/count
   pruning (``--max-age-days`` / ``--max-entries`` / ``--dry-run``).
 - ``schedulers``  -- list the registered schedulers with family tags
@@ -43,8 +42,6 @@ import pathlib
 import sys
 import time
 import typing
-
-from repro.runner.backends import backend_names
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.runner.spec import RunSpec, WorkloadSpec
@@ -143,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds without a worker heartbeat before the "
                           "cell counts as stalled and is killed/retried "
                           "(telemetry only; default: no stall detection)")
-    _add_backend_args(swp)
 
     rpt = sub.add_parser(
         "report",
@@ -235,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     arn.add_argument("--traces-dir", default="results/traces",
                      help="explain-pass trace artifacts "
                           "(default results/traces)")
-    _add_backend_args(arn)
 
     exp = sub.add_parser(
         "explain",
@@ -263,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default results/runs)")
     exp.add_argument("--top", type=int, default=10,
                      help="rows per report section (default 10)")
-
-    sub.add_parser(
-        "backends",
-        help="list the executor backends and how each isolates runs",
-    )
 
     cch = sub.add_parser(
         "cache",
@@ -311,13 +301,6 @@ def _add_single_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--warmup", type=float, default=50_000,
                         help="warm-up ms discarded (default 50000)")
     parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_backend_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=backend_names(),
-                        default="local",
-                        help="executor backend (default local; see "
-                             "'repro backends')")
 
 
 def _make_workload(args: argparse.Namespace):
@@ -527,7 +510,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         series_dir=args.series_dir or None,
         telemetry=args.telemetry,
         stall_timeout_s=args.stall_timeout,
-        backend=args.backend,
     )
     specs = [
         RunSpec(
@@ -572,7 +554,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     counts = (runner.last_batch or {}).get("counts", {})
     line = (
         f"[runner] pool={runner.pool_size} "
-        f"backend={runner.backend_name} "
         f"cache hits={counts.get('cache_hits', 0)} "
         f"misses={counts.get('cache_misses', 0)} "
         f"simulated={counts.get('simulated', 0)} "
@@ -877,7 +858,6 @@ def _arena_time_budgets(
         pool_size=args.pool,
         cache=ResultCache(args.cache_dir) if args.cache_dir else None,
         traces_dir=args.traces_dir,
-        backend=args.backend,
     )
     runner.run_batch(traced, label="arena-explain")
     budgets: typing.List[typing.Optional[typing.Dict[str, typing.Any]]] = []
@@ -940,7 +920,6 @@ def _command_arena(args: argparse.Namespace) -> int:
     runner = ParallelRunner(
         pool_size=args.pool,
         cache=ResultCache(args.cache_dir) if args.cache_dir else None,
-        backend=args.backend,
     )
     results = runner.run_batch(specs, label="arena")
     time_budgets = None
@@ -966,22 +945,6 @@ def _command_arena(args: argparse.Namespace) -> int:
         print(f"[arena] ERROR: {payload['failed_cells']} cell(s) failed",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def _command_backends() -> int:
-    from repro.analysis import render_table
-    from repro.runner.backends import get_backend_info
-
-    rows = []
-    for name in backend_names():
-        info = get_backend_info(name)
-        rows.append([name, info.isolation, info.summary])
-    print(render_table(
-        ["name", "isolation", "description"],
-        typing.cast(typing.List[typing.List[object]], rows),
-        title="executor backends (select with sweep/arena --backend)",
-    ))
     return 0
 
 
@@ -1098,8 +1061,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             return _command_arena(args)
         if args.command == "explain":
             return _command_explain(args)
-        if args.command == "backends":
-            return _command_backends()
         if args.command == "cache":
             return _command_cache(args)
         if args.command == "schedulers":

@@ -4,8 +4,10 @@ The simulator's trace answers "what did the *modelled* system do"; this
 module answers "where does the *simulator's own* wall time go".  The
 model carries no hook for it: :meth:`PhaseProfiler.attach` wraps the
 entry points of one run's own objects (:data:`ENTRY_POINTS`) as instance
-attributes, so class attributes and module globals never change and
-nothing needs undoing.
+attributes, so class attributes and module globals never change.  A
+wrapper refers back to its object through the bound method it wraps, so
+:meth:`PhaseProfiler.detach` drops the wrappers again when the run
+closes, and reference counting alone frees the run.
 
 A span stack gives every layer its *self* time: a span's duration minus
 the time covered by the spans opened inside it, so the layers tile the
@@ -82,6 +84,14 @@ class PhaseProfiler:
             for obj in _objects(simulation, path):
                 for name in names or _public_methods(obj):
                     setattr(obj, name, self.wrap(layer, getattr(obj, name)))
+
+    @staticmethod
+    def detach(simulation: typing.Any) -> None:
+        """Drop the wrappers :meth:`attach` set on ``simulation``."""
+        for _layer, path, names in ENTRY_POINTS:
+            for obj in _objects(simulation, path):
+                for name in names or _public_methods(obj):
+                    vars(obj).pop(name, None)
 
     def _close(
         self, layer: str, start: float, frame: typing.List[float]

@@ -271,9 +271,6 @@ class WorkerTelemetry:
     least ``heartbeat_s`` wall seconds elapsed since the previous one,
     carrying the simulated clock, the cumulative event count and the
     fraction of the run horizon reached.
-
-    ``to_dict`` / ``from_dict`` let a context cross a non-pickle
-    boundary (the asyncio backend's subprocess stdin).
     """
 
     def __init__(
@@ -300,32 +297,6 @@ class WorkerTelemetry:
         ] = None
         self._sink: typing.Optional[TelemetrySink] = None
         self._last_beat = 0.0
-
-    def to_dict(self) -> typing.Dict[str, typing.Any]:
-        """JSON-able form (``on_emit`` does not travel; it stays None)."""
-        return {
-            "path": self.path,
-            "cell": self.cell,
-            "until_ms": self.until_ms,
-            "key": self.key,
-            "label": self.label,
-            "heartbeat_s": self.heartbeat_s,
-            "progress_every": self.progress_every,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, payload: typing.Mapping[str, typing.Any]
-    ) -> "WorkerTelemetry":
-        return cls(
-            path=payload["path"],
-            cell=int(payload["cell"]),
-            until_ms=float(payload["until_ms"]),
-            key=payload.get("key", ""),
-            label=payload.get("label", ""),
-            heartbeat_s=float(payload.get("heartbeat_s", 0.5)),
-            progress_every=int(payload.get("progress_every", 4096)),
-        )
 
     def _emit(self, kind: str, **fields: typing.Any) -> None:
         if self._sink is None:
@@ -515,9 +486,6 @@ class BatchStatus:
         elif kind == "run.retry":
             cell["state"] = "pending"
             cell["pid"] = None
-
-    def pid_of(self, cell: int) -> typing.Optional[int]:
-        return self.cells[cell]["pid"]
 
     def stalled_candidates(
         self, stall_timeout_s: float, now: typing.Optional[float] = None

@@ -11,11 +11,9 @@ Public surface:
 - :class:`ResultCache` -- content-addressed result store (with
   ``stats``/``gc`` maintenance for long-lived caches).
 - :class:`ParallelRunner` -- batch orchestrator (dispatch + cache +
-  manifest, plus live telemetry, stall detection and crash triage)
-  over a pluggable :class:`ExecutorBackend`.
-- :func:`create_backend` / :func:`backend_names` -- the executor
-  backends: ``serial`` (in-process), ``local`` (process pool) and
-  ``asyncio`` (subprocess-per-run).
+  manifest, plus live telemetry, stall detection and crash retry); a
+  batch runs in-process or on a pool of long-lived worker processes,
+  each of which can be killed alone (:mod:`repro.runner.pool`).
 - :class:`RunRegistry` -- persistent index of every executed batch.
 - :func:`execute_spec` -- one spec, inline, no orchestration.
 - :func:`default_runner` -- runner over the ``results/`` layout.
@@ -25,21 +23,17 @@ from repro._facade import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CACHE_FORMAT_VERSION": "repro.runner.spec",
-    "ExecutorBackend": "repro.runner.backends.base",
-    "JobOutcome": "repro.runner.backends.base",
+    "JobOutcome": "repro.runner.pool",
     "ParallelRunner": "repro.runner.runner",
     "REGISTRY_FILENAME": "repro.runner.registry",
     "ResultCache": "repro.runner.cache",
     "RunEvent": "repro.runner.runner",
     "RunRegistry": "repro.runner.registry",
     "RunSpec": "repro.runner.spec",
-    "WorkerTaskError": "repro.runner.backends.base",
+    "WorkerTaskError": "repro.runner.runner",
     "WorkloadSpec": "repro.runner.spec",
-    "backend_names": "repro.runner.backends",
-    "create_backend": "repro.runner.backends",
     "default_runner": "repro.runner.runner",
     "execute_spec": "repro.runner.worker",
-    "get_backend_info": "repro.runner.backends",
     "print_progress": "repro.runner.runner",
     "register_workload": "repro.runner.spec",
     "spec_digest": "repro.runner.registry",

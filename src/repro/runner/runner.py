@@ -6,39 +6,34 @@ order, no matter how execution interleaves:
 
 - duplicate specs inside a batch are *coalesced* (simulated once);
 - specs seen before are served from the :class:`ResultCache`;
-- the remainder fans out over an :class:`ExecutorBackend` (the local
-  process pool by default; ``backend=`` selects one subprocess per run
-  or the in-process serial reference instead), streaming a progress
-  line per completed run;
+- the remainder runs in-process (``backend="serial"``, or one worker)
+  or fans out over a :class:`~repro.runner.pool.WorkerPool` of
+  long-lived worker processes, streaming a progress line per completed
+  run;
 - every batch appends a JSON manifest under ``runs_dir`` recording the
   specs, git SHA, wall time and cache hit/miss counts, and registers
   itself in the :class:`~repro.runner.registry.RunRegistry` index.
 
 Because each run is a pure function of its spec, results are identical
-for any pool size *and any backend* -- the determinism tests assert
-byte-identical output for pool sizes 1 and N, and the backend
-conformance battery asserts it against the serial reference for every
-backend.
+for any pool size -- the determinism tests and the pool conformance
+battery assert byte-identical output against the in-process path.
 
-The runner is the *orchestration core*: it owns dispatch order,
-dedup/coalescing, cache lookups, stall detection, retry and isolation
-policy, and manifest/registry/status writing.  Backends own process
-placement behind the small protocol in
-:mod:`repro.runner.backends.base`; worker deaths come back as crashed
-outcomes the runner triages, never as exceptions that lose the batch.
+The runner owns dispatch order, dedup/coalescing, cache lookups, stall
+detection, retry policy, and manifest/registry/status writing; the pool
+owns the worker processes.  Worker deaths come back as crashed outcomes
+for their own cell, never as exceptions that lose the batch.
 
 Live telemetry (``telemetry=True``): workers append lifecycle records
 to ``<runs_dir>/<batch_id>/telemetry.jsonl`` and the runner folds them
 into an atomically rewritten ``status.json`` (watch it with ``repro
 watch``).  With a ``stall_timeout_s`` the runner watches heartbeats: a
-running worker silent for that long is marked *stalled*, then killed
-(per-run on an isolating backend; breaking the shared pool on the
-local one) and (``stall_retry``) resubmitted once -- a hung cell can
-fail, but it can never hang the batch.  A worker process that dies
-abruptly (OOM kill, segfault) surfaces as a crashed outcome: the
-affected cells are recorded as failed in the manifest and the batch
-returns its partial results instead of losing everything.  ``KeyboardInterrupt`` writes a partial
-manifest marked ``interrupted`` before propagating.
+running worker silent for that long is marked *stalled*, its worker
+alone is killed, and (``stall_retry``) the cell is resubmitted once --
+a hung cell can fail, but it can never hang the batch.  A worker process
+that dies abruptly (OOM kill, segfault) fails only its own cell, after
+one retry: the manifest records it as failed and the batch returns its
+partial results instead of losing everything.  ``KeyboardInterrupt``
+writes a partial manifest marked ``interrupted`` before propagating.
 """
 
 from __future__ import annotations
@@ -54,13 +49,6 @@ import tempfile
 import time
 import typing
 
-from repro.runner.backends import (
-    ExecutorBackend,
-    WorkerTaskError,
-    create_backend,
-    get_backend_info,
-)
-from repro.runner.backends.task import sweep_task
 from repro.runner.cache import ResultCache
 from repro.runner.registry import RunRegistry, spec_digest
 from repro.runner.spec import RunSpec
@@ -73,6 +61,23 @@ from repro.sim.metrics import SimulationResult
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import WorkerTelemetry
+    from repro.runner.pool import WorkerPool
+
+#: the accepted ``backend`` names: ``local`` runs a batch with more than
+#: one worker on the worker pool, ``serial`` always runs in-process
+BACKENDS = ("local", "serial")
+
+
+class WorkerTaskError(RuntimeError):
+    """A deterministic exception raised by a run in a worker process,
+    re-raised in the parent with the worker's ``type: message`` string
+    and its traceback."""
+
+    def __init__(
+        self, message: str, traceback: typing.Optional[str] = None
+    ) -> None:
+        super().__init__(message)
+        self.traceback = traceback
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,10 +328,10 @@ class ParallelRunner:
             raise ValueError(
                 f"stall_timeout_s must be > 0, got {stall_timeout_s}"
             )
-        try:
-            get_backend_info(backend)
-        except KeyError as exc:
-            raise ValueError(str(exc)) from None
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            )
         self.backend_name = backend
         self.pool_size = pool_size or os.cpu_count() or 1
         self.cache = cache
@@ -498,32 +503,22 @@ class ParallelRunner:
             self.series_dir.mkdir(parents=True, exist_ok=True)
             series_dir = str(self.series_dir)
         workers = min(self.pool_size, len(pending))
-        if self._inline_for(workers):
+        if self.backend_name == "serial" or workers <= 1:
             yield from self._execute_inline(
                 specs, pending, traces_dir, series_dir, tele
             )
         else:
-            backend = create_backend(self.backend_name, workers=workers)
+            from repro.runner.pool import WorkerPool
+
+            pool = WorkerPool(workers)
             try:
-                yield from self._execute_backend(
-                    specs, pending, traces_dir, series_dir, tele, backend
+                yield from self._execute_pool(
+                    specs, pending, traces_dir, series_dir, tele, pool
                 )
             finally:
-                backend.shutdown()
+                pool.shutdown()
         if tele is not None:
             tele.tick(force=True)
-
-    def _inline_for(self, workers: int) -> bool:
-        """Whether this execution runs on the in-process serial path.
-
-        ``serial`` always does (it is the reference semantics), and the
-        default local backend keeps its historical behaviour of running
-        single-worker batches in-process rather than through a
-        one-process pool.
-        """
-        if self.backend_name == "serial":
-            return True
-        return self.backend_name == "local" and workers <= 1
 
     def _execute_inline(
         self,
@@ -551,152 +546,95 @@ class ParallelRunner:
             if tele is not None:
                 tele.tick()
 
-    def _execute_backend(
+    def _execute_pool(
         self,
         specs: typing.Sequence[RunSpec],
         pending: typing.Sequence[int],
         traces_dir: typing.Optional[str],
         series_dir: typing.Optional[str],
         tele: typing.Optional[_BatchTelemetry],
-        backend: ExecutorBackend,
+        pool: "WorkerPool",
     ) -> typing.Iterator[typing.Tuple[int, SimulationResult, float]]:
-        """Fan out over a backend: telemetry ticks, stall policy, triage.
+        """Fan out over the worker pool: submit every cell, then poll.
 
-        The loop never blocks indefinitely on the backend: with
-        telemetry it polls at most ``POLL_S`` between ticks.  A stalled
-        worker is killed -- per-run on an isolating backend; on the
-        shared local pool the kill breaks the pool and the backend
-        reports *every* in-flight run as a crashed casualty for triage
-        (retry the stalled cell once, resubmit innocent bystanders,
-        fail the rest).
+        The loop never blocks indefinitely: with telemetry it polls at
+        most ``POLL_S`` between ticks, and kills the worker of each cell
+        that went stalled.  A crashed cell (killed or dead worker) goes
+        straight back into the pool once (:meth:`_retry`).
         """
-        # bystanders exist only where one worker's death can break
-        # others; on isolating backends a crash always indicts its own
-        # cell (treating it as a bystander would resubmit a
-        # deterministic crasher forever)
-        bystander_possible = not backend.isolates_runs
-        remaining = list(pending)
+
+        def submit(index: int) -> None:
+            pool.submit(index, {
+                "spec": specs[index],
+                "traces_dir": traces_dir,
+                "series_dir": series_dir,
+                "telemetry": (
+                    tele.worker_context(index) if tele is not None else None
+                ),
+            })
+
         retried: typing.Set[int] = set()
         killed: typing.Set[int] = set()
         batch_started = time.time()
-        while remaining:
-            # cells on their second attempt run one per isolated round:
-            # if one is a deterministic crasher it can only take itself
-            # down, never a fellow retry
-            isolate = [cell for cell in remaining if cell in retried]
-            if isolate:
-                submit = [isolate[0]]
-                remaining = [c for c in remaining if c != isolate[0]]
-            else:
-                submit, remaining = remaining, []
-            backend.prepare(len(submit))
-            inflight: typing.Set[int] = set()
-            for index in submit:
-                context = (
-                    tele.worker_context(index) if tele is not None else None
-                )
-                backend.submit(
-                    sweep_task(
-                        index, specs[index], traces_dir, series_dir, context
-                    ),
-                    isolated=index in retried,
-                )
-                inflight.add(index)
-            while inflight:
-                outcomes = backend.poll(
-                    _BatchTelemetry.POLL_S if tele is not None else None
-                )
-                crashed: typing.List[int] = []
-                crash_reason = "worker process lost"
-                for outcome in outcomes:
-                    if outcome.cell not in inflight:
-                        continue  # no attempt of this round
-                    inflight.discard(outcome.cell)
-                    if outcome.crashed:
-                        crashed.append(outcome.cell)
-                        if outcome.error:
-                            crash_reason = outcome.error
-                    elif outcome.error is not None:
-                        # a deterministic worker exception: record it
-                        # (the worker already emitted run.error with
-                        # traceback) and fail fast -- unlike a death
-                        # or stall, retrying cannot help
-                        self._record_failure(
-                            outcome.cell, outcome.error, tele, emit=False
-                        )
-                        if outcome.exception is not None:
-                            raise outcome.exception
-                        raise WorkerTaskError(
-                            outcome.error, outcome.traceback
-                        )
-                    else:
-                        killed.discard(outcome.cell)
-                        yield (
-                            outcome.cell,
-                            outcome.result,
-                            time.time() - batch_started,
-                        )
-                if crashed:
-                    self._triage_casualties(
-                        crashed, killed, retried, remaining,
-                        crash_reason, tele, bystander_possible,
+        for index in pending:
+            submit(index)
+        while pool.active:
+            for outcome in pool.poll(
+                _BatchTelemetry.POLL_S if tele is not None else None
+            ):
+                if outcome.crashed:
+                    if self._retry(
+                        outcome.cell, killed, retried, outcome.error, tele
+                    ):
+                        submit(outcome.cell)
+                elif outcome.error is not None:
+                    # a deterministic worker exception: record it (the
+                    # worker already emitted run.error with traceback)
+                    # and fail fast -- retrying cannot help
+                    self._record_failure(
+                        outcome.cell, outcome.error, tele, emit=False
                     )
-                    if bystander_possible:
-                        # the shared pool broke: poll() reported every
-                        # in-flight run as a casualty, so start a fresh
-                        # round for whatever triage requeued
-                        killed.clear()
-                        inflight.clear()
-                        break
-                    killed.difference_update(crashed)
-                if tele is not None:
-                    for cell in tele.tick():
-                        if cell in inflight:
-                            killed.add(cell)
-                            backend.kill(cell, tele.status.pid_of(cell))
+                    raise WorkerTaskError(outcome.error, outcome.traceback)
+                else:
+                    yield (
+                        outcome.cell,
+                        outcome.result,
+                        time.time() - batch_started,
+                    )
+            if tele is not None:
+                killed.update(cell for cell in tele.tick() if pool.kill(cell))
 
-    def _triage_casualties(
+    def _retry(
         self,
-        casualties: typing.Sequence[int],
+        cell: int,
         killed: typing.Set[int],
         retried: typing.Set[int],
-        remaining: typing.List[int],
-        reason: str,
+        reason: typing.Optional[str],
         tele: typing.Optional[_BatchTelemetry],
-        bystander_possible: bool,
-    ) -> None:
-        """Decide each crashed casualty's fate: retry, requeue, fail."""
-        for cell in casualties:
-            if cell in killed:
-                if self.stall_retry and cell not in retried:
-                    retried.add(cell)
-                    remaining.append(cell)
-                    if tele is not None:
-                        tele.retry(cell, attempt=2)
-                else:
-                    self._record_failure(
-                        cell,
-                        "stalled: no heartbeat for "
-                        f"{self.stall_timeout_s}s (worker killed)",
-                        tele,
-                    )
-            elif killed and bystander_possible:
-                # innocent bystander of a stall kill: resubmit, no
-                # retry charge (its own stall would be its own kill)
-                remaining.append(cell)
-            elif cell not in retried:
-                # unexpected death (OOM kill, segfault): every casualty
-                # is suspect and innocent alike -- each gets exactly one
-                # resubmission, so a deterministic crasher fails on its
-                # second attempt while bystanders get to finish
-                retried.add(cell)
-                remaining.append(cell)
-                if tele is not None:
-                    tele.retry(cell, attempt=2)
-            else:
+    ) -> bool:
+        """Whether a crashed cell gets a second attempt; records its
+        failure otherwise.  A stall-killed cell is retried once when
+        ``stall_retry`` is set, an unexpected death (OOM kill, segfault)
+        once in any case."""
+        if cell in killed:
+            killed.discard(cell)
+            if not self.stall_retry or cell in retried:
                 self._record_failure(
-                    cell, f"worker died abruptly: {reason}", tele
+                    cell,
+                    "stalled: no heartbeat for "
+                    f"{self.stall_timeout_s}s (worker killed)",
+                    tele,
                 )
+                return False
+        elif cell in retried:
+            self._record_failure(
+                cell, f"worker died abruptly: {reason}", tele
+            )
+            return False
+        retried.add(cell)
+        if tele is not None:
+            tele.retry(cell, attempt=2)
+        return True
 
     def _record_failure(
         self,

@@ -1,7 +1,7 @@
-"""The function worker processes execute: one spec -> one result.
+"""The function every run executes: one spec -> one result.
 
-Kept in its own importable module so :mod:`multiprocessing` can pickle
-it by reference under any start method (fork and spawn alike).
+The in-process path calls :func:`execute_spec` directly, and each
+worker of :mod:`repro.runner.pool` calls it once per task.
 
 Traced specs (``spec.trace``) run with a :class:`MemoryRecorder` and
 write their event stream to ``<traces_dir>/<cache_key>.trace.jsonl``
@@ -13,10 +13,10 @@ overwrites the identical file and a batch manifest can reference it
 without coordination.
 
 When the runner hands a job a :class:`~repro.obs.telemetry.WorkerTelemetry`
-context, the worker emits ``run.start`` immediately (so the parent
-learns its pid), heartbeats through the engine's progress hook while
-simulating, and ``run.done`` / ``run.error`` (with traceback) on exit;
-telemetry never changes the returned result.
+context, the worker emits ``run.start`` immediately (with its pid),
+heartbeats through the engine's progress hook while simulating, and
+``run.done`` / ``run.error`` (with traceback) on exit; telemetry never
+changes the returned result.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 #: the named cells sleep -- heartbeat-free -- right after ``run.start``,
 #: so the parent's stall detector fires deterministically
 STALL_TEST_ENV = "REPRO_RUNNER_TEST_STALL"
-#: test hook (broken-pool tests only): ``"cell[,...]"`` makes the named
+#: test hook (worker-death tests only): ``"cell[,...]"`` makes the named
 #: cells kill their worker process abruptly after ``run.start``
 EXIT_TEST_ENV = "REPRO_RUNNER_TEST_EXIT"
 
@@ -144,21 +144,4 @@ def execute_spec(
             time.perf_counter() - started, simulation.env.events_processed
         )
     return result
-
-
-def execute_indexed(
-    job: typing.Tuple[
-        int,
-        RunSpec,
-        typing.Optional[str],
-        typing.Optional[str],
-        typing.Optional["WorkerTelemetry"],
-    ],
-) -> typing.Tuple[int, SimulationResult]:
-    """Pool-friendly wrapper carrying the batch index through the pool."""
-    index, spec, traces_dir, series_dir, telemetry = job
-    return index, execute_spec(
-        spec, traces_dir=traces_dir, series_dir=series_dir,
-        telemetry=telemetry,
-    )
 

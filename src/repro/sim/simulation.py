@@ -97,6 +97,7 @@ class Simulation:
         if sampler is not None:
             self._register_probes(sampler)
             self.env.sampler = sampler
+        self._profiler = profiler
         if profiler is not None:
             profiler.attach(self)
 
@@ -145,6 +146,8 @@ class Simulation:
             return self._result()
         finally:
             self.env.close()
+            if self._profiler is not None:
+                self._profiler.detach(self)
 
     # -- processes ------------------------------------------------------------------
 

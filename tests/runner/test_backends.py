@@ -1,16 +1,20 @@
-"""Backend conformance battery: every registered executor backend.
+"""Pool conformance battery: the worker pool against the serial path.
 
-The same scenarios run against each backend so a new backend is "done"
-when this file is green: result byte-identity against the serial
-reference, cache reuse, stall kill-and-retry, worker-death triage and
-Ctrl-C finalization.  Kill/death scenarios are limited to the backends
-that run jobs in child processes -- the inline ``serial`` backend *is*
-the reference and cannot survive killing itself.
+The same scenarios run on both ``backend`` names -- ``serial`` (every
+cell in-process, the reference) and ``local`` (a batch with more than
+one worker runs on :class:`~repro.runner.pool.WorkerPool`): result
+byte-identity, cache reuse and Ctrl-C finalization.  The kill and death
+scenarios need worker processes, so they run on the pool only: a
+stalled cell is retried and then failed, a dead worker fails only its
+cell, a kill leaves its siblings alone, and workers are reused and
+respawned.  One case repeats the byte-identity check under the
+``spawn`` start method in a fresh interpreter.
 """
 
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -20,17 +24,16 @@ from repro.runner import (
     ParallelRunner,
     ResultCache,
     RunSpec,
+    WorkerTaskError,
     WorkloadSpec,
-    backend_names,
-    get_backend_info,
 )
-from repro.runner.backends.base import ExecutorBackend, child_environment
-from repro.runner.backends.task import run_task, sweep_task
+from repro.runner.runner import BACKENDS
 from repro.runner.worker import EXIT_TEST_ENV, STALL_TEST_ENV, execute_spec
+from tests import child_env
 
-#: every backend, so none can exist without conformance coverage
-ALL_BACKENDS = backend_names()
-#: backends that execute jobs in child processes (kill/death scenarios)
+#: every accepted backend name, so none can exist without coverage
+ALL_BACKENDS = sorted(BACKENDS)
+#: the names that run a multi-worker batch on the worker pool
 POOL_BACKENDS = [name for name in ALL_BACKENDS if name != "serial"]
 
 
@@ -48,7 +51,7 @@ def make_specs(count, duration_ms=15_000.0):
     ]
 
 
-def make_runner(tmp_path, backend, **overrides):
+def make_runner(tmp_path, backend="local", **overrides):
     options = dict(
         pool_size=2,
         cache=None,
@@ -68,61 +71,19 @@ def batch_records(runner):
     return read_telemetry_records(path, 0)[0]
 
 
+def start_pids(records):
+    return [r["pid"] for r in records if r["kind"] == "run.start"]
+
+
 class TestRegistry:
     def test_all_expected_backends_registered(self):
-        # the battery compares every backend with the serial reference
+        # the battery compares the pool with the in-process reference
         assert "serial" in ALL_BACKENDS
         assert POOL_BACKENDS
 
     def test_unknown_backend_is_rejected_with_candidates(self):
-        with pytest.raises(KeyError, match="registered:"):
-            get_backend_info("fpga")
-        with pytest.raises(ValueError, match="fpga"):
+        with pytest.raises(ValueError, match="fpga.*local"):
             ParallelRunner(backend="fpga")
-
-    def test_capability_flags(self):
-        assert set(backend_names()) == {"serial", "local", "asyncio"}
-        assert not get_backend_info("local").load().isolates_runs
-        assert get_backend_info("asyncio").load().isolates_runs
-        # the isolation the table prints matches the flag triage reads
-        for name in POOL_BACKENDS:
-            info = get_backend_info(name)
-            assert info.load().isolates_runs == (info.isolation == "per run")
-
-    def test_registered_paths_load_backend_classes(self):
-        for name in backend_names():
-            assert issubclass(get_backend_info(name).load(), ExecutorBackend)
-
-    def test_flags_and_summaries_import_no_backend_module(self):
-        script = (
-            "import json, sys\n"
-            "from repro.cli import main\n"
-            "from repro.runner.backends import backend_names, "
-            "get_backend_info\n"
-            "infos = [get_backend_info(n) for n in backend_names()]\n"
-            "assert all(i.summary and i.isolation for i in infos)\n"
-            "assert main(['backends']) == 0\n"
-            "print(json.dumps(sorted(sys.modules)))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=child_environment(),
-            capture_output=True, text=True, check=True, timeout=120,
-        )
-        loaded = json.loads(out.stdout.splitlines()[-1])
-        backend_modules = {
-            get_backend_info(name).path.rpartition(".")[0]
-            for name in backend_names()
-        }
-        assert "asyncio" in out.stdout
-        assert backend_modules.isdisjoint(loaded)
-
-
-class TestTask:
-    def test_only_sweep_tasks_run(self):
-        task = sweep_task(0, make_specs(1)[0])
-        assert task["kind"] == "sweep"
-        with pytest.raises(ValueError, match="unknown task kind 'bench'"):
-            run_task({**task, "kind": "bench"})
 
 
 class TestConformance:
@@ -162,9 +123,7 @@ class TestConformance:
             if event.kind == "run-done":
                 raise KeyboardInterrupt
 
-        runner = make_runner(
-            tmp_path, backend, pool_size=1, progress=listener,
-        )
+        runner = make_runner(tmp_path, backend, progress=listener)
         with pytest.raises(KeyboardInterrupt):
             runner.run_batch(make_specs(3), label=f"intr-{backend}")
         manifest = json.loads(runner.last_manifest_path.read_text())
@@ -183,7 +142,7 @@ class TestStallAcrossBackends:
         runner = make_runner(
             tmp_path, backend, stall_timeout_s=0.75, stall_retry=True,
         )
-        results = runner.run_batch(make_specs(3), label=f"stall-{backend}")
+        results = runner.run_batch(make_specs(3), label="stall")
         assert results[0] is not None and results[2] is not None
         assert results[1] is None
         assert "stalled" in runner.last_failures[1]
@@ -191,27 +150,57 @@ class TestStallAcrossBackends:
         assert "run.stalled" in kinds
         assert "run.retry" in kinds
 
-    def test_asyncio_kill_leaves_siblings_untouched(
-        self, tmp_path, monkeypatch
-    ):
-        # regression: per-run kill must not take down healthy runs the
-        # way breaking a shared process pool does -- each sibling cell
-        # is started exactly once and completes
+    def test_kill_leaves_siblings_untouched(self, tmp_path, monkeypatch):
+        # cells 0 and 2 are long runs, still going when cell 1's worker
+        # is killed: each is started exactly once and completes
         monkeypatch.setenv(STALL_TEST_ENV, "1:60")
+        specs = make_specs(3, duration_ms=30_000_000.0)
+        specs[1] = make_specs(2)[1]
         runner = make_runner(
-            tmp_path, "asyncio", pool_size=3,
-            stall_timeout_s=0.75, stall_retry=True,
+            tmp_path, pool_size=3, stall_timeout_s=0.75, stall_retry=True,
+            heartbeat_s=0.1, progress_every=4096,
         )
-        results = runner.run_batch(make_specs(3), label="kill-blast")
+        results = runner.run_batch(specs, label="kill-blast")
         assert results[0] is not None and results[2] is not None
         assert results[1] is None
         records = batch_records(runner)
+        kinds = [(r["kind"], r.get("cell")) for r in records]
         for sibling in (0, 2):
-            starts = [
-                r for r in records
-                if r["kind"] == "run.start" and r["cell"] == sibling
-            ]
-            assert len(starts) == 1, f"cell {sibling} was restarted"
+            assert kinds.count(("run.start", sibling)) == 1, (
+                f"cell {sibling} was restarted"
+            )
+            assert kinds.index(("run.stalled", 1)) < kinds.index(
+                ("run.done", sibling)
+            )
+
+
+class TestWorkerReuse:
+    def test_workers_serve_many_cells(self, tmp_path):
+        runner = make_runner(tmp_path)
+        assert all(runner.run_batch(make_specs(6), label="reuse"))
+        pids = start_pids(batch_records(runner))
+        assert len(pids) == 6
+        assert len(set(pids)) <= 2
+
+    def test_killed_worker_is_replaced(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(STALL_TEST_ENV, "1:60")
+        runner = make_runner(
+            tmp_path, stall_timeout_s=0.75, stall_retry=False,
+        )
+        results = runner.run_batch(make_specs(6), label="respawn")
+        assert [r is None for r in results] == [
+            False, True, False, False, False, False,
+        ]
+        records = batch_records(runner)
+        assert len(set(start_pids(records))) <= 3
+        [killed] = [
+            r["pid"] for r in records
+            if r["kind"] == "run.start" and r["cell"] == 1
+        ]
+        stalled = next(
+            i for i, r in enumerate(records) if r["kind"] == "run.stalled"
+        )
+        assert killed not in start_pids(records[stalled:])
 
 
 class TestWorkerDeathAcrossBackends:
@@ -221,7 +210,7 @@ class TestWorkerDeathAcrossBackends:
     ):
         monkeypatch.setenv(EXIT_TEST_ENV, "1")
         runner = make_runner(tmp_path, backend)
-        results = runner.run_batch(make_specs(3), label=f"death-{backend}")
+        results = runner.run_batch(make_specs(3), label="death")
         assert results[0] is not None and results[2] is not None
         assert results[1] is None
         assert "died" in runner.last_failures[1]
@@ -230,3 +219,44 @@ class TestWorkerDeathAcrossBackends:
         assert [r["status"] for r in manifest["runs"]] == [
             "done", "failed", "done",
         ]
+
+    def test_worker_exception_carries_its_traceback(self, tmp_path):
+        specs = make_specs(2)
+        specs[1] = RunSpec(
+            scheduler="NO-SUCH-SCHEDULER", workload=specs[1].workload,
+            duration_ms=15_000.0,
+        )
+        runner = make_runner(tmp_path)
+        with pytest.raises(WorkerTaskError) as caught:
+            runner.run_batch(specs, label="raises")
+        assert "NO-SUCH-SCHEDULER" in str(caught.value)
+        assert "Traceback" in caught.value.traceback
+        manifest = json.loads(runner.last_manifest_path.read_text())
+        assert manifest["status"] == "failed"
+
+
+SPAWN = textwrap.dedent("""
+    import json, multiprocessing
+    multiprocessing.set_start_method("spawn")
+    from repro.machine import MachineConfig
+    from repro.runner import ParallelRunner, RunSpec, WorkloadSpec
+    specs = [
+        RunSpec(scheduler="NODC",
+                workload=WorkloadSpec.make("exp1", 0.4, num_files=16),
+                config=MachineConfig(), seed=seed, duration_ms=15_000.0)
+        for seed in range(3)
+    ]
+    runner = ParallelRunner(pool_size=2, progress=None)
+    print(json.dumps([r.to_dict() for r in runner.run_batch(specs)]))
+""")
+
+
+def test_spawned_workers_match_the_serial_reference():
+    out = subprocess.run(
+        [sys.executable, "-c", SPAWN], env=child_env(),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    reference = [execute_spec(spec).to_dict() for spec in make_specs(3)]
+    assert json.loads(out.stdout.splitlines()[-1]) == json.loads(
+        json.dumps(reference)
+    )

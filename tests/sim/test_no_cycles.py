@@ -7,7 +7,8 @@ peak memory does not wait for the cyclic collector.  A pending batch
 holds bound methods of the model, so one left behind keeps a
 node -> environment cycle alive; this pins that it is not.  Likewise a
 CN slice in service or waiting at the horizon refers back to the control
-node, which drops its pending slices when the run closes.
+node, which drops its pending slices when the run closes.  A profiled
+run's wrappers refer back to their objects, so the run drops them too.
 """
 
 import gc
@@ -16,6 +17,7 @@ import pytest
 
 from repro.machine import MachineConfig
 from repro.obs import MemoryRecorder
+from repro.obs.profile import PhaseProfiler
 from repro.runner.spec import RunSpec, WorkloadSpec
 from repro.runner.worker import execute_spec
 from repro.sim.simulation import Simulation
@@ -70,3 +72,22 @@ def test_run_ending_mid_slice_leaves_no_cyclic_garbage():
         record["depth"] for record in records if record["kind"] == "res.queue"
     ]
     assert depths[-1] > 0
+
+
+def test_profiled_run_leaves_no_cyclic_garbage():
+    profiler = PhaseProfiler()
+    simulation = Simulation(
+        MachineConfig(dd=1, num_files=16),
+        experiment1_workload(1.0, num_files=16),
+        scheduler="LOW", seed=1,
+        duration_ms=60_000.0, warmup_ms=10_000.0, profiler=profiler,
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        simulation.run()
+        del simulation
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert profiler.calls["sched"] > 0

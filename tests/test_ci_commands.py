@@ -125,7 +125,7 @@ class TestExtraction:
 
     def test_workflow_has_commands(self):
         verbs = {argv[0] for argv in ci_commands()}
-        assert {"trace", "sweep", "arena", "explain", "backends"} <= verbs
+        assert {"trace", "sweep", "arena", "explain", "cache"} <= verbs
 
     def test_retired_spool_commands_fail_to_parse(self):
         assert not parses(["worker-pool", "--spool", "x"])

@@ -360,28 +360,6 @@ class TestArenaCommand:
             self.run_arena(tmp_path, "--rates", "")
 
 
-class TestBackendsCommand:
-    def test_backends_lists_registry_with_capabilities(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in ("serial", "local", "asyncio"):
-            assert name in out
-        assert "isolation" in out and "per run" in out
-
-    def test_sweep_accepts_and_reports_backend(self, tmp_path, capsys):
-        assert main([
-            "sweep", "NODC", "--rates", "0.4",
-            "--duration", "20000", "--warmup", "0",
-            "--cache-dir", str(tmp_path / "cache"), "--runs-dir", "",
-            "--pool", "1", "--backend", "serial",
-        ]) == 0
-        assert "backend=serial" in capsys.readouterr().out
-
-    def test_unknown_backend_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "NODC", "--backend", "fpga"])
-
-
 class TestCacheCommand:
     def _warm(self, tmp_path, capsys, rates="0.4"):
         assert main([

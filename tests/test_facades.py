@@ -14,14 +14,13 @@ import sys
 
 import pytest
 
-from repro.runner.backends.base import child_environment
+from tests import child_env
 
 FACADES = (
     "repro",
     "repro.experiments",
     "repro.obs",
     "repro.runner",
-    "repro.runner.backends",
     "repro.schedulers",
     "repro.sim",
 )
@@ -79,7 +78,7 @@ def test_unknown_name_raises_attribute_error_naming_the_module(facade):
 def fresh_interpreter(script: str) -> object:
     """Run ``script`` in a new interpreter; its last stdout line is JSON."""
     out = subprocess.run(
-        [sys.executable, "-c", script], env=child_environment(),
+        [sys.executable, "-c", script], env=child_env(),
         capture_output=True, text=True, check=True, timeout=120,
     )
     return json.loads(out.stdout.splitlines()[-1])

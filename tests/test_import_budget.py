@@ -1,20 +1,20 @@
 """Import budget: a fresh interpreter loads only what a run uses.
 
-Every run the runner starts in a new interpreter (the benchmark's
-workers, the ``asyncio`` backend's one child per run) pays for each
-module it imports before the first event is simulated.  These tests pin
-what the serial sweep path and the subprocess worker entry may load:
-optional features (telemetry, trace export, the wall-clock profiler,
-analysis), the pool backends and their stdlib machinery (``asyncio``,
-``multiprocessing``, ``concurrent.futures``, ``ssl``) stay out until a
-run asks for them.
+Every run in a new interpreter (the benchmark's workers, a worker of
+the pool under the ``spawn`` start method) pays for each module it
+imports before the first event is simulated.  These tests pin what the
+serial sweep path and the pool's worker entry may load: optional
+features (telemetry, trace export, the wall-clock profiler, analysis),
+the worker pool and its stdlib machinery (``multiprocessing``) stay out
+until a run asks for them, and ``asyncio``, ``concurrent.futures`` and
+``ssl`` stay out everywhere.
 """
 
 import json
 import subprocess
 import sys
 
-from repro.runner.backends.base import child_environment
+from tests import child_env
 
 #: never imported by setup, by a serial run, or by the worker entry
 FORBIDDEN = (
@@ -27,8 +27,7 @@ FORBIDDEN = (
     "repro.obs.profile",
     "repro.obs.telemetry",
     "repro.analysis",
-    "repro.runner.backends.asyncio_subprocess",
-    "repro.runner.backends.local",
+    "repro.runner.pool",
     "repro.sim.replication",
     "repro.experiments.exp2",
     "repro.experiments.exp3",
@@ -64,15 +63,32 @@ report["new"] = sorted(set(sys.modules) - setup)
 """
 
 WORKER_ENTRY = """
-import io
+from repro.runner import pool
 
-from repro.runner.backends import subproc
-from repro.runner.backends.task import sweep_task
 
-reply = io.StringIO()
-subproc.main(io.StringIO(json.dumps(sweep_task(0, spec))), reply)
-assert json.loads(reply.getvalue().lstrip(subproc.RESULT_FRAME))["ok"]
+class OneTask:
+    # one task in, then EOF; the reply is kept
+    def __init__(self, task):
+        self.tasks, self.replies = [task], []
+
+    def recv(self):
+        if not self.tasks:
+            raise EOFError
+        return self.tasks.pop()
+
+    def send(self, reply):
+        self.replies.append(reply)
+
+
+conn = OneTask({"spec": spec, "traces_dir": None, "series_dir": None,
+                "telemetry": None})
+pool.serve(conn)
+[(ok, result, error)] = conn.replies
+assert ok and result.completed > 0, error
 """
+
+#: what the worker entry itself needs
+WORKER_MODULES = ("multiprocessing", "repro.runner.pool")
 
 
 def loaded_after(body: str) -> dict:
@@ -86,16 +102,17 @@ def loaded_after(body: str) -> dict:
         "\nprint(json.dumps(report))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", script], env=child_environment(),
+        [sys.executable, "-c", script], env=child_env(),
         capture_output=True, text=True, check=True, timeout=120,
     )
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def over_budget(loaded: list) -> list:
+def over_budget(loaded: list, allowed: tuple = ()) -> list:
+    forbidden = [name for name in FORBIDDEN if name not in allowed]
     return sorted(
         name for name in loaded
-        if any(name == f or name.startswith(f + ".") for f in FORBIDDEN)
+        if any(name == f or name.startswith(f + ".") for f in forbidden)
     )
 
 
@@ -110,4 +127,6 @@ def test_serial_run_imports_nothing_new():
 
 
 def test_worker_entry_stays_within_budget():
-    assert over_budget(loaded_after(SETUP + WORKER_ENTRY)["loaded"]) == []
+    loaded = loaded_after(SETUP + WORKER_ENTRY)["loaded"]
+    assert "repro.runner.pool" in loaded
+    assert over_budget(loaded, allowed=WORKER_MODULES) == []
