@@ -4,10 +4,10 @@ The paper compares six 1991 schedulers; the arena re-asks its question
 -- how much does concurrency control cost, and how much does parallelism
 buy back -- across the full registered roster, modern families included.
 A pinned ``scheduler x rate x DD`` matrix fans out through the cached
-:class:`~repro.runner.ParallelRunner`; the outcome is a JSON artifact
-(machine-checkable, schema-versioned) plus a markdown head-to-head
-report, both written under ``results/arena/`` by ``python -m repro
-arena``.
+:class:`~repro.runner.ParallelRunner`; the outcome is an ARENA artifact
+(:mod:`repro.artifact`: machine-checkable, schema-versioned) plus a
+markdown head-to-head report, both written under ``results/arena/`` by
+``python -m repro arena``.
 
 Two passes feed one report:
 
@@ -23,19 +23,15 @@ Two passes feed one report:
 
 from __future__ import annotations
 
-import json
-import pathlib
 import typing
 
+from repro.artifact import Family, require
 from repro.core.registry import FAMILIES, family_of, grid_schedulers
 from repro.runner.spec import RunSpec, WorkloadSpec
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.runner.runner import ParallelRunner
     from repro.sim.metrics import SimulationResult
-
-#: bump when the arena artifact layout changes incompatibly
-ARENA_SCHEMA_VERSION = 1
 
 #: the pinned default matrix axes
 DEFAULT_RATES = (0.8, 1.2)
@@ -152,10 +148,8 @@ def arena_payload(
     time_budgets: typing.Optional[
         typing.Sequence[typing.Optional[typing.Dict[str, typing.Any]]]
     ] = None,
-    git_sha: typing.Optional[str] = None,
-    created: typing.Optional[str] = None,
 ) -> typing.Dict[str, typing.Any]:
-    """Assemble the schema-versioned arena artifact.
+    """Assemble the ARENA payload.
 
     ``results`` aligns with ``specs`` (None marks a failed cell, which
     is dropped with a note); ``time_budgets`` (dicts in the shape of
@@ -204,52 +198,20 @@ def arena_payload(
         if budget is not None:
             cell["time_budget"] = budget
         cells.append(cell)
-    payload: typing.Dict[str, typing.Any] = {
-        "schema_version": ARENA_SCHEMA_VERSION,
-        "schema": ARENA_SCHEMA_VERSION,
-        "kind": "arena",
-        "cells": cells,
-        "failed_cells": failed,
-    }
-    if git_sha:
-        payload["git_sha"] = git_sha
-    if created:
-        payload["created"] = created
-    return payload
+    return {"cells": cells, "failed_cells": failed}
 
 
 def validate_arena(payload: typing.Dict[str, typing.Any]) -> int:
-    """Schema-check an arena artifact; returns the cell count.
+    """Check an ARENA payload; returns the cell count.
 
     Raises ``ValueError`` with a pinpointed message on the first
-    violation (the arena-smoke CI job runs this against a fresh
-    artifact).
+    violation.
     """
-    if payload.get("kind") != "arena":
-        raise ValueError(f"kind must be 'arena', got {payload.get('kind')!r}")
-    version = payload.get("schema_version", payload.get("schema"))
-    if version is None:
-        raise ValueError(
-            "arena artifact carries no schema_version (nor the legacy "
-            "schema) stamp"
-        )
-    if version != ARENA_SCHEMA_VERSION:
-        raise ValueError(
-            f"unknown arena schema_version {version!r}; this build "
-            f"supports {ARENA_SCHEMA_VERSION}"
-        )
-    legacy = payload.get("schema")
-    if "schema_version" in payload and legacy not in (None, version):
-        raise ValueError(
-            f"schema_version {version!r} contradicts schema {legacy!r}"
-        )
     cells = payload.get("cells")
     if not isinstance(cells, list) or not cells:
         raise ValueError("cells must be a non-empty list")
     for index, cell in enumerate(cells):
-        for field in CELL_FIELDS:
-            if field not in cell:
-                raise ValueError(f"cell {index} is missing {field!r}")
+        require(cell, CELL_FIELDS, f"cell {index}")
         if cell["family"] not in FAMILIES:
             raise ValueError(
                 f"cell {index} has unknown family {cell['family']!r}"
@@ -260,11 +222,7 @@ def validate_arena(payload: typing.Dict[str, typing.Any]) -> int:
                 raise ValueError(
                     f"cell {index} time_budget must be a mapping"
                 )
-            for field in TIME_BUDGET_FIELDS:
-                if field not in budget:
-                    raise ValueError(
-                        f"cell {index} time_budget is missing {field!r}"
-                    )
+            require(budget, TIME_BUDGET_FIELDS, f"cell {index} time_budget")
             if not isinstance(budget["fractions"], dict):
                 raise ValueError(
                     f"cell {index} time_budget fractions must be a mapping"
@@ -308,14 +266,19 @@ def _why_columns(cell: typing.Dict[str, typing.Any]) -> str:
     )
 
 
-def render_arena_markdown(payload: typing.Dict[str, typing.Any]) -> str:
-    """The head-to-head report as a markdown document."""
+def render_arena_markdown(
+    payload: typing.Dict[str, typing.Any],
+    created: typing.Optional[str] = None,
+    git_sha: typing.Optional[str] = None,
+) -> str:
+    """The head-to-head report as a markdown document; ``created`` and
+    ``git_sha`` (the artifact envelope's stamps) head it when given."""
     lines = ["# Scheduler arena", ""]
     meta_bits = []
-    if payload.get("created"):
-        meta_bits.append(f"generated {payload['created']}")
-    if payload.get("git_sha"):
-        meta_bits.append(f"commit `{payload['git_sha']}`")
+    if created:
+        meta_bits.append(f"generated {created}")
+    if git_sha:
+        meta_bits.append(f"commit `{git_sha}`")
     meta_bits.append(f"{len(payload['cells'])} cells")
     if payload.get("failed_cells"):
         meta_bits.append(f"{payload['failed_cells']} failed cell(s) dropped")
@@ -363,32 +326,10 @@ def render_arena_markdown(payload: typing.Dict[str, typing.Any]) -> str:
     return "\n".join(lines)
 
 
-def write_arena(
-    payload: typing.Dict[str, typing.Any],
-    out_dir: typing.Union[str, pathlib.Path],
-) -> typing.Tuple[pathlib.Path, pathlib.Path]:
-    """Write ``ARENA.json`` + ``ARENA.md`` under ``out_dir``."""
-    directory = pathlib.Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    json_path = directory / "ARENA.json"
-    md_path = directory / "ARENA.md"
-    json_path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    md_path.write_text(render_arena_markdown(payload), encoding="utf-8")
-    return json_path, md_path
-
-
-def load_arena(
-    path: typing.Union[str, pathlib.Path],
-) -> typing.Dict[str, typing.Any]:
-    """Read and schema-check an arena artifact."""
-    payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    validate_arena(payload)
-    return payload
-
-
 def default_arena_schedulers() -> typing.Tuple[str, ...]:
     """The pinned line-up: every grid-eligible paper + modern scheduler."""
     return grid_schedulers(("paper", "modern"))
+
+
+#: the arena matrix: one metrics row per (rate, DD, scheduler) cell
+ARENA = Family("arena", 1, validate_arena)

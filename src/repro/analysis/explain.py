@@ -1,12 +1,13 @@
 """`repro explain`: the EXPLAIN artifact over a folded trace.
 
 :mod:`repro.obs.attrib` turns a trace stream into span timelines; this
-module turns that attribution into a durable, schema-versioned artifact
-pair -- ``EXPLAIN.json`` (machine-checkable) and ``EXPLAIN.md`` (the
-human report) -- mirroring how the arena publishes ``ARENA.json`` +
-``ARENA.md``.  The JSON payload carries the batch time budget, the
-lock-hotspot table, the makespan critical path, the blocking-graph
-edges, anomaly flags, and one summary row per logical transaction;
+module turns that attribution into a durable artifact pair --
+``EXPLAIN.json`` (the EXPLAIN family of :mod:`repro.artifact`) and
+``EXPLAIN.md`` (the human report) -- mirroring how the arena publishes
+``ARENA.json`` + ``ARENA.md``.  The payload carries the batch time
+budget, the lock-hotspot table, the makespan critical path, the
+blocking-graph edges, anomaly flags, and one summary row per logical
+transaction;
 :func:`validate_explain` re-checks the conservation invariant on every
 committed row, so a hand-edited artifact cannot silently lie about
 where the time went.
@@ -14,11 +15,11 @@ where the time went.
 
 from __future__ import annotations
 
-import json
 import math
 import pathlib
 import typing
 
+from repro.artifact import Family, require
 from repro.obs.attrib import (
     CONSERVATION_ABS_TOL,
     CONSERVATION_REL_TOL,
@@ -29,16 +30,11 @@ from repro.obs.attrib import (
 
 PathLike = typing.Union[str, pathlib.Path]
 
-#: bump when the EXPLAIN payload layout changes incompatibly
-EXPLAIN_SCHEMA_VERSION = 1
-
 #: buckets of the batch time budget, in render order
 BUDGET_BUCKETS = ("queued", "blocked", "executing", "wasted")
 
 #: top-level payload fields every artifact must carry
 EXPLAIN_FIELDS = (
-    "schema",
-    "kind",
     "source",
     "budget",
     "hotspots",
@@ -96,8 +92,6 @@ def explain_attribution(
             row["response_ms"] = timeline.response_ms
         rows.append(row)
     return {
-        "schema": EXPLAIN_SCHEMA_VERSION,
-        "kind": "explain",
         "source": merged_source,
         "budget": attribution.budget(),
         "hotspots": attribution.hotspots(),
@@ -124,24 +118,13 @@ def explain_trace_path(path: PathLike) -> typing.Dict[str, typing.Any]:
 
 
 def validate_explain(payload: typing.Mapping[str, typing.Any]) -> int:
-    """Schema-check an EXPLAIN payload; returns the transaction count.
+    """Check an EXPLAIN payload; returns the transaction count.
 
     Beyond shape checks this re-verifies the conservation invariant on
     every committed transaction row: the four budget buckets must sum to
     the recorded response time (float round-off tolerance only).
     """
-    if payload.get("kind") != "explain":
-        raise ValueError(
-            f"kind must be 'explain', got {payload.get('kind')!r}"
-        )
-    if payload.get("schema") != EXPLAIN_SCHEMA_VERSION:
-        raise ValueError(
-            f"schema must be {EXPLAIN_SCHEMA_VERSION}, "
-            f"got {payload.get('schema')!r}"
-        )
-    for field in EXPLAIN_FIELDS:
-        if field not in payload:
-            raise ValueError(f"payload is missing {field!r}")
+    require(payload, EXPLAIN_FIELDS, "payload")
     budget = payload["budget"]
     for bucket in BUDGET_BUCKETS:
         if f"{bucket}_ms" not in budget:
@@ -152,9 +135,7 @@ def validate_explain(payload: typing.Mapping[str, typing.Any]) -> int:
     if not isinstance(rows, list):
         raise ValueError("transactions must be a list")
     for index, row in enumerate(rows):
-        for field in TXN_FIELDS:
-            if field not in row:
-                raise ValueError(f"transaction row {index} is missing {field!r}")
+        require(row, TXN_FIELDS, f"transaction row {index}")
         if row["status"] == "committed":
             if "response_ms" not in row:
                 raise ValueError(
@@ -403,38 +384,13 @@ def render_txn_markdown(
     return "\n".join(lines)
 
 
-# -- artifacts ----------------------------------------------------------------
-
-
-def write_explain(
-    payload: typing.Mapping[str, typing.Any],
-    out_dir: PathLike,
-) -> typing.Tuple[pathlib.Path, pathlib.Path]:
-    """Write ``EXPLAIN.json`` + ``EXPLAIN.md`` under ``out_dir``."""
-    directory = pathlib.Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    json_path = directory / "EXPLAIN.json"
-    md_path = directory / "EXPLAIN.md"
-    json_path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    md_path.write_text(
-        render_explain_markdown(payload), encoding="utf-8"
-    )
-    return json_path, md_path
-
-
-def load_explain(path: PathLike) -> typing.Dict[str, typing.Any]:
-    """Read and schema-check an EXPLAIN artifact."""
-    payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    validate_explain(payload)
-    return payload
-
-
 def time_budget_of_trace(
     path: PathLike,
 ) -> typing.Dict[str, typing.Any]:
     """Fold one trace artifact down to just its batch time budget
     (the arena's why-columns use this)."""
     return fold_trace_path(path).budget()
+
+
+#: one folded trace: budget, hotspots, critical path, per-txn rows
+EXPLAIN = Family("explain", 1, validate_explain)

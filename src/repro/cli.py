@@ -12,9 +12,7 @@ Commands:
 - ``report``      -- terminal sparkline view of a series artifact.
 - ``watch``       -- live console view of a telemetry-enabled batch
   (``--once`` renders a single frame, for CI).
-- ``runs``        -- ``list``/``show`` the persistent run registry.
-- ``tail``        -- follow a batch's telemetry stream, one line per
-  record, validating each against the telemetry schema.
+- ``runs``        -- list the batches in the persistent run registry.
 - ``arena``       -- the pinned scheduler x rate x DD head-to-head
   matrix through the cached runner -> ``results/arena/ARENA.{json,md}``.
 - ``explain``     -- causal time attribution of a traced run (or every
@@ -166,31 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="render a single frame and exit (for CI)")
 
     rns = sub.add_parser(
-        "runs",
-        help="inspect the persistent run registry (list/show)",
+        "runs", help="list the persistent run registry, one line per batch",
     )
-    rns_sub = rns.add_subparsers(dest="runs_command")
-    rns_list = rns_sub.add_parser("list", help="one line per batch")
-    rns_list.add_argument("--runs-dir", default="results/runs",
-                          help="registry directory (default results/runs)")
-    rns_show = rns_sub.add_parser("show", help="full record of one batch")
-    rns_show.add_argument("batch", nargs="?", default="latest",
-                          help="batch id, unique prefix, or 'latest'")
-    rns_show.add_argument("--runs-dir", default="results/runs",
-                          help="registry directory (default results/runs)")
-
-    tal = sub.add_parser(
-        "tail",
-        help="follow a batch's telemetry stream (schema-validating)",
-    )
-    tal.add_argument("batch", nargs="?", default="latest",
-                     help="batch id, unique prefix, or 'latest' (default)")
-    tal.add_argument("--runs-dir", default="results/runs",
+    rns.add_argument("--runs-dir", default="results/runs",
                      help="registry directory (default results/runs)")
-    tal.add_argument("--interval", type=float, default=0.5,
-                     help="poll interval in seconds (default 0.5)")
-    tal.add_argument("--once", action="store_true",
-                     help="print what is there now and exit (for CI)")
 
     arn = sub.add_parser(
         "arena",
@@ -357,7 +334,8 @@ def _command_run(args: argparse.Namespace) -> int:
         sampler=sampler,
     )
     if sampler is not None:
-        from repro.obs.timeseries import write_series_csv, write_series_json
+        from repro import artifact
+        from repro.obs.timeseries import SERIES, write_series_csv
 
         meta = {
             "scheduler": args.scheduler,
@@ -367,9 +345,11 @@ def _command_run(args: argparse.Namespace) -> int:
             "duration_ms": args.duration,
         }
         if args.series:
-            path = write_series_json(sampler, args.series, meta=meta)
+            artifact.write(
+                args.series, SERIES, sampler.to_dict(meta=meta), indent=None
+            )
             print(f"[series] {sampler.samples_taken} sample(s) x "
-                  f"{len(sampler.series)} series -> {path}")
+                  f"{len(sampler.series)} series -> {args.series}")
         if args.series_csv:
             path = write_series_csv(sampler, args.series_csv)
             print(f"[series] long-format CSV -> {path}")
@@ -397,10 +377,11 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro import artifact
     from repro.machine.config import MachineConfig
+    from repro.obs.events import TRACE
     from repro.obs.export import render_summary, write_chrome_trace, write_jsonl
     from repro.obs.recorder import MemoryRecorder
-    from repro.obs.schema import TraceSchemaError, validate_jsonl
     from repro.sim.simulation import run_simulation
 
     _check_horizon(args)
@@ -433,8 +414,8 @@ def _command_trace(args: argparse.Namespace) -> int:
         path = write_jsonl(recorder.events, args.jsonl, meta=meta,
                            dropped=recorder.dropped)
         try:
-            count = validate_jsonl(path)
-        except TraceSchemaError as exc:
+            count = artifact.check_stream(path, TRACE)
+        except artifact.ArtifactError as exc:
             print(f"[trace] ERROR: schema validation failed: {exc}",
                   file=sys.stderr)
             return 1
@@ -593,10 +574,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    from repro.obs.timeseries import load_series_json, render_series_report
+    from repro import artifact
+    from repro.obs.timeseries import SERIES, render_series_report
 
     try:
-        payload = load_series_json(args.series)
+        payload = artifact.load(args.series, SERIES)["payload"]
     except (OSError, ValueError) as exc:
         print(f"[report] ERROR: {exc}", file=sys.stderr)
         return 1
@@ -617,7 +599,9 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _explain_targets(args: argparse.Namespace) -> typing.List[str]:
     """Resolve the explain target to one or more trace artifacts."""
+    from repro import artifact
     from repro.runner.registry import RunRegistry
+    from repro.runner.runner import MANIFEST
 
     if pathlib.Path(args.target).is_file():
         return [args.target]
@@ -627,8 +611,7 @@ def _explain_targets(args: argparse.Namespace) -> typing.List[str]:
         raise LookupError(
             f"batch {entry['batch']} has no manifest on record"
         )
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    manifest = artifact.load(manifest_path, MANIFEST)["payload"]
     traces = [
         run.get("trace_artifact")
         for run in manifest.get("runs", [])
@@ -643,6 +626,7 @@ def _explain_targets(args: argparse.Namespace) -> typing.List[str]:
 
 
 def _command_explain(args: argparse.Namespace) -> int:
+    from repro import artifact
     from repro.analysis import explain as explain_mod
     from repro.obs.attrib import fold_trace_path
 
@@ -701,29 +685,25 @@ def _command_explain(args: argparse.Namespace) -> int:
                         stem = stem[: -len(suffix)]
                         break
                 out_dir = out_dir / stem
-            json_path, md_path = explain_mod.write_explain(
-                payload, out_dir
+            json_path = out_dir / "EXPLAIN.json"
+            md_path = out_dir / "EXPLAIN.md"
+            artifact.write(json_path, explain_mod.EXPLAIN, payload)
+            artifact.atomic_write(
+                md_path, explain_mod.render_explain_markdown(payload)
             )
             print(f"[explain] {json_path} + {md_path} (schema valid)")
     return 0
 
 
-def _resolve_batch(
-    runs_dir: str, token: str
-) -> typing.Dict[str, typing.Any]:
-    """Registry lookup shared by watch/tail; raises LookupError."""
-    from repro.runner.registry import RunRegistry
-
-    return RunRegistry(runs_dir).find(token)
-
-
 def _command_watch(args: argparse.Namespace) -> int:
-    from repro.obs.telemetry import read_status, render_status
+    from repro import artifact
+    from repro.obs.telemetry import STATUS, render_status
+    from repro.runner.registry import RunRegistry
 
     if args.interval <= 0:
         raise SystemExit(f"--interval must be > 0, got {args.interval:g}")
     try:
-        entry = _resolve_batch(args.runs_dir, args.batch)
+        entry = RunRegistry(args.runs_dir).find(args.batch)
     except LookupError as exc:
         print(f"[watch] ERROR: {exc}", file=sys.stderr)
         return 1
@@ -735,7 +715,7 @@ def _command_watch(args: argparse.Namespace) -> int:
         return 1
     while True:
         try:
-            status = read_status(status_path)
+            status = artifact.load(status_path, STATUS)["payload"]
         except (OSError, ValueError) as exc:
             print(f"[watch] ERROR: {exc}", file=sys.stderr)
             return 1
@@ -752,28 +732,10 @@ def _command_watch(args: argparse.Namespace) -> int:
 
 def _command_runs(args: argparse.Namespace) -> int:
     from repro.analysis import render_table
-    from repro.obs.telemetry import read_status, render_status
     from repro.runner.registry import RunRegistry
 
-    command = getattr(args, "runs_command", None) or "list"
-    runs_dir = getattr(args, "runs_dir", "results/runs")
-    registry = RunRegistry(runs_dir)
-    if command == "show":
-        try:
-            entry = registry.find(args.batch)
-        except LookupError as exc:
-            print(f"[runs] ERROR: {exc}", file=sys.stderr)
-            return 1
-        print(json.dumps(entry, indent=1, sort_keys=True))
-        status_path = entry.get("status_file")
-        if status_path:
-            try:
-                print()
-                print(render_status(read_status(status_path)))
-            except (OSError, ValueError):
-                pass  # batch predates telemetry or artifacts were pruned
-        return 0
-    entries = registry.entries()
+    runs_dir = args.runs_dir
+    entries = RunRegistry(runs_dir).entries()
     if not entries:
         print(f"[runs] no batches registered under {runs_dir}")
         return 0
@@ -794,47 +756,6 @@ def _command_runs(args: argparse.Namespace) -> int:
         title=f"run registry ({runs_dir})",
     ))
     return 0
-
-
-def _command_tail(args: argparse.Namespace) -> int:
-    from repro.obs.telemetry import (
-        TelemetrySchemaError,
-        format_telemetry_record,
-        read_telemetry_records,
-        validate_telemetry_event,
-    )
-
-    if args.interval <= 0:
-        raise SystemExit(f"--interval must be > 0, got {args.interval:g}")
-    try:
-        entry = _resolve_batch(args.runs_dir, args.batch)
-    except LookupError as exc:
-        print(f"[tail] ERROR: {exc}", file=sys.stderr)
-        return 1
-    telemetry_path = entry.get("telemetry")
-    if not telemetry_path:
-        print(f"[tail] ERROR: batch {entry['batch']} ran without "
-              "telemetry (re-run the sweep with --telemetry)",
-              file=sys.stderr)
-        return 1
-    offset = 0
-    violations = 0
-    finished = False
-    while True:
-        records, offset = read_telemetry_records(telemetry_path, offset)
-        for record in records:
-            try:
-                validate_telemetry_event(record)
-            except TelemetrySchemaError as exc:
-                print(f"[tail] SCHEMA VIOLATION: {exc}", file=sys.stderr)
-                violations += 1
-                continue
-            print(format_telemetry_record(record), flush=True)
-            if record.get("kind") == "batch.done":
-                finished = True
-        if finished or args.once:
-            return 1 if violations else 0
-        time.sleep(args.interval)
 
 
 def _arena_time_budgets(
@@ -876,10 +797,10 @@ def _arena_time_budgets(
 
 
 def _command_arena(args: argparse.Namespace) -> int:
+    from repro import artifact
     from repro.analysis import arena as arena_mod
     from repro.core.registry import available
     from repro.runner import ParallelRunner, ResultCache
-    from repro.runner.runner import _git_sha
 
     if args.duration is None:
         args.duration = arena_mod.DEFAULT_DURATION_MS
@@ -926,21 +847,22 @@ def _command_arena(args: argparse.Namespace) -> int:
     if not args.no_explain:
         time_budgets = _arena_time_budgets(args, specs)
     payload = arena_mod.arena_payload(
-        specs,
-        results,
-        time_budgets=time_budgets,
-        git_sha=_git_sha(),
-        created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        specs, results, time_budgets=time_budgets
     )
+    json_path = pathlib.Path(args.out) / "ARENA.json"
+    md_path = json_path.with_suffix(".md")
     try:
-        count = arena_mod.validate_arena(payload)
+        document = artifact.write(json_path, arena_mod.ARENA, payload)
     except ValueError as exc:
         print(f"[arena] ERROR: invalid artifact: {exc}", file=sys.stderr)
         return 1
-    json_path, md_path = arena_mod.write_arena(payload, args.out)
-    print(arena_mod.render_arena_markdown(payload))
-    print(f"[arena] {count} cell(s) -> {json_path} + {md_path} "
-          "(schema valid)")
+    markdown = arena_mod.render_arena_markdown(
+        payload, created=document["created"], git_sha=document["git_sha"]
+    )
+    artifact.atomic_write(md_path, markdown)
+    print(markdown)
+    print(f"[arena] {len(payload['cells'])} cell(s) -> {json_path} + "
+          f"{md_path} (schema valid)")
     if payload["failed_cells"]:
         print(f"[arena] ERROR: {payload['failed_cells']} cell(s) failed",
               file=sys.stderr)
@@ -1055,8 +977,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             return _command_watch(args)
         if args.command == "runs":
             return _command_runs(args)
-        if args.command == "tail":
-            return _command_tail(args)
         if args.command == "arena":
             return _command_arena(args)
         if args.command == "explain":

@@ -22,8 +22,9 @@ Public surface:
 - :class:`TraceRecorder` / :class:`NullRecorder` /
   :class:`MemoryRecorder` -- the recording protocol and implementations.
 - :mod:`repro.obs.export` -- JSONL, Chrome-trace (Perfetto) and text
-  summary exporters.
-- :mod:`repro.obs.schema` -- the event schema and JSONL validator.
+  summary exporters.  The JSONL trace is the TRACE artifact family
+  (:data:`~repro.obs.events.TRACE`), checked by
+  :func:`repro.artifact.check_stream`.
 - :mod:`repro.obs.attrib` -- post-hoc causal attribution: span
   timelines with restart lineage, the conservation invariant, batch
   time budgets, blocking graphs, critical paths and anomaly flags
@@ -37,7 +38,7 @@ Public surface:
   lock table, WTPG, metrics).
 - :mod:`repro.obs.telemetry` -- live batch telemetry: worker lifecycle
   JSONL streams, heartbeats, the ``status.json`` aggregator and the
-  ``repro watch`` / ``repro tail`` renderers.
+  ``repro watch`` renderer.
 
 Every name is imported from its defining module on first use
 (:mod:`repro._facade`): a run that never writes a trace or telemetry
@@ -57,14 +58,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "NULL_RECORDER": "repro.obs.recorder",
     "NullRecorder": "repro.obs.recorder",
     "PhaseProfiler": "repro.obs.profile",
-    "SERIES_SCHEMA_VERSION": "repro.obs.timeseries",
-    "STATUS_SCHEMA_VERSION": "repro.obs.telemetry",
     "Series": "repro.obs.timeseries",
     "Span": "repro.obs.attrib",
     "TELEMETRY_EVENT_KINDS": "repro.obs.telemetry",
-    "TELEMETRY_SCHEMA_VERSION": "repro.obs.telemetry",
-    "TRACE_SCHEMA_VERSION": "repro.obs.schema",
-    "TelemetrySchemaError": "repro.obs.telemetry",
     "TelemetrySink": "repro.obs.telemetry",
     "TimeSeriesSampler": "repro.obs.timeseries",
     "TraceEvent": "repro.obs.events",
@@ -74,11 +70,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "check_conservation": "repro.obs.attrib",
     "fold_trace": "repro.obs.attrib",
     "fold_trace_path": "repro.obs.attrib",
-    "format_telemetry_record": "repro.obs.telemetry",
     "gauge": "repro.obs.timeseries",
-    "load_series_json": "repro.obs.timeseries",
     "max_rss_kb": "repro.obs.telemetry",
-    "read_status": "repro.obs.telemetry",
     "read_telemetry_records": "repro.obs.telemetry",
     "render_series_report": "repro.obs.timeseries",
     "render_status": "repro.obs.telemetry",
@@ -86,15 +79,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "sparkline": "repro.obs.timeseries",
     "telemetry_event_kinds": "repro.obs.telemetry",
     "to_chrome_trace": "repro.obs.export",
-    "validate_event": "repro.obs.schema",
-    "validate_jsonl": "repro.obs.schema",
     "validate_series": "repro.obs.timeseries",
-    "validate_telemetry_event": "repro.obs.telemetry",
-    "validate_telemetry_jsonl": "repro.obs.telemetry",
     "windowed_rate": "repro.obs.timeseries",
     "write_chrome_trace": "repro.obs.export",
     "write_jsonl": "repro.obs.export",
     "write_series_csv": "repro.obs.timeseries",
-    "write_series_json": "repro.obs.timeseries",
-    "write_status": "repro.obs.telemetry",
 })

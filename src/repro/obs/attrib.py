@@ -37,7 +37,8 @@ import math
 import pathlib
 import typing
 
-from repro.obs.events import TraceEvent
+from repro.artifact import check_envelope
+from repro.obs.events import TRACE, TraceEvent
 from repro.obs.export import read_jsonl
 
 PathLike = typing.Union[str, pathlib.Path]
@@ -601,9 +602,8 @@ def fold_trace(
             first_time = time
         last_time = max(last_time, time)
         if kind == "trace.meta":
-            meta = {
-                k: v for k, v in record.items() if k not in ("t", "kind")
-            }
+            check_envelope(record, TRACE, "trace.meta header")
+            meta = dict(record["payload"])
             continue
         if not kind.startswith("txn."):
             continue

@@ -35,12 +35,15 @@ Kinds are namespaced by subsystem:
     Named waiting lines: ``queue`` depth changes (``cn.cpu``, the
     slices waiting for the control node's CPU).
 ``trace.*``
-    Stream metadata: ``meta`` (schema version, run identity).
+    Stream metadata: ``meta``, the header line of a JSONL trace -- the
+    :mod:`repro.artifact` envelope around the run identity.
 """
 
 from __future__ import annotations
 
 import typing
+
+from repro.artifact import ENVELOPE_FIELDS, Family
 
 
 class TraceEvent(typing.NamedTuple):
@@ -58,9 +61,9 @@ class TraceEvent(typing.NamedTuple):
 
 
 #: every kind the instrumented simulator emits, mapped to the field
-#: names each event must carry (the schema validator enforces this)
+#: names each event must carry (the TRACE stream check enforces this)
 EVENT_KINDS: typing.Dict[str, typing.Tuple[str, ...]] = {
-    "trace.meta": ("schema",),
+    "trace.meta": ENVELOPE_FIELDS,
     # -- transaction lifecycle --------------------------------------------
     "txn.arrive": ("txn", "label"),
     "txn.admit": ("txn",),
@@ -103,3 +106,16 @@ EVENT_KINDS: typing.Dict[str, typing.Tuple[str, ...]] = {
 def event_kinds() -> typing.Tuple[str, ...]:
     """All known kinds, sorted (documentation/validation helper)."""
     return tuple(sorted(EVENT_KINDS))
+
+
+def _check_meta(payload: typing.Any) -> None:
+    if not isinstance(payload, dict):
+        raise ValueError(f"trace meta must be a mapping, got {payload!r}")
+
+
+#: the JSONL trace: a ``trace.meta`` header, then events on the
+#: simulated clock ``t``, which never goes backwards
+TRACE = Family(
+    "trace", 1, _check_meta,
+    header="trace.meta", clock="t", kinds=EVENT_KINDS, monotone=True,
+)

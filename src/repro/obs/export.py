@@ -4,8 +4,9 @@ All three consume the same ordered :class:`~repro.obs.events.TraceEvent`
 stream a :class:`~repro.obs.recorder.MemoryRecorder` buffered:
 
 - :func:`write_jsonl` -- one JSON object per line, headed by a
-  ``trace.meta`` record; the archival format the schema validator and
-  the runner's per-run artifacts use.
+  ``trace.meta`` envelope; the TRACE artifact family
+  (:func:`repro.artifact.check_stream` checks it) and the runner's
+  per-run artifacts.
 - :func:`to_chrome_trace` / :func:`write_chrome_trace` -- the Chrome
   trace-event JSON that Perfetto (ui.perfetto.dev) and chrome://tracing
   load: one track per machine node (CN CPU slices by cost category, DPN
@@ -22,27 +23,13 @@ import json
 import pathlib
 import typing
 
-from repro.obs.events import TraceEvent
-from repro.obs.schema import TRACE_SCHEMA_VERSION
+from repro import artifact
+from repro.obs.events import TRACE, TraceEvent
 
 PathLike = typing.Union[str, pathlib.Path]
 
 #: Chrome trace timestamps are microseconds; the simulator clock is ms
 _US_PER_MS = 1000.0
-
-
-def _meta_record(
-    meta: typing.Optional[typing.Mapping[str, typing.Any]],
-) -> typing.Dict[str, typing.Any]:
-    record: typing.Dict[str, typing.Any] = {
-        "t": 0.0,
-        "kind": "trace.meta",
-        "schema": TRACE_SCHEMA_VERSION,
-    }
-    if meta:
-        for key, value in meta.items():
-            record.setdefault(key, value)
-    return record
 
 
 # -- JSONL --------------------------------------------------------------------
@@ -54,25 +41,28 @@ def write_jsonl(
     meta: typing.Optional[typing.Mapping[str, typing.Any]] = None,
     dropped: int = 0,
 ) -> pathlib.Path:
-    """Write the stream as JSON Lines, returning the path written.
+    """Write the stream as a TRACE JSONL artifact, returning the path.
 
-    ``meta`` (scheduler, seed, workload...) lands in the leading
-    ``trace.meta`` record beside the schema version.  Pass the
-    recorder's ``dropped`` count so a capped trace is self-describing:
-    the meta record then carries ``events_dropped`` and ``truncated``,
-    and downstream readers know the stream is a prefix, not the run.
+    ``meta`` (scheduler, seed, workload...) is the payload of the
+    leading ``trace.meta`` envelope.  Pass the recorder's ``dropped``
+    count so a capped trace is self-describing: the meta payload then
+    carries ``events_dropped`` and ``truncated``, and downstream
+    readers know the stream is a prefix, not the run.  The file is
+    written atomically: a failure part-way leaves no file at ``path``.
     """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    record = _meta_record(meta)
+    payload = dict(meta or {})
     if dropped:
-        record["events_dropped"] = dropped
-        record["truncated"] = True
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        payload["events_dropped"] = dropped
+        payload["truncated"] = True
+    header = {"t": 0.0, "kind": TRACE.header}
+    header.update(artifact.envelope(TRACE, payload))
+
+    def lines() -> typing.Iterator[str]:
+        yield json.dumps(header, sort_keys=True) + "\n"
         for event in events:
-            handle.write(json.dumps(event.to_record(), sort_keys=True) + "\n")
-    return path
+            yield json.dumps(event.to_record(), sort_keys=True) + "\n"
+
+    return artifact.atomic_write(path, lines())
 
 
 def read_jsonl(path: PathLike) -> typing.List[typing.Dict[str, typing.Any]]:
@@ -305,10 +295,9 @@ def write_chrome_trace(
     dropped: int = 0,
 ) -> pathlib.Path:
     """Serialise :func:`to_chrome_trace` to ``path`` (Perfetto-loadable)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(events, meta, dropped=dropped)))
-    return path
+    return artifact.atomic_write(
+        path, json.dumps(to_chrome_trace(events, meta, dropped=dropped))
+    )
 
 
 # -- text summary -------------------------------------------------------------

@@ -14,8 +14,11 @@ means a worker is hung, not slow).
 Concurrency model: every record is one JSON line written with a single
 ``write()`` call on an append-mode handle, so POSIX ``O_APPEND``
 guarantees lines from different worker processes never interleave.
-``status.json`` is rewritten through a unique temp file + ``os.replace``
-so a reader can never observe a torn snapshot.
+``status.json`` is a STATUS artifact rewritten through
+:func:`repro.artifact.write`, so a reader can never observe a torn
+snapshot.  The stream is the TELEMETRY artifact family: its
+``batch.meta`` header is the artifact envelope, and
+:func:`repro.artifact.check_stream` checks a finished stream.
 
 Same contract as tracing and sampling: telemetry only *observes*.  The
 heartbeat hook reads the engine clock and event counter; a run with
@@ -28,10 +31,11 @@ import json
 import os
 import pathlib
 import sys
-import tempfile
 import time
 import traceback as traceback_mod
 import typing
+
+from repro import artifact
 
 try:
     import resource as _resource
@@ -40,18 +44,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 PathLike = typing.Union[str, pathlib.Path]
 
-#: bump when telemetry record kinds/fields change incompatibly; written
-#: into every ``batch.meta`` record and checked by the validator
-TELEMETRY_SCHEMA_VERSION = 1
-
-#: bump when the ``status.json`` snapshot layout changes incompatibly
-STATUS_SCHEMA_VERSION = 1
-
 #: every kind a telemetry stream may carry, mapped to the field names
-#: each record must have besides ``ts`` and ``kind`` (validator-enforced)
+#: each record must have besides ``ts`` and ``kind`` (the TELEMETRY
+#: stream check enforces this)
 TELEMETRY_EVENT_KINDS: typing.Dict[str, typing.Tuple[str, ...]] = {
     # -- batch lifecycle (parent-emitted) ---------------------------------
-    "batch.meta": ("schema", "batch", "label", "total"),
+    "batch.meta": artifact.ENVELOPE_FIELDS,
     "batch.done": ("status", "wall_s"),
     # -- cell lifecycle (worker-emitted unless noted) ---------------------
     "run.cached": ("cell",),                # parent: served from cache
@@ -96,87 +94,28 @@ def max_rss_kb() -> typing.Optional[int]:
     return int(rss)
 
 
-class TelemetrySchemaError(ValueError):
-    """A telemetry record (or stream) violates the schema."""
+def _check_batch_meta(payload: typing.Any) -> None:
+    artifact.require(payload, ("batch", "label", "total"), "batch.meta")
 
 
-def validate_telemetry_event(
-    record: typing.Mapping[str, typing.Any],
-) -> None:
-    """Raise :class:`TelemetrySchemaError` unless ``record`` is valid."""
-    kind = record.get("kind")
-    if not isinstance(kind, str):
-        raise TelemetrySchemaError(
-            f"record has no string 'kind': {record!r}"
-        )
-    if kind not in TELEMETRY_EVENT_KINDS:
-        raise TelemetrySchemaError(f"unknown telemetry kind {kind!r}")
-    stamp = record.get("ts")
-    if not isinstance(stamp, (int, float)) or isinstance(stamp, bool):
-        raise TelemetrySchemaError(
-            f"{kind}: 'ts' must be a number, got {stamp!r}"
-        )
-    if stamp < 0:
-        raise TelemetrySchemaError(f"{kind}: negative timestamp {stamp}")
-    missing = [
-        field
-        for field in TELEMETRY_EVENT_KINDS[kind]
-        if field not in record
-    ]
-    if missing:
-        raise TelemetrySchemaError(
-            f"{kind}: missing required fields {missing}"
-        )
+def validate_status(payload: typing.Any) -> None:
+    """Raise ``ValueError`` unless ``payload`` is a status snapshot."""
+    artifact.require(
+        payload, ("batch", "status", "total", "counts", "cells"), "status"
+    )
+    if not isinstance(payload["cells"], list):
+        raise ValueError("status cells must be a list")
 
 
-def validate_telemetry_jsonl(path: PathLike) -> int:
-    """Validate a ``telemetry.jsonl`` file; returns the record count.
+#: one batch's lifecycle stream, on wall-clock ``ts`` stamps that
+#: concurrent workers interleave (so, unlike a trace, not monotone)
+TELEMETRY = artifact.Family(
+    "telemetry", 1, _check_batch_meta,
+    header="batch.meta", clock="ts", kinds=TELEMETRY_EVENT_KINDS,
+)
 
-    Checks that the first record is a ``batch.meta`` carrying the
-    supported :data:`TELEMETRY_SCHEMA_VERSION` and that every record is
-    a well-formed known kind.  Wall-clock timestamps from concurrent
-    workers may interleave by microseconds, so -- unlike the simulated
-    clock of trace files -- ``ts`` is *not* required to be monotone.
-    """
-    path = pathlib.Path(path)
-    count = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TelemetrySchemaError(
-                    f"{path}:{lineno}: not valid JSON: {exc}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise TelemetrySchemaError(
-                    f"{path}:{lineno}: expected an object, "
-                    f"got {type(record).__name__}"
-                )
-            try:
-                validate_telemetry_event(record)
-            except TelemetrySchemaError as exc:
-                raise TelemetrySchemaError(
-                    f"{path}:{lineno}: {exc}"
-                ) from exc
-            if count == 0:
-                if record["kind"] != "batch.meta":
-                    raise TelemetrySchemaError(
-                        f"{path}: first record must be batch.meta, "
-                        f"got {record['kind']!r}"
-                    )
-                if record["schema"] != TELEMETRY_SCHEMA_VERSION:
-                    raise TelemetrySchemaError(
-                        f"{path}: schema version {record['schema']!r} != "
-                        f"supported {TELEMETRY_SCHEMA_VERSION}"
-                    )
-            count += 1
-    if count == 0:
-        raise TelemetrySchemaError(f"{path}: empty telemetry stream")
-    return count
+#: the ``status.json`` snapshot :class:`BatchStatus` folds the stream into
+STATUS = artifact.Family("status", 1, validate_status)
 
 
 # -- the multiprocessing-safe writer ------------------------------------------
@@ -233,7 +172,8 @@ def read_telemetry_records(
     Returns ``(records, new_offset)``.  A trailing partial line (a
     worker mid-write) is left for the next call; malformed complete
     lines are skipped -- the tailer must stay robust while the strict
-    :func:`validate_telemetry_jsonl` is what CI runs on the final file.
+    :func:`repro.artifact.check_stream` is what CI runs on the final
+    file.
     """
     path = pathlib.Path(path)
     try:
@@ -334,6 +274,7 @@ class WorkerTelemetry:
         )
 
     def done(self, wall_s: float, events: int) -> None:
+        """Emit ``run.done`` and close the sink (the cell's last record)."""
         extra: typing.Dict[str, typing.Any] = {}
         rss = max_rss_kb()
         if rss is not None:
@@ -341,13 +282,21 @@ class WorkerTelemetry:
         self._emit(
             "run.done", wall_s=round(wall_s, 6), events=events, **extra,
         )
+        self._close()
 
     def error(self, exc: BaseException) -> None:
+        """Emit ``run.error`` and close the sink (the cell's last record)."""
         self._emit(
             "run.error",
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback_mod.format_exc(),
         )
+        self._close()
+
+    def _close(self) -> None:
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
 
 
 # -- parent-side aggregation --------------------------------------------------
@@ -520,7 +469,6 @@ class BatchStatus:
             round(remaining_ms / sim_rate, 1) if sim_rate > 0 else None
         )
         return {
-            "schema": STATUS_SCHEMA_VERSION,
             "batch": self.batch,
             "label": self.label,
             "kind": self.kind,
@@ -545,45 +493,6 @@ class BatchStatus:
             ],
             "cells": [dict(c) for c in self.cells],
         }
-
-    def write(self, path: PathLike) -> pathlib.Path:
-        """Atomically rewrite the snapshot (unique temp + replace)."""
-        return write_status(self.snapshot(), path)
-
-
-def write_status(
-    snapshot: typing.Mapping[str, typing.Any], path: PathLike
-) -> pathlib.Path:
-    """Write a snapshot so readers never observe a torn file."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=".status.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(snapshot, indent=1, sort_keys=True))
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    os.replace(tmp, path)
-    return path
-
-
-def read_status(path: PathLike) -> typing.Dict[str, typing.Any]:
-    """Load a ``status.json`` snapshot, checking its schema version."""
-    payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: status must be a JSON object")
-    if payload.get("schema") != STATUS_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: status schema {payload.get('schema')!r} != "
-            f"supported {STATUS_SCHEMA_VERSION}"
-        )
-    return payload
 
 
 # -- terminal rendering -------------------------------------------------------
@@ -651,48 +560,3 @@ def render_status(
             f"{cell.get('label', '')}  {suffix}"
         )
     return "\n".join(lines)
-
-
-def format_telemetry_record(
-    record: typing.Mapping[str, typing.Any],
-) -> str:
-    """One human line per record, for ``repro tail``."""
-    stamp = record.get("ts")
-    clock = (
-        time.strftime("%H:%M:%S", time.localtime(stamp))
-        if isinstance(stamp, (int, float))
-        else "??:??:??"
-    )
-    kind = record.get("kind", "?")
-    if kind == "batch.meta":
-        body = (
-            f"batch {record.get('batch')} ({record.get('label')}) "
-            f"{record.get('total')} cell(s)"
-        )
-    elif kind == "batch.done":
-        body = (
-            f"batch {record.get('status')} "
-            f"in {record.get('wall_s', 0):.1f}s"
-        )
-    elif kind == "run.heartbeat":
-        body = (
-            f"cell {record.get('cell')} "
-            f"{record.get('progress', 0) * 100:5.1f}% "
-            f"sim={record.get('sim_ms', 0):.0f}ms "
-            f"events={record.get('events', 0)}"
-        )
-    elif kind == "run.error":
-        body = f"cell {record.get('cell')} ERROR {record.get('error')}"
-    elif kind == "run.stalled":
-        body = (
-            f"cell {record.get('cell')} STALLED "
-            f"(idle {record.get('idle_s')}s)"
-        )
-    else:
-        extras = " ".join(
-            f"{key}={record[key]}"
-            for key in ("pid", "label", "wall_s", "attempt")
-            if key in record
-        )
-        body = f"cell {record.get('cell')} {extras}".rstrip()
-    return f"{clock} {kind:<14} {body}"

@@ -34,15 +34,13 @@ from __future__ import annotations
 
 import collections
 import csv
-import json
 import math
 import pathlib
 import typing
 
-PathLike = typing.Union[str, pathlib.Path]
+from repro.artifact import Family
 
-#: bump when the exported series payload changes incompatibly
-SERIES_SCHEMA_VERSION = 1
+PathLike = typing.Union[str, pathlib.Path]
 
 #: default ring capacity per series (points beyond it evict the oldest)
 DEFAULT_MAX_POINTS = 4096
@@ -271,7 +269,6 @@ class TimeSeriesSampler:
     ) -> typing.Dict[str, typing.Any]:
         """The JSON-ready artifact form of everything sampled."""
         payload: typing.Dict[str, typing.Any] = {
-            "schema": SERIES_SCHEMA_VERSION,
             "interval_ms": self.interval_ms,
             "samples": self.samples_taken,
             "series": {
@@ -345,21 +342,6 @@ def size_hist() -> LogHistogram:
 # -- artifact export ----------------------------------------------------------
 
 
-def write_series_json(
-    sampler: TimeSeriesSampler,
-    path: PathLike,
-    meta: typing.Optional[typing.Mapping[str, typing.Any]] = None,
-) -> pathlib.Path:
-    """Serialise the sampler's payload to ``path`` (UTF-8 JSON)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(sampler.to_dict(meta=meta), sort_keys=True),
-        encoding="utf-8",
-    )
-    return path
-
-
 def write_series_csv(
     sampler: TimeSeriesSampler, path: PathLike
 ) -> pathlib.Path:
@@ -375,22 +357,10 @@ def write_series_csv(
     return path
 
 
-def load_series_json(path: PathLike) -> typing.Dict[str, typing.Any]:
-    """Load and sanity-check a series artifact written by this module."""
-    payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    validate_series(payload)
-    return payload
-
-
 def validate_series(payload: typing.Mapping[str, typing.Any]) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid series artifact."""
+    """Raise ``ValueError`` unless ``payload`` is a valid series payload."""
     if not isinstance(payload, dict):
         raise ValueError("series artifact must be a JSON object")
-    if payload.get("schema") != SERIES_SCHEMA_VERSION:
-        raise ValueError(
-            f"series schema {payload.get('schema')!r} != supported "
-            f"{SERIES_SCHEMA_VERSION}"
-        )
     series = payload.get("series")
     if not isinstance(series, dict):
         raise ValueError("series artifact lacks a 'series' mapping")
@@ -401,6 +371,10 @@ def validate_series(payload: typing.Mapping[str, typing.Any]) -> None:
         for point in body["points"]:
             if not (isinstance(point, list) and len(point) == 2):
                 raise ValueError(f"series {name!r} has malformed point {point!r}")
+
+
+#: a sampler's :meth:`TimeSeriesSampler.to_dict` payload
+SERIES = Family("series", 1, validate_series)
 
 
 # -- terminal report ----------------------------------------------------------

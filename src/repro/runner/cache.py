@@ -5,22 +5,24 @@ single directory small when sweeps accumulate thousands of entries.
 Each entry stores the spec alongside the result so the cache is
 self-describing and auditable.
 
-Writes go through a same-directory *unique* temp file + ``os.replace``
-so a killed run never leaves a truncated entry behind and concurrent
-runners (processes *or* threads) sharing a cache directory can race on
-the same key without a reader ever observing a torn JSON entry -- the
-last replace wins, and every intermediate state is a complete file.
+Writes go through :func:`repro.artifact.atomic_write` (a unique
+same-directory temp file, then a rename) so a killed run never leaves a
+truncated entry behind and concurrent runners (processes *or* threads)
+sharing a cache directory can race on the same key without a reader
+ever observing a torn JSON entry -- the last rename wins, and every
+intermediate state is a complete file.  Entries stay outside the
+artifact envelope: they are content-addressed, with
+``CACHE_FORMAT_VERSION`` in the key.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 import time
 import typing
 
+from repro.artifact import atomic_write
 from repro.runner.spec import CACHE_FORMAT_VERSION, RunSpec
 from repro.sim.metrics import SimulationResult
 
@@ -51,31 +53,15 @@ class ResultCache:
     def put(self, spec: RunSpec, result: SimulationResult) -> pathlib.Path:
         """Store ``result`` under ``spec``'s key; returns the entry path."""
         key = spec.cache_key()
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CACHE_FORMAT_VERSION,
             "key": key,
             "spec": spec.to_dict(),
             "result": result.to_dict(),
         }
-        # a pid-suffixed name is not unique enough: two threads of one
-        # runner (or a recycled pid) could interleave writes into the
-        # same temp file; mkstemp guarantees a fresh file per writer
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{key[:8]}.", suffix=".tmp"
+        return atomic_write(
+            self.path_for(key), json.dumps(payload, sort_keys=True, indent=1)
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, sort_keys=True, indent=1))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        os.replace(tmp, path)
-        return path
 
     def __len__(self) -> int:
         if not self.root.exists():
@@ -93,7 +79,7 @@ class ResultCache:
 
         ``oldest_age_s`` / ``newest_age_s`` are relative to now, from
         entry mtimes (an entry's mtime is when its run finished, since
-        writes go through ``os.replace``).
+        writes replace the entry whole).
         """
         entries = 0
         total_bytes = 0

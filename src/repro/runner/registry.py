@@ -13,9 +13,12 @@ killed hard) is still visible, stuck at ``running``.
 Appends are one ``write()`` of one line on an append-mode handle, so
 concurrent runners sharing a runs directory never interleave records.
 
-``repro runs list`` / ``repro runs show`` / ``repro watch`` /
-``repro tail`` all resolve batches through :meth:`RunRegistry.find`,
-which accepts an exact batch id, a unique prefix, or ``latest``.
+``repro runs`` lists :meth:`RunRegistry.entries`; ``repro watch`` and
+``repro explain`` resolve a batch through :meth:`RunRegistry.find`,
+which accepts an exact batch id, a unique prefix, or ``latest``.  The
+registry stays outside the artifact envelope (:mod:`repro.artifact`):
+it is an append-only index whose lines concurrent runners interleave,
+not one document.
 """
 
 from __future__ import annotations

@@ -10,9 +10,11 @@ order, no matter how execution interleaves:
   or fans out over a :class:`~repro.runner.pool.WorkerPool` of
   long-lived worker processes, streaming a progress line per completed
   run;
-- every batch appends a JSON manifest under ``runs_dir`` recording the
-  specs, git SHA, wall time and cache hit/miss counts, and registers
-  itself in the :class:`~repro.runner.registry.RunRegistry` index.
+- every batch writes a JSON manifest under ``runs_dir`` -- a MANIFEST
+  artifact (:mod:`repro.artifact`), whose envelope carries the git SHA
+  and creation time -- recording the specs, wall time and cache
+  hit/miss counts, and registers itself in the
+  :class:`~repro.runner.registry.RunRegistry` index.
 
 Because each run is a pure function of its spec, results are identical
 for any pool size -- the determinism tests and the pool conformance
@@ -39,16 +41,14 @@ writes a partial manifest marked ``interrupted`` before propagating.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import pathlib
 import re
-import subprocess
 import sys
-import tempfile
 import time
 import typing
 
+from repro import artifact
 from repro.runner.cache import ResultCache
 from repro.runner.registry import RunRegistry, spec_digest
 from repro.runner.spec import RunSpec
@@ -128,19 +128,17 @@ def print_progress(
         )
 
 
-def _git_sha() -> typing.Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+def validate_manifest(payload: typing.Any) -> None:
+    """Raise ``ValueError`` unless ``payload`` is a batch manifest."""
+    artifact.require(
+        payload, ("label", "batch_id", "status", "counts", "runs"), "manifest"
+    )
+    if not isinstance(payload["runs"], list):
+        raise ValueError("manifest runs must be a list")
+
+
+#: the per-batch manifest :meth:`ParallelRunner.run_batch` writes
+MANIFEST = artifact.Family("manifest", 1, validate_manifest)
 
 
 def _slug(label: str) -> str:
@@ -175,11 +173,7 @@ class _BatchTelemetry:
         stall_timeout_s: typing.Optional[float],
         backend: str = "local",
     ) -> None:
-        from repro.obs.telemetry import (
-            TELEMETRY_SCHEMA_VERSION,
-            BatchStatus,
-            TelemetrySink,
-        )
+        from repro.obs.telemetry import TELEMETRY, BatchStatus, TelemetrySink
 
         self.dir = pathlib.Path(runs_dir) / batch_id
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -206,15 +200,13 @@ class _BatchTelemetry:
         )
         self._offset = 0
         self._last_write = 0.0
-        self.sink.emit(
-            "batch.meta",
-            schema=TELEMETRY_SCHEMA_VERSION,
-            batch=batch_id,
-            label=label,
-            total=len(specs),
-            mode="sweep",
-            backend=backend,
-        )
+        self.sink.emit(TELEMETRY.header, **artifact.envelope(TELEMETRY, {
+            "batch": batch_id,
+            "label": label,
+            "total": len(specs),
+            "mode": "sweep",
+            "backend": backend,
+        }))
         self.tick(force=True)
 
     # -- worker contexts ----------------------------------------------------
@@ -264,7 +256,7 @@ class _BatchTelemetry:
 
     def tick(self, force: bool = False) -> typing.List[int]:
         """Fold new records in; returns cells that *just* went stalled."""
-        from repro.obs.telemetry import read_telemetry_records
+        from repro.obs.telemetry import STATUS, read_telemetry_records
 
         records, self._offset = read_telemetry_records(
             self.path, self._offset
@@ -288,7 +280,7 @@ class _BatchTelemetry:
                     self.status.consume(record)
         now = time.monotonic()
         if force or newly or now - self._last_write >= self.STATUS_INTERVAL_S:
-            self.status.write(self.status_path)
+            artifact.write(self.status_path, STATUS, self.status.snapshot())
             self._last_write = now
         return newly
 
@@ -362,7 +354,7 @@ class ParallelRunner:
         #: batch id and per-cell failures of the most recent batch
         self.last_batch_id: typing.Optional[str] = None
         self.last_failures: typing.Dict[int, str] = {}
-        self._git_sha = _git_sha()
+        self._git_sha = artifact.git_sha()
         self._session = f"{time.strftime('%Y%m%d-%H%M%S')}-{os.getpid()}"
         self._batch_seq = 0
 
@@ -747,8 +739,6 @@ class ParallelRunner:
             "batch": self._batch_seq,
             "batch_id": batch_id,
             "status": status,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "git_sha": self._git_sha,
             "pool_size": self.pool_size,
             "backend": self.backend_name,
             "wall_s": round(wall_s, 3),
@@ -786,29 +776,16 @@ class ParallelRunner:
         self.last_manifest_path = None
         if self.runs_dir is None:
             return
-        self.runs_dir.mkdir(parents=True, exist_ok=True)
-        name = f"{batch_id}-{_slug(label)}.json"
-        path = self.runs_dir / name
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.runs_dir), prefix=".manifest.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, indent=1, sort_keys=True))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        os.replace(tmp, path)
+        path = self.runs_dir / f"{batch_id}-{_slug(label)}.json"
+        artifact.write(path, MANIFEST, payload)
         self.last_manifest_path = path
 
     def _trace_artifact(self, spec: RunSpec) -> typing.Optional[str]:
         """Manifest entry for a run's trace file (None when untraced).
 
         Cached traced runs keep pointing at the artifact their original
-        execution wrote -- it is content-addressed by the same cache key.
+        execution wrote -- it is content-addressed by the same cache key,
+        and written atomically, so a file at that path is complete.
         """
         if not spec.trace or self.traces_dir is None:
             return None

@@ -9,8 +9,10 @@ before returning; time-series specs (``spec.timeseries``) run with a
 :class:`TimeSeriesSampler` and write the sampled trajectories to
 ``<series_dir>/<cache_key>.series.json``.  Both artifacts are
 content-addressed by the spec's cache key, so re-running the same spec
-overwrites the identical file and a batch manifest can reference it
-without coordination.
+rewrites the same stream and a batch manifest can reference it without
+coordination.  Both are written atomically (:mod:`repro.artifact`): a
+run that fails while writing leaves no file at the content-addressed
+path, so a file that exists there is complete.
 
 When the runner hands a job a :class:`~repro.obs.telemetry.WorkerTelemetry`
 context, the worker emits ``run.start`` immediately (with its pid),
@@ -26,6 +28,7 @@ import pathlib
 import time
 import typing
 
+from repro import artifact
 from repro.obs.recorder import MemoryRecorder
 from repro.runner.spec import RunSpec
 from repro.sim.metrics import SimulationResult
@@ -129,11 +132,11 @@ def execute_spec(
                 meta=_spec_meta(spec), dropped=recorder.dropped,
             )
         if sampler is not None and series_dir is not None:
-            from repro.obs.timeseries import write_series_json
+            from repro.obs.timeseries import SERIES
 
-            write_series_json(
-                sampler, series_artifact_path(series_dir, spec),
-                meta=_spec_meta(spec),
+            artifact.write(
+                series_artifact_path(series_dir, spec), SERIES,
+                sampler.to_dict(meta=_spec_meta(spec)), indent=None,
             )
     except BaseException as exc:
         if telemetry is not None:

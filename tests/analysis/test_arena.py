@@ -1,31 +1,43 @@
 """Tests for the scheduler-arena pipeline: specs, artifact, report."""
 
+import json
+import pathlib
+
 import pytest
 
+from repro import artifact
 from repro.analysis.arena import (
-    ARENA_SCHEMA_VERSION,
+    ARENA,
     arena_payload,
     arena_specs,
     default_arena_schedulers,
-    load_arena,
     render_arena_markdown,
     scheduler_family,
     validate_arena,
-    write_arena,
 )
+from repro.analysis.explain import EXPLAIN
 from repro.runner import execute_spec
 
 QUICK = dict(duration_ms=20_000.0, warmup_ms=0.0)
 
+#: the committed head-to-head report pair
+COMMITTED = pathlib.Path(__file__).resolve().parents[2] / "results" / "arena"
+
 
 def tiny_payload(**kwargs):
-    """A real two-cell artifact from short simulations."""
+    """A real two-cell payload from short simulations."""
     specs = arena_specs(("NODC", "DGCC"), rates=(0.8,), dds=(1,), **QUICK)
     results = [execute_spec(spec) for spec in specs]
-    return specs, arena_payload(
-        specs, results, git_sha="deadbeef", created="2026-08-08T00:00:00Z",
-        **kwargs,
-    )
+    return specs, arena_payload(specs, results, **kwargs)
+
+
+def written(tmp_path, payload, **overrides):
+    """``payload`` written as an ARENA file, envelope fields overridden."""
+    path = tmp_path / "ARENA.json"
+    document = artifact.write(path, ARENA, payload)
+    document.update(overrides)
+    path.write_text(json.dumps(document))
+    return path
 
 
 class TestSpecs:
@@ -74,15 +86,13 @@ class TestPayload:
     def test_cells_validate_and_round_trip(self, tmp_path):
         _specs, payload = tiny_payload()
         assert validate_arena(payload) == 2
-        assert payload["schema"] == ARENA_SCHEMA_VERSION
         assert payload["failed_cells"] == 0
         families = {c["scheduler"]: c["family"] for c in payload["cells"]}
         assert families == {"NODC": "paper", "DGCC": "modern"}
-        json_path, md_path = write_arena(payload, tmp_path)
-        assert load_arena(json_path) == payload
-        assert md_path.read_text(encoding="utf-8").startswith(
-            "# Scheduler arena"
-        )
+        json_path = tmp_path / "ARENA.json"
+        document = artifact.write(json_path, ARENA, payload)
+        assert artifact.load(json_path, ARENA) == document
+        assert document["payload"] == payload
 
     def test_failed_cells_are_dropped_with_a_note(self):
         specs = arena_specs(("NODC", "DGCC"), rates=(0.8,), dds=(1,), **QUICK)
@@ -99,39 +109,40 @@ class TestPayload:
 
 
 class TestValidation:
-    def test_rejects_wrong_kind_schema_and_cells(self):
+    def test_rejects_wrong_kind_schema_and_cells(self, tmp_path):
         _specs, payload = tiny_payload()
-        for broken in (
-            {**payload, "kind": "bench"},
-            {**payload, "schema": 999},
-            {**payload, "cells": []},
-        ):
-            with pytest.raises(ValueError):
-                validate_arena(broken)
+        path = written(tmp_path, payload)
+        with pytest.raises(artifact.ArtifactError, match="family 'arena'"):
+            artifact.load(path, EXPLAIN)
+        with pytest.raises(ValueError, match="cells"):
+            validate_arena({**payload, "cells": []})
+        with pytest.raises(ValueError, match="cells"):
+            artifact.write(tmp_path / "empty.json", ARENA,
+                           {**payload, "cells": []})
 
-    def test_payload_stamps_top_level_schema_version(self):
+    def test_payload_stamps_top_level_schema_version(self, tmp_path):
+        # the envelope, not the payload, carries the family and version
         _specs, payload = tiny_payload()
-        assert payload["schema_version"] == ARENA_SCHEMA_VERSION
+        document = json.loads(written(tmp_path, payload).read_text())
+        assert document["family"] == "arena"
+        assert document["schema_version"] == ARENA.schema_version
+        assert set(payload) == {"cells", "failed_cells"}
 
-    def test_rejects_unknown_schema_version(self):
+    def test_rejects_unknown_schema_version(self, tmp_path):
         _specs, payload = tiny_payload()
-        broken = {**payload, "schema_version": 999, "schema": 999}
-        with pytest.raises(ValueError, match="unknown arena schema_version"):
-            validate_arena(broken)
+        path = written(tmp_path, payload, schema_version=999)
+        with pytest.raises(artifact.ArtifactError, match="schema_version"):
+            artifact.load(path, ARENA)
 
-    def test_accepts_legacy_schema_key_only(self):
+    def test_rejects_missing_schema_stamp(self, tmp_path):
+        # the un-enveloped layout: family and version stamped in the payload
         _specs, payload = tiny_payload()
-        legacy = dict(payload)
-        del legacy["schema_version"]
-        validate_arena(legacy)
-
-    def test_rejects_missing_schema_stamp(self):
-        _specs, payload = tiny_payload()
-        unstamped = dict(payload)
-        del unstamped["schema_version"]
-        del unstamped["schema"]
-        with pytest.raises(ValueError, match="no schema_version"):
-            validate_arena(unstamped)
+        path = tmp_path / "ARENA.json"
+        path.write_text(json.dumps(
+            {**payload, "kind": "arena", "schema": 1, "schema_version": 1}
+        ))
+        with pytest.raises(artifact.ArtifactError, match="family 'arena'"):
+            artifact.load(path, ARENA)
 
     def test_rejects_missing_field_and_bad_family(self):
         _specs, payload = tiny_payload()
@@ -144,14 +155,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="family"):
             validate_arena(bad_family)
 
+
 class TestMarkdown:
     def test_report_groups_and_crowns_a_winner(self):
         _specs, payload = tiny_payload()
-        text = render_arena_markdown(payload)
+        text = render_arena_markdown(
+            payload, created="2026-08-08T00:00:00Z", git_sha="deadbeef"
+        )
         assert "## exp1 @ 0.8 TPS, DD=1" in text
         assert text.count("**(best)**") == 1
         assert "## Head-to-head" in text
-        assert "commit `deadbeef`" in text
+        assert "generated 2026-08-08T00:00:00Z, commit `deadbeef`" in text
+
+    def test_committed_report_renders_from_its_artifact(self):
+        document = artifact.load(COMMITTED / "ARENA.json", ARENA)
+        assert set(document["payload"]) == {"cells", "failed_cells"}
+        markdown = render_arena_markdown(
+            document["payload"],
+            created=document["created"],
+            git_sha=document["git_sha"],
+        )
+        assert markdown == (COMMITTED / "ARENA.md").read_text(encoding="utf-8")
 
 
 class TestTimeBudgets:

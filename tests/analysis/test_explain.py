@@ -4,17 +4,16 @@ import json
 
 import pytest
 
+from repro import artifact
 from repro.analysis.explain import (
-    EXPLAIN_SCHEMA_VERSION,
+    EXPLAIN,
     explain_payload,
     explain_trace_path,
-    load_explain,
     render_budget_line,
     render_explain_markdown,
     render_txn_markdown,
     time_budget_of_trace,
     validate_explain,
-    write_explain,
 )
 from repro.machine.config import MachineConfig
 from repro.obs import MemoryRecorder, write_jsonl
@@ -47,7 +46,6 @@ class TestPayload:
     def test_validates_and_counts_transactions(self, payload):
         count = validate_explain(payload)
         assert count == len(payload["transactions"]) > 0
-        assert payload["schema"] == EXPLAIN_SCHEMA_VERSION
         assert payload["source"]["trace"] == "mem"
 
     def test_committed_rows_conserve_response_time(self, payload):
@@ -64,10 +62,6 @@ class TestPayload:
             assert attributed == pytest.approx(row["response_ms"])
 
     def test_validation_rejects_broken_payloads(self, payload):
-        with pytest.raises(ValueError, match="kind"):
-            validate_explain({**payload, "kind": "arena"})
-        with pytest.raises(ValueError, match="schema"):
-            validate_explain({**payload, "schema": 999})
         missing = dict(payload)
         del missing["budget"]
         with pytest.raises(ValueError, match="budget"):
@@ -86,17 +80,16 @@ class TestPayload:
 
 class TestGoldenRoundTrip:
     def test_write_load_round_trip_is_identical(self, payload, tmp_path):
-        json_path, md_path = write_explain(payload, tmp_path)
-        assert json_path.name == "EXPLAIN.json"
-        assert md_path.name == "EXPLAIN.md"
-        reloaded = load_explain(json_path)
+        json_path = tmp_path / "EXPLAIN.json"
+        artifact.write(json_path, EXPLAIN, payload)
+        reloaded = artifact.load(json_path, EXPLAIN)["payload"]
         assert reloaded == json.loads(json.dumps(payload))
-        # load_explain validates; a corrupted artifact must not load
+        # load validates the payload; a corrupted artifact must not load
         corrupt = json.loads(json_path.read_text(encoding="utf-8"))
-        corrupt["kind"] = "nope"
+        del corrupt["payload"]["budget"]
         json_path.write_text(json.dumps(corrupt), encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_explain(json_path)
+        with pytest.raises(artifact.ArtifactError, match="budget"):
+            artifact.load(json_path, EXPLAIN)
 
     def test_trace_artifact_to_payload(self, traced_events, tmp_path):
         trace = tmp_path / "run.trace.jsonl"

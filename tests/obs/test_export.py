@@ -4,8 +4,9 @@ import json
 
 from repro.obs import MemoryRecorder, render_summary, to_chrome_trace
 from repro.obs.events import EVENT_KINDS
+from repro import artifact
+from repro.obs.events import TRACE
 from repro.obs.export import read_jsonl, write_chrome_trace, write_jsonl
-from repro.obs.schema import TRACE_SCHEMA_VERSION, validate_jsonl
 
 
 def _lifecycle_recorder():
@@ -111,7 +112,7 @@ def _one_event_of_every_kind():
         "reason": "deadlock", "response_ms": 10.0, "src": 1, "dst": 2,
         "ok": True, "consistent": True, "e_q": 0.5, "granted": True,
         "deadlock": False, "node": 0, "depth": 2, "category": "startup",
-        "cost_ms": 1.5, "name": "cn.cpu", "schema": TRACE_SCHEMA_VERSION,
+        "cost_ms": 1.5, "name": "cn.cpu",
         "epoch": 0, "batch": 3, "queue": 1, "live": 4, "moved": 2,
         "score": 0.25, "admitted": True,
     }
@@ -135,7 +136,7 @@ class TestEveryKind:
     def test_jsonl_round_trip_validates_every_kind(self, tmp_path):
         rec = _one_event_of_every_kind()
         path = write_jsonl(rec.events, tmp_path / "all.jsonl")
-        assert validate_jsonl(path) == len(rec.events) + 1
+        assert artifact.check_stream(path, TRACE) == len(rec.events) + 1
         records = read_jsonl(path)
         assert {r["kind"] for r in records} == set(EVENT_KINDS)
 
@@ -169,14 +170,14 @@ class TestDroppedWarnings:
     def test_jsonl_meta_flags_truncation(self, tmp_path):
         rec = _lifecycle_recorder()
         path = write_jsonl(rec.events, tmp_path / "t.jsonl", dropped=7)
-        meta = read_jsonl(path)[0]
+        meta = read_jsonl(path)[0]["payload"]
         assert meta["events_dropped"] == 7
         assert meta["truncated"] is True
 
     def test_jsonl_meta_clean_when_nothing_dropped(self, tmp_path):
         rec = _lifecycle_recorder()
         path = write_jsonl(rec.events, tmp_path / "t.jsonl")
-        meta = read_jsonl(path)[0]
+        meta = read_jsonl(path)[0]["payload"]
         assert "truncated" not in meta
 
     def test_chrome_other_data_flags_truncation(self):

@@ -8,7 +8,6 @@ import math
 from repro.obs.timeseries import (
     FixedHistogram,
     LogHistogram,
-    SERIES_SCHEMA_VERSION,
     render_series_report,
     sparkline,
     validate_series,
@@ -55,7 +54,6 @@ def series_payload(points, stats=None):
     if stats:
         body.update(stats)
     return {
-        "schema": SERIES_SCHEMA_VERSION,
         "interval_ms": 100.0,
         "samples": len(points),
         "meta": {},

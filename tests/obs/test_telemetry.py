@@ -1,36 +1,43 @@
 """Unit tests for the live telemetry layer (schema, sink, aggregation)."""
 
+import gc
 import json
 import os
+import sys
 import threading
+import warnings
 
 import pytest
 
+from repro import artifact
+from repro.artifact import ArtifactError
 from repro.obs.telemetry import (
-    STATUS_SCHEMA_VERSION,
+    STATUS,
+    TELEMETRY,
     TELEMETRY_EVENT_KINDS,
-    TELEMETRY_SCHEMA_VERSION,
     BatchStatus,
-    TelemetrySchemaError,
     TelemetrySink,
     WorkerTelemetry,
-    format_telemetry_record,
-    read_status,
     read_telemetry_records,
     render_status,
     telemetry_event_kinds,
-    validate_telemetry_event,
-    validate_telemetry_jsonl,
-    write_status,
 )
+
+
+def validate_telemetry_event(record):
+    artifact.check_record(TELEMETRY, record)
+
+
+def validate_telemetry_jsonl(path):
+    return artifact.check_stream(path, TELEMETRY)
+
 
 #: one syntactically complete example record per kind -- tests iterate
 #: this so a newly added kind is covered automatically
 EXAMPLES = {
-    "batch.meta": {
-        "schema": TELEMETRY_SCHEMA_VERSION, "batch": "b1",
-        "label": "sweep", "total": 2,
-    },
+    "batch.meta": artifact.envelope(
+        TELEMETRY, {"batch": "b1", "label": "sweep", "total": 2}
+    ),
     "batch.done": {"status": "complete", "wall_s": 1.5},
     "run.cached": {"cell": 0},
     "run.coalesced": {"cell": 1},
@@ -63,27 +70,27 @@ class TestValidator:
         for field in TELEMETRY_EVENT_KINDS[kind]:
             record = {"ts": 1.0, "kind": kind, **EXAMPLES[kind]}
             del record[field]
-            with pytest.raises(TelemetrySchemaError):
+            with pytest.raises(ArtifactError):
                 validate_telemetry_event(record)
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(ArtifactError):
             validate_telemetry_event({"ts": 1.0, "kind": "run.nope"})
 
     def test_rejects_missing_or_bad_ts(self):
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(ArtifactError):
             validate_telemetry_event({"kind": "run.cached", "cell": 0})
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(ArtifactError):
             validate_telemetry_event(
                 {"ts": "now", "kind": "run.cached", "cell": 0}
             )
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(ArtifactError):
             validate_telemetry_event(
                 {"ts": -5.0, "kind": "run.cached", "cell": 0}
             )
 
     def test_rejects_missing_kind(self):
-        with pytest.raises(TelemetrySchemaError):
+        with pytest.raises(ArtifactError):
             validate_telemetry_event({"ts": 1.0})
 
 
@@ -115,13 +122,13 @@ class TestStreamValidator:
         self._write(path, [
             {"ts": 2.0, "kind": "run.start", **EXAMPLES["run.start"]},
         ])
-        with pytest.raises(TelemetrySchemaError, match="batch.meta"):
+        with pytest.raises(ArtifactError, match="batch.meta"):
             validate_telemetry_jsonl(path)
 
     def test_schema_version_is_checked(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
-        self._write(path, [self._meta(schema=999)])
-        with pytest.raises(TelemetrySchemaError, match="schema"):
+        self._write(path, [self._meta(schema_version=999)])
+        with pytest.raises(ArtifactError, match="schema_version"):
             validate_telemetry_jsonl(path)
 
     def test_rejects_malformed_json_with_line_number(self, tmp_path):
@@ -129,13 +136,13 @@ class TestStreamValidator:
         path.write_text(
             json.dumps(self._meta()) + "\n" + "{not json\n"
         )
-        with pytest.raises(TelemetrySchemaError, match=":2"):
+        with pytest.raises(ArtifactError, match=":2"):
             validate_telemetry_jsonl(path)
 
     def test_rejects_empty_stream(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         path.write_text("")
-        with pytest.raises(TelemetrySchemaError, match="empty"):
+        with pytest.raises(ArtifactError, match="empty"):
             validate_telemetry_jsonl(path)
 
     def test_interleaved_timestamps_are_legal(self, tmp_path):
@@ -276,6 +283,31 @@ class TestWorkerTelemetry:
         records = read_telemetry_records(tmp_path / "t.jsonl", 0)[0]
         assert [r["kind"] for r in records].count("run.heartbeat") >= 2
 
+    @pytest.mark.parametrize("last", ["done", "error"])
+    def test_last_record_closes_the_sink(self, tmp_path, last):
+        # an append handle left open warns when the context is collected;
+        # the warning is raised inside a finaliser, which reports it to
+        # sys.unraisablehook instead of the caller
+        worker = WorkerTelemetry(str(tmp_path / "t.jsonl"), cell=0,
+                                 until_ms=1.0)
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                worker.start()
+                if last == "done":
+                    worker.done(wall_s=0.1, events=1)
+                else:
+                    worker.error(ValueError("boom"))
+                del worker
+                gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert [str(u.exc_value) for u in unraisable] == []
+        records = read_telemetry_records(tmp_path / "t.jsonl", 0)[0]
+        assert [r["kind"] for r in records] == ["run.start", f"run.{last}"]
+
 
 def _cells(n, until_ms=1000.0):
     return [
@@ -372,21 +404,26 @@ class TestBatchStatus:
 class TestStatusFile:
     def test_write_read_roundtrip(self, tmp_path):
         status = BatchStatus("b1", "sweep", _cells(2))
-        path = status.write(tmp_path / "status.json")
-        snap = read_status(path)
-        assert snap["schema"] == STATUS_SCHEMA_VERSION
+        path = tmp_path / "status.json"
+        artifact.write(path, STATUS, status.snapshot())
+        document = artifact.load(path, STATUS)
+        assert document["family"] == "status"
+        snap = document["payload"]
         assert snap["batch"] == "b1"
         assert len(snap["cells"]) == 2
 
     def test_no_temp_litter_after_write(self, tmp_path):
-        write_status({"schema": STATUS_SCHEMA_VERSION}, tmp_path / "s.json")
+        snapshot = BatchStatus("b1", "sweep", _cells(1)).snapshot()
+        artifact.write(tmp_path / "s.json", STATUS, snapshot)
         assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
     def test_read_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "s.json"
-        path.write_text(json.dumps({"schema": 999}))
-        with pytest.raises(ValueError, match="schema"):
-            read_status(path)
+        snapshot = BatchStatus("b1", "sweep", _cells(1)).snapshot()
+        document = artifact.write(path, STATUS, snapshot)
+        path.write_text(json.dumps({**document, "schema_version": 999}))
+        with pytest.raises(ValueError, match="schema_version"):
+            artifact.load(path, STATUS)
 
 
 class TestRendering:
@@ -423,16 +460,10 @@ class TestRendering:
         old = status.snapshot()
         old["workers"][0]["host"] = "node-a"
         old["cells"][0]["host"] = "node-a"
-        status_path = write_status(old, tmp_path / "status.json")
-        frame = render_status(read_status(status_path))
+        status_path = tmp_path / "status.json"
+        artifact.write(status_path, STATUS, old)
+        frame = render_status(artifact.load(status_path, STATUS)["payload"])
         assert "pid=4242" in frame and "node-a" not in frame
-
-    @pytest.mark.parametrize("kind", sorted(TELEMETRY_EVENT_KINDS))
-    def test_format_covers_every_kind(self, kind):
-        line = format_telemetry_record(
-            {"ts": 1700000000.0, "kind": kind, **EXAMPLES[kind]}
-        )
-        assert kind in line
 
 
 class TestPeakRss:

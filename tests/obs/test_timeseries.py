@@ -5,20 +5,20 @@ import math
 
 import pytest
 
+from repro import artifact
 from repro.obs.timeseries import (
     DEFAULT_MAX_POINTS,
+    SERIES,
     FixedHistogram,
     LogHistogram,
     Series,
     TimeSeriesSampler,
     gauge,
-    load_series_json,
     render_series_report,
     sparkline,
     validate_series,
     windowed_rate,
     write_series_csv,
-    write_series_json,
 )
 
 
@@ -153,10 +153,9 @@ class TestExport:
 
     def test_json_round_trip_validates(self, tmp_path):
         sampler = self._sampler()
-        path = write_series_json(
-            sampler, tmp_path / "s.json", meta={"scheduler": "LOW"}
-        )
-        payload = load_series_json(path)
+        path = tmp_path / "s.json"
+        artifact.write(path, SERIES, sampler.to_dict(meta={"scheduler": "LOW"}))
+        payload = artifact.load(path, SERIES)["payload"]
         assert payload["samples"] == 4
         assert payload["meta"]["scheduler"] == "LOW"
         assert payload["series"]["a"]["points"] == [
@@ -170,23 +169,24 @@ class TestExport:
         assert lines[1] == "a,5,10"
         assert len(lines) == 1 + 2 * 4
 
-    def test_validate_rejects_wrong_schema(self):
-        with pytest.raises(ValueError):
-            validate_series({"schema": 999, "series": {}})
+    def test_validate_rejects_wrong_schema(self, tmp_path):
+        path = tmp_path / "s.json"
+        document = artifact.write(path, SERIES, self._sampler().to_dict())
+        path.write_text(json.dumps({**document, "schema_version": 999}))
+        with pytest.raises(ValueError, match="schema_version"):
+            artifact.load(path, SERIES)
 
     def test_validate_rejects_malformed_points(self):
-        payload = {
-            "schema": 1,
-            "series": {"x": {"count": 1, "points": [[1.0]]}},
-        }
+        payload = {"series": {"x": {"count": 1, "points": [[1.0]]}}}
         with pytest.raises(ValueError):
             validate_series(payload)
 
     def test_load_rejects_corrupted_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": 1}))
-        with pytest.raises(ValueError):
-            load_series_json(path)
+        document = artifact.write(path, SERIES, self._sampler().to_dict())
+        path.write_text(json.dumps({**document, "payload": {}}))
+        with pytest.raises(ValueError, match="series"):
+            artifact.load(path, SERIES)
 
 
 class TestSparkline:
@@ -210,12 +210,13 @@ class TestReport:
         sampler.add_probe("cn.util", lambda t: 0.5, unit="frac")
         sampler.add_probe("sched.mpl", lambda t: t)
         sampler.advance_to(50.0)
-        path = write_series_json(sampler, tmp_path / "s.json")
-        text = render_series_report(load_series_json(path))
+        path = tmp_path / "s.json"
+        artifact.write(path, SERIES, sampler.to_dict())
+        text = render_series_report(artifact.load(path, SERIES)["payload"])
         assert "cn.util" in text and "sched.mpl" in text
         assert "frac" in text
         assert "10 sample(s)" in text
 
     def test_report_on_empty_payload(self):
-        text = render_series_report({"schema": 1, "series": {}})
+        text = render_series_report({"series": {}})
         assert "no series" in text

@@ -15,6 +15,7 @@ import inspect
 
 import pytest
 
+from repro import artifact
 from repro.core.base import Scheduler
 from repro.core.locks import LockTable
 from repro.core.registry import available
@@ -22,7 +23,7 @@ from repro.des.engine import Environment
 from repro.machine import MachineConfig
 from repro.machine.control_node import ControlNode
 from repro.obs.profile import PhaseProfiler
-from repro.obs.timeseries import TimeSeriesSampler, load_series_json, write_series_json
+from repro.obs.timeseries import SERIES, TimeSeriesSampler
 from repro.sim.simulation import Simulation, run_simulation
 from repro.txn.workload import experiment1_workload
 
@@ -111,8 +112,9 @@ class TestSampledTrajectories:
 
     def test_artifact_round_trips(self, tmp_path):
         sampler = self._sampled()
-        path = write_series_json(sampler, tmp_path / "run.series.json")
-        payload = load_series_json(path)
+        path = tmp_path / "run.series.json"
+        artifact.write(path, SERIES, sampler.to_dict())
+        payload = artifact.load(path, SERIES)["payload"]
         assert payload["samples"] == sampler.samples_taken
         assert set(payload["series"]) == set(sampler.series)
 

@@ -13,8 +13,10 @@ import json
 
 import pytest
 
+from repro import artifact
 from repro.machine import MachineConfig
-from repro.obs import MemoryRecorder, validate_jsonl, write_jsonl
+from repro.obs import MemoryRecorder, write_jsonl
+from repro.obs.events import TRACE
 from repro.obs.export import to_chrome_trace
 from repro.obs.recorder import NULL_RECORDER
 from repro.sim.simulation import Simulation, run_simulation
@@ -110,7 +112,7 @@ class TestArtifacts:
         _run("LOW", recorder=recorder)
         path = write_jsonl(recorder.events, tmp_path / "run.jsonl",
                            meta={"scheduler": "LOW", "seed": QUICK["seed"]})
-        assert validate_jsonl(path) == len(recorder.events) + 1
+        assert artifact.check_stream(path, TRACE) == len(recorder.events) + 1
 
     def test_chrome_trace_json_serializable(self):
         recorder = MemoryRecorder()

@@ -18,8 +18,10 @@ import textwrap
 
 import pytest
 
+from repro import artifact
 from repro.machine import MachineConfig
-from repro.obs import read_status, read_telemetry_records
+from repro.obs import read_telemetry_records
+from repro.obs.telemetry import STATUS
 from repro.runner import (
     ParallelRunner,
     ResultCache,
@@ -27,7 +29,7 @@ from repro.runner import (
     WorkerTaskError,
     WorkloadSpec,
 )
-from repro.runner.runner import BACKENDS
+from repro.runner.runner import BACKENDS, MANIFEST
 from repro.runner.worker import EXIT_TEST_ENV, STALL_TEST_ENV, execute_spec
 from tests import child_env
 
@@ -35,6 +37,14 @@ from tests import child_env
 ALL_BACKENDS = sorted(BACKENDS)
 #: the names that run a multi-worker batch on the worker pool
 POOL_BACKENDS = [name for name in ALL_BACKENDS if name != "serial"]
+
+
+def read_status(path):
+    return artifact.load(path, STATUS)["payload"]
+
+
+def read_manifest(path):
+    return artifact.load(path, MANIFEST)["payload"]
 
 
 def make_specs(count, duration_ms=15_000.0):
@@ -98,7 +108,7 @@ class TestConformance:
         assert [r.to_dict() for r in results] == reference
         meta = batch_records(runner)[0]
         assert meta["kind"] == "batch.meta"
-        assert meta["backend"] == backend
+        assert meta["payload"]["backend"] == backend
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_cache_populated_by_one_backend_serves_another(
@@ -126,7 +136,7 @@ class TestConformance:
         runner = make_runner(tmp_path, backend, progress=listener)
         with pytest.raises(KeyboardInterrupt):
             runner.run_batch(make_specs(3), label=f"intr-{backend}")
-        manifest = json.loads(runner.last_manifest_path.read_text())
+        manifest = read_manifest(runner.last_manifest_path)
         assert manifest["status"] == "interrupted"
         assert manifest["backend"] == backend
         status_path = runner.runs_dir / runner.last_batch_id / "status.json"
@@ -214,7 +224,7 @@ class TestWorkerDeathAcrossBackends:
         assert results[0] is not None and results[2] is not None
         assert results[1] is None
         assert "died" in runner.last_failures[1]
-        manifest = json.loads(runner.last_manifest_path.read_text())
+        manifest = read_manifest(runner.last_manifest_path)
         assert manifest["status"] == "partial"
         assert [r["status"] for r in manifest["runs"]] == [
             "done", "failed", "done",
@@ -231,7 +241,7 @@ class TestWorkerDeathAcrossBackends:
             runner.run_batch(specs, label="raises")
         assert "NO-SUCH-SCHEDULER" in str(caught.value)
         assert "Traceback" in caught.value.traceback
-        manifest = json.loads(runner.last_manifest_path.read_text())
+        manifest = read_manifest(runner.last_manifest_path)
         assert manifest["status"] == "failed"
 
 

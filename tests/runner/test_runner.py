@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import artifact
 from repro.machine import MachineConfig
 from repro.runner import (
     ParallelRunner,
@@ -18,6 +19,7 @@ from repro.runner import (
     WorkloadSpec,
     execute_spec,
 )
+from repro.runner.runner import MANIFEST
 
 QUICK = dict(duration_ms=20_000.0, warmup_ms=0.0)
 
@@ -117,7 +119,9 @@ class TestManifest:
         runner.run_batch(specs, label="my sweep")
         path = runner.last_manifest_path
         assert path is not None and path.exists()
-        payload = json.loads(path.read_text())
+        document = artifact.load(path, MANIFEST)
+        assert document["family"] == "manifest"
+        payload = document["payload"]
         assert payload["label"] == "my sweep"
         assert payload["pool_size"] == 1
         assert payload["counts"]["total"] == 2

@@ -2,8 +2,9 @@
 
 import json
 
+from repro import artifact
 from repro.machine import MachineConfig
-from repro.obs.timeseries import load_series_json
+from repro.obs.timeseries import SERIES
 from repro.runner import ParallelRunner, ResultCache, RunSpec, WorkloadSpec
 from repro.runner.worker import execute_spec, series_artifact_path
 
@@ -49,7 +50,7 @@ class TestExecuteSpec:
         result = execute_spec(s, series_dir=tmp_path)
         path = series_artifact_path(tmp_path, s)
         assert path.exists()
-        payload = load_series_json(path)
+        payload = artifact.load(path, SERIES)["payload"]
         assert payload["samples"] == 20  # 20s at the pinned 1s interval
         assert payload["meta"]["scheduler"] == "C2PL"
         assert "cn.util" in payload["series"]
@@ -92,7 +93,7 @@ class TestRunnerIntegration:
             str(series_artifact_path(tmp_path / "series", s)) for s in specs
         ]
         on_disk = json.loads(runner.last_manifest_path.read_text())
-        assert on_disk["runs"] == entries
+        assert on_disk["payload"]["runs"] == entries
 
     def test_unsampled_batch_has_null_artifacts(self, tmp_path):
         runner = ParallelRunner(
@@ -109,9 +110,9 @@ class TestRunnerIntegration:
         specs = [spec(rate=0.4), spec(rate=0.8)]
         runner.run_batch(specs, label="pooled")
         for s in specs:
-            payload = load_series_json(
-                series_artifact_path(tmp_path / "series", s)
-            )
+            payload = artifact.load(
+                series_artifact_path(tmp_path / "series", s), SERIES
+            )["payload"]
             assert payload["samples"] == 20
 
     def test_cached_rerun_keeps_artifact_reference(self, tmp_path):

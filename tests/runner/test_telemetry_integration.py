@@ -6,16 +6,12 @@ test hooks (:data:`STALL_TEST_ENV` sleeps heartbeat-free after
 child processes inherit through the environment.
 """
 
-import json
-
 import pytest
 
+from repro import artifact
 from repro.machine import MachineConfig
-from repro.obs import (
-    read_status,
-    read_telemetry_records,
-    validate_telemetry_jsonl,
-)
+from repro.obs import read_telemetry_records
+from repro.obs.telemetry import STATUS, TELEMETRY
 from repro.runner import (
     ParallelRunner,
     ResultCache,
@@ -23,7 +19,16 @@ from repro.runner import (
     RunSpec,
     WorkloadSpec,
 )
+from repro.runner.runner import MANIFEST
 from repro.runner.worker import EXIT_TEST_ENV, STALL_TEST_ENV
+
+
+def read_status(path):
+    return artifact.load(path, STATUS)["payload"]
+
+
+def read_manifest(path):
+    return artifact.load(path, MANIFEST)["payload"]
 
 
 def make_specs(count, duration_ms=15_000.0):
@@ -70,7 +75,7 @@ class TestHappyPath:
         assert all(r is not None for r in results)
         assert runner.last_failures == {}
         telemetry_path, status_path = batch_artifacts(runner)
-        assert validate_telemetry_jsonl(telemetry_path) > 0
+        assert artifact.check_stream(telemetry_path, TELEMETRY) > 0
         kinds = stream_kinds(telemetry_path)
         assert kinds[0] == "batch.meta"
         assert kinds[-1] == "batch.done"
@@ -119,7 +124,7 @@ class TestHappyPath:
         assert status["counts"]["cached"] == 1
         assert status["counts"]["done"] == 2
         assert status["progress"] == 1.0
-        manifest = json.loads(runner.last_manifest_path.read_text())
+        manifest = read_manifest(runner.last_manifest_path)
         assert [r["status"] for r in manifest["runs"]] == [
             "cached", "done", "done",
         ]
@@ -161,7 +166,7 @@ class TestStallDetection:
         status = read_status(status_path)
         assert status["status"] == "partial"
         assert status["cells"][1]["state"] == "failed"
-        manifest = json.loads(runner.last_manifest_path.read_text())
+        manifest = read_manifest(runner.last_manifest_path)
         assert manifest["status"] == "partial"
         assert manifest["runs"][1]["status"] == "failed"
         assert "stalled" in manifest["runs"][1]["error"]
@@ -193,7 +198,7 @@ class TestBrokenPool:
         assert results[0] is not None and results[2] is not None
         assert results[1] is None
         assert "died" in runner.last_failures[1]
-        manifest = json.loads(runner.last_manifest_path.read_text())
+        manifest = read_manifest(runner.last_manifest_path)
         assert manifest["status"] == "partial"
         assert [r["status"] for r in manifest["runs"]] == [
             "done", "failed", "done",
@@ -223,7 +228,7 @@ class TestInterrupt:
         runner = make_runner(tmp_path, pool_size=1, progress=listener)
         with pytest.raises(KeyboardInterrupt):
             runner.run_batch(make_specs(3), label="interrupt")
-        manifest = json.loads(runner.last_manifest_path.read_text())
+        manifest = read_manifest(runner.last_manifest_path)
         assert manifest["status"] == "interrupted"
         statuses = [r["status"] for r in manifest["runs"]]
         assert statuses[0] == "done"

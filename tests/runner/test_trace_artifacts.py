@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
+from repro import artifact
 from repro.machine import MachineConfig
-from repro.obs import validate_jsonl
+from repro.obs.events import TRACE, TraceEvent
 from repro.runner import ParallelRunner, ResultCache, RunSpec, WorkloadSpec
 from repro.runner.worker import execute_spec, trace_artifact_path
 
@@ -46,11 +49,31 @@ class TestExecuteSpec:
         result = execute_spec(s, traces_dir=tmp_path)
         path = trace_artifact_path(tmp_path, s)
         assert path.exists()
-        assert validate_jsonl(path) > 1
+        assert artifact.check_stream(path, TRACE) > 1
         assert result.completed > 0
-        meta = json.loads(path.read_text().splitlines()[0])
+        meta = json.loads(path.read_text().splitlines()[0])["payload"]
         assert meta["scheduler"] == "C2PL"
         assert meta["seed"] == 1
+
+    def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
+        # the artifact is content-addressed: a prefix left at its path
+        # would pass for the whole run, so a failed write leaves nothing
+        to_record = TraceEvent.to_record
+        calls = []
+
+        def failing(event):
+            calls.append(event)
+            if len(calls) == 10:
+                raise RuntimeError("disk gone")
+            return to_record(event)
+
+        monkeypatch.setattr(TraceEvent, "to_record", failing)
+        s = spec()
+        with pytest.raises(RuntimeError, match="disk gone"):
+            execute_spec(s, traces_dir=tmp_path)
+        assert len(calls) == 10
+        assert not trace_artifact_path(tmp_path, s).exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_untraced_spec_writes_nothing(self, tmp_path):
         execute_spec(spec(trace=False), traces_dir=tmp_path)
@@ -83,7 +106,7 @@ class TestRunnerIntegration:
             str(trace_artifact_path(tmp_path / "traces", s)) for s in specs
         ]
         on_disk = json.loads(runner.last_manifest_path.read_text())
-        assert on_disk["runs"] == entries
+        assert on_disk["payload"]["runs"] == entries
 
     def test_untraced_batch_has_null_artifacts(self, tmp_path):
         runner = ParallelRunner(
@@ -102,7 +125,7 @@ class TestRunnerIntegration:
         for s in specs:
             path = trace_artifact_path(tmp_path / "traces", s)
             assert path.exists()
-            assert validate_jsonl(path) > 1
+            assert artifact.check_stream(path, TRACE) > 1
 
     def test_cached_rerun_keeps_artifact_reference(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

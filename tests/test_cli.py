@@ -4,8 +4,13 @@ import json
 
 import pytest
 
-from repro.analysis.arena import load_arena
+from repro import artifact
+from repro.analysis.arena import ARENA
 from repro.cli import build_parser, main
+
+
+def load_arena(path):
+    return artifact.load(path, ARENA)["payload"]
 
 
 class TestParser:
@@ -245,30 +250,10 @@ class TestTelemetryCommands:
 
     def test_runs_list_and_show(self, tmp_path, capsys):
         self._sweep(tmp_path, capsys)
-        assert main([
-            "runs", "list", "--runs-dir", str(tmp_path / "runs"),
-        ]) == 0
+        assert main(["runs", "--runs-dir", str(tmp_path / "runs")]) == 0
         out = capsys.readouterr().out
         assert "cli-sweep" in out
         assert "complete" in out
-        assert main([
-            "runs", "show", "latest",
-            "--runs-dir", str(tmp_path / "runs"),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert '"status": "complete"' in out
-        assert "telemetry.jsonl" in out
-
-    def test_tail_once_prints_validated_records(self, tmp_path, capsys):
-        self._sweep(tmp_path, capsys)
-        assert main([
-            "tail", "latest", "--once",
-            "--runs-dir", str(tmp_path / "runs"),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "batch.meta" in out
-        assert "run.done" in out
-        assert "batch.done" in out
 
     def test_watch_unknown_batch_fails_cleanly(self, tmp_path, capsys):
         assert main([
@@ -419,9 +404,9 @@ class TestExplainCommand:
         stdout = capsys.readouterr().out
         assert "## Time budget" in stdout
         assert "schema valid" in stdout
-        from repro.analysis.explain import load_explain
+        from repro.analysis.explain import EXPLAIN
 
-        payload = load_explain(out / "EXPLAIN.json")
+        payload = artifact.load(out / "EXPLAIN.json", EXPLAIN)["payload"]
         assert payload["source"]["trace"] == str(trace_path)
         assert (out / "EXPLAIN.md").read_text(encoding="utf-8").startswith(
             "# Explain"
@@ -430,13 +415,11 @@ class TestExplainCommand:
     def test_explain_json_emits_machine_readable_payload(
         self, trace_path, capsys
     ):
-        import json as json_mod
-
         assert main([
             "explain", str(trace_path), "--json", "--out", "",
         ]) == 0
-        payload = json_mod.loads(capsys.readouterr().out)
-        assert payload["kind"] == "explain"
+        payload = json.loads(capsys.readouterr().out)
+        assert {"source", "budget", "transactions"} <= set(payload)
         assert payload["budget"]["total_ms"] > 0
 
     def test_explain_txn_deep_dive(self, trace_path, capsys):
@@ -453,6 +436,15 @@ class TestExplainCommand:
         assert main([
             "explain", str(tmp_path / "nope.trace.jsonl"), "--out", "",
         ]) != 0
+
+    def test_explain_refuses_an_un_enveloped_trace(self, tmp_path, capsys):
+        path = tmp_path / "old.trace.jsonl"
+        path.write_text(
+            '{"t": 0.0, "kind": "trace.meta", "schema": 1, "seed": 1}\n'
+            '{"t": 1.0, "kind": "txn.arrive", "txn": 1, "label": "B1"}\n'
+        )
+        assert main(["explain", str(path), "--out", ""]) == 1
+        assert "expected family 'trace'" in capsys.readouterr().err
 
     def test_report_leads_with_budget_headline(
         self, trace_path, tmp_path, capsys
