@@ -6,12 +6,14 @@ concurrency-control computation (deadlock tests, E(q), chain optimisation)
 -- is a FIFO job on this one CPU.  The CN is therefore a potential
 bottleneck exactly as in the paper's model.
 
-The CPU is a callback-driven FIFO server.  A slice is one event, fired at
-its end; the process that asked for it waits on that event alone.  The
-grant is a same-instant :meth:`~repro.des.Environment.call_at` hop to
-:meth:`ControlNode._start`, which schedules the end; the end's first
-callback, :meth:`ControlNode._finish`, books the slice and hands the CPU
-to the next waiter before the waiting process resumes.  Each sequence
+The CPU is a callback-driven FIFO server.  :meth:`ControlNode.request`
+queues one slice and returns it: the event fired at its end.  Whoever
+asked for it -- a process that yields it, or a step whose next hop is
+its callback -- waits on that event alone.  The grant is a same-instant
+:meth:`~repro.des.Environment.call_at` hop to :meth:`ControlNode._start`,
+which schedules the end; the end's first callback,
+:meth:`ControlNode._finish`, books the slice and hands the CPU to the
+next waiter before anyone waiting on the slice runs.  Each sequence
 number, trace record and float is taken in the order a CPU granting
 request events (a grant event, then a resume at the grant and another at
 the end) would take it.
@@ -52,6 +54,8 @@ class ControlNode:
     def __init__(self, env: Environment, config: MachineConfig) -> None:
         self.env = env
         self.config = config
+        #: ``config.scaled`` as one multiplication per slice
+        self._scale = config.cpu_scale
         self._trace = env.trace
         #: the slice holding the CPU, from its grant to its end
         self._serving: typing.Optional[_Slice] = None
@@ -66,20 +70,21 @@ class ControlNode:
         """Number of slices waiting for the CPU."""
         return len(self._waiting)
 
-    def consume(
+    def request(
         self, cost_ms: float, category: str = "other"
-    ) -> typing.Generator:
-        """Process generator: hold the CN CPU for ``cost_ms`` (scaled).
+    ) -> typing.Optional[Event]:
+        """Queue one slice of ``cost_ms`` (scaled) on the CPU and return
+        the event that fires at its end; a zero cost queues nothing and
+        returns ``None``.
 
-        Yield from this inside a transaction/scheduler process::
-
-            yield from cn.consume(config.sot_time_ms, "startup")
+        Nothing needs to wait on the slice: its callbacks run after the
+        CPU has booked it and granted the next waiter.
         """
         if cost_ms < 0 or math.isnan(cost_ms):
             raise ValueError(f"CPU cost must be >= 0, got {cost_ms}")
         if cost_ms == 0:
-            return
-        piece = _Slice(self, self.config.scaled(cost_ms), category)
+            return None
+        piece = _Slice(self, cost_ms * self._scale, category)
         if self._serving is None:
             self._serving = piece
             env = self.env
@@ -88,15 +93,25 @@ class ControlNode:
             self._waiting.append(piece)
             if self._trace.enabled:
                 self._trace_queue()
-        try:
+        return piece
+
+    def consume(
+        self, cost_ms: float, category: str = "other"
+    ) -> typing.Generator:
+        """Process generator: hold the CN CPU for ``cost_ms`` (scaled).
+
+        Yield from this inside a transaction/scheduler process::
+
+            yield from cn.consume(config.ddtime_ms, "cc-2pl")
+
+        A zero-cost slice yields nothing: yielding an event that has
+        already fired would cost the process a relay hop.
+        """
+        # the class's request, not a profiler's wrapper of it: a
+        # profiled consume is already this slice's one machine span
+        piece = type(self).request(self, cost_ms, category)
+        if piece is not None:
             yield piece
-        except GeneratorExit:
-            # the run ended and is closing its processes
-            # (Environment.close): drop every pending slice, whose
-            # callbacks refer back to this node, and grant nothing
-            self._serving = None
-            self._waiting.clear()
-            raise
 
     def _start(self, piece: _Slice) -> None:
         """The grant hop: put ``piece`` in service until its end."""
@@ -142,18 +157,6 @@ class ControlNode:
             self.env._now, "res.queue", name="cn.cpu", depth=len(self._waiting)
         )
 
-    def send_message(self) -> typing.Generator:
-        """CPU work for sending one message (plus wire delay if any)."""
-        yield from self.consume(self.config.msgtime_ms, "message")
-        self.messages.increment()
-        if self.config.netdelay_ms > 0:
-            yield self.env.timeout(self.config.netdelay_ms)
-
-    def receive_message(self) -> typing.Generator:
-        """CPU work for receiving one message."""
-        yield from self.consume(self.config.msgtime_ms, "message")
-        self.messages.increment()
-
     def utilisation(self, now: typing.Optional[float] = None) -> float:
         """Fraction of time the CN CPU was busy since the last reset."""
         value = self.busy.time_average(self.env.now if now is None else now)
@@ -182,6 +185,12 @@ class ControlNode:
                 "hist": size_hist(),
             },
         }
+
+    def close(self) -> None:
+        """Drop every pending slice (the run has ended): their callbacks
+        refer back to this node and to the steps waiting on them."""
+        self._serving = None
+        self._waiting.clear()
 
     def reset_statistics(self) -> None:
         """Restart utilisation averaging and cost accounting (warm-up)."""

@@ -8,6 +8,11 @@ partitions, the cohorts drain back to the home node and the transaction
 returns to the CN.  Nodes the placement keeps in lockstep are served by
 one :class:`DataProcessingNode` (a node group), which takes one cohort
 per step for all its members.
+
+A step is one event, :class:`StepExecution`, driven by callbacks: the
+send slice's end submits the cohorts, the cohorts' completion requests
+the receive slice, and the receive slice's end fires the step inline.
+The transaction's process resumes once per step.
 """
 
 from __future__ import annotations
@@ -15,27 +20,40 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.des import Environment
+from repro.des import Environment, Event, Timeout
 from repro.machine.config import MachineConfig
 from repro.machine.control_node import ControlNode
 from repro.machine.data_node import Cohort, Completion, DataProcessingNode
-from repro.machine.placement import DataPlacement
+from repro.machine.placement import DataPlacement, Nodes
+
+#: a step's fixed shape, per ``(file_id, cost)``: the node groups it
+#: submits to, each cohort's objects, the quantum, the objects summed
+#: over the file's nodes, and the nodes each cohort stands for (the
+#: group's size on a file that lies on one group, else 1)
+_Plan = typing.Tuple[typing.Tuple[Nodes, ...], float, float, float, int]
+
+_new = object.__new__
 
 
-class StepExecution:
-    """Live progress of one step's scan (drives WTPG T0-weight updates).
+class StepExecution(Event):
+    """One step of a transaction on the machine, and the event that fires
+    once the transaction is back at the CN.
+
+    :meth:`start` runs the step as a chain of callbacks; the step fires
+    inline at the end of its receive slice, never from the heap.
 
     ``cohorts`` holds one cohort per node group the step reaches, in
     submission order; ``shares`` (default: ``cohorts``) each node's
     cohort in placement order, a group's repeated once per member, so
-    sums run one addition per node.  Reads book the quanta the cohorts'
+    sums run one addition per node.  Reads of the scan's progress
+    (which drive WTPG T0-weight updates) book the quanta the cohorts'
     nodes have served by now, so they see what a quantum-by-quantum
     service would.
     """
 
     __slots__ = (
         "file_id", "declared_cost", "cohorts", "done", "_total_objects",
-        "_nodes", "_shares",
+        "_nodes", "_shares", "_machine",
     )
 
     def __init__(
@@ -47,10 +65,11 @@ class StepExecution:
         nodes: typing.Sequence[DataProcessingNode],
         shares: typing.Optional[typing.List[Cohort]] = None,
     ) -> None:
+        super().__init__(done.env)
         self.file_id = file_id
         self.declared_cost = declared_cost
         self.cohorts = cohorts
-        #: fires once every cohort has scanned its partition
+        #: fires one hop after every cohort has scanned its partition
         self.done = done
         #: the machine's nodes, indexed by node id (cohorts do not point
         #: back at their node)
@@ -60,6 +79,66 @@ class StepExecution:
         # of fraction_done() -- evaluated per WTPG node per scheduler
         # decision -- is summed once (same association as the property)
         self._total_objects = sum(c.objects for c in self._shares)
+        #: the machine whose CN carries the step's messages: only
+        #: :meth:`start` needs it, and only steps built by
+        #: :meth:`SharedNothingMachine.begin_step` have one
+        self._machine: typing.Optional["SharedNothingMachine"] = None
+
+    # -- the step's hops ------------------------------------------------------
+
+    def start(self) -> "StepExecution":
+        """Send the transaction to the file's home node: one CN message.
+
+        Returns this step, which fires once the scan is done and the
+        transaction's message back has been received at the CN.
+        """
+        machine = self._machine
+        machine._steps[self] = None
+        sent = machine.control_node.request(machine._msgtime_ms, "message")
+        if sent is None:
+            self._sent(None)
+        else:
+            sent.callbacks.append(self._sent)
+        return self
+
+    def _sent(self, _sent: typing.Optional[Event]) -> None:
+        """The send slice ends: the message crosses the network, if it
+        takes time, and the cohorts start."""
+        machine = self._machine
+        machine.control_node.messages.increment()
+        if machine._netdelay_ms > 0:
+            wire = Timeout(self.env, machine._netdelay_ms)
+            wire.callbacks.append(self._scan)
+        else:
+            self._scan(None)
+
+    def _scan(self, _wire: typing.Optional[Event]) -> None:
+        self.done.callbacks.append(self._receive)
+        self.submit()
+
+    def _receive(self, _done: Event) -> None:
+        """The scan is done: the home node's message back to the CN."""
+        machine = self._machine
+        received = machine.control_node.request(
+            machine._msgtime_ms, "message"
+        )
+        if received is None:
+            self._back(None)
+        else:
+            received.callbacks.append(self._back)
+
+    def _back(self, _received: typing.Optional[Event]) -> None:
+        """The receive slice ends: the step fires inline, so whoever
+        waits on it runs in this slice's callbacks, as it would have
+        run in its own resume at the slice's end."""
+        machine = self._machine
+        machine.control_node.messages.increment()
+        del machine._steps[self]
+        callbacks, self.callbacks = self.callbacks, []
+        self._value = None
+        self._triggered = self._processed = True
+        for callback in callbacks:
+            callback(self)
 
     def submit(self) -> Completion:
         """Submit each cohort to its node (a group's once, to the group);
@@ -68,6 +147,8 @@ class StepExecution:
         for cohort in self.cohorts:
             nodes[cohort.node_id].submit(cohort)
         return self.done
+
+    # -- progress -------------------------------------------------------------
 
     @property
     def total_objects(self) -> float:
@@ -114,6 +195,11 @@ class SharedNothingMachine:
         self.env = env
         self.config = config
         self.control_node = ControlNode(env, config)
+        self._msgtime_ms = config.msgtime_ms
+        self._netdelay_ms = config.netdelay_ms
+        #: steps started and not yet back at the CN (dropped by
+        #: :meth:`close`)
+        self._steps: typing.Dict[StepExecution, None] = {}
         self.data_nodes: typing.List[DataProcessingNode] = []
         self.placement = placement or DataPlacement(config)
 
@@ -127,6 +213,8 @@ class SharedNothingMachine:
     def placement(self, placement: DataPlacement) -> None:
         self._placement = placement
         self._layout = placement.cohort_layout
+        #: step plans by ``(file_id, cost)``, built for this placement
+        self._plans: typing.Dict[typing.Tuple[int, float], _Plan] = {}
         by_id: typing.Dict[int, DataProcessingNode] = {}
         for members in placement.node_groups():
             node = DataProcessingNode(
@@ -136,15 +224,9 @@ class SharedNothingMachine:
         # in place: the time-series probes hold the list
         self.data_nodes[:] = [by_id[node_id] for node_id in range(len(by_id))]
 
-    def begin_step(
-        self, txn_id: int, file_id: int, cost: float
-    ) -> StepExecution:
-        """Create (but do not submit) the cohorts for one step: one per
-        node group the file lies on.
-
-        The cohorts share the step's completion event, a countdown that
-        fires one hop after the last of them finishes.
-        """
+    def _plan(self, file_id: int, cost: float) -> _Plan:
+        """Validate and record the fixed shape of a step on ``file_id``
+        of total ``cost``."""
         layout = self._layout
         if not 0 <= file_id < len(layout):
             raise ValueError(
@@ -153,21 +235,61 @@ class SharedNothingMachine:
         nodes, groups = layout[file_id]
         dd = len(nodes)
         per_cohort = cost / dd
-        quantum = 1.0 / dd
+        if per_cohort < 0:
+            raise ValueError(f"cohort objects must be >= 0, got {per_cohort}")
+        # a file on a multi-node group lies on that group alone, so its
+        # one cohort stands for a share on each of the file's nodes
+        plan = self._plans[(file_id, cost)] = (
+            groups, per_cohort, 1.0 / dd, sum([per_cohort] * dd),
+            dd // len(groups),
+        )
+        return plan
+
+    def begin_step(
+        self, txn_id: int, file_id: int, cost: float
+    ) -> StepExecution:
+        """Create (but do not start) one step: one cohort per node group
+        the file lies on.
+
+        The cohorts share the step's completion event, a countdown that
+        fires one hop after the last of them finishes.
+        """
+        plan = self._plans.get((file_id, cost))
+        if plan is None:
+            plan = self._plan(file_id, cost)
+        groups, per_cohort, quantum, total, repeat = plan
         env = self.env
         done = Completion(env, len(groups), relay=True)
-        cohorts = [
-            Cohort(
-                env, txn_id, file_id, members[0], per_cohort, quantum,
-                done, members,
-            )
-            for members in groups
-        ]
-        # a file on a multi-node group lies on that group alone
-        shares = cohorts if len(cohorts) == dd else cohorts * dd
-        return StepExecution(
-            file_id, cost, cohorts, done, self.data_nodes, shares
-        )
+        cohorts = []
+        for members in groups:
+            # slots assigned directly: the plan has validated the values
+            cohort = _new(Cohort)
+            cohort.txn_id = txn_id
+            cohort.file_id = file_id
+            cohort.node_id = members[0]
+            cohort.nodes = members
+            cohort.objects = per_cohort
+            cohort.scanned = 0.0
+            cohort.quantum_objects = quantum
+            cohort.done = done
+            cohort._turns = 0
+            cohort._last = quantum
+            cohorts.append(cohort)
+        step = _new(StepExecution)
+        step.env = env
+        step.callbacks = []
+        step._value = Event._PENDING
+        step._ok = True
+        step._triggered = step._processed = False
+        step.file_id = file_id
+        step.declared_cost = cost
+        step.cohorts = cohorts
+        step.done = done
+        step._nodes = self.data_nodes
+        step._shares = cohorts * repeat if repeat > 1 else cohorts
+        step._total_objects = total
+        step._machine = self
+        return step
 
     def run_step(
         self, txn_id: int, file_id: int, cost: float
@@ -179,13 +301,21 @@ class SharedNothingMachine:
         their partitions and the transaction is back at the CN.
         """
         execution = self.begin_step(txn_id, file_id, cost)
-        # CN -> home node: one message send (cohort fan-out at the home
-        # node is a DPN control overhead the paper ignores).
-        yield from self.control_node.send_message()
-        yield execution.submit()
-        # home node -> CN: one message receive.
-        yield from self.control_node.receive_message()
+        yield execution.start()
         return execution
+
+    def close(self) -> None:
+        """Tear down a finished run: drop the pending CN slices and the
+        steps not yet back at the CN.
+
+        A started step and its cohorts' completion refer to each other,
+        and a pending slice and the CN do too; dropping the links lets
+        reference counting free the run.
+        """
+        self.control_node.close()
+        steps, self._steps = self._steps, {}
+        for step in steps:
+            step.done.callbacks.clear()
 
     def timeseries_probes(
         self,

@@ -15,9 +15,10 @@ profiled time without double counting.  A plain function is one span
 per call; a generator (a scheduler's ``acquire``,
 ``ControlNode.consume``) is one span per resume, never over the
 simulated time it spends suspended, with sends, throws, return values
-and ``close()`` relayed unchanged.  ``des`` is the event loop itself:
-the heap, event dispatch, and every callback and process body without
-an entry point of its own.  A wrapper only reads the clock, so a
+and ``close()`` relayed unchanged.  A CN slice is queued by one call of
+either ``consume`` or ``request``, so it is one ``machine`` call.  ``des`` is the event loop itself: the heap, event
+dispatch, and every callback and process body without an entry point
+of its own.  A wrapper only reads the clock, so a
 profiled run computes byte-identical results.
 """
 
@@ -36,7 +37,7 @@ _clock = time.perf_counter
 #: node group repeats one DPN per member) yields each object once.
 ENTRY_POINTS = (
     ("des", "env", ("run",)),
-    ("machine", "machine.control_node", ("consume",)),
+    ("machine", "machine.control_node", ("consume", "request")),
     ("machine", "machine.data_nodes", ("submit",)),
     ("machine", "machine", ("begin_step",)),
     ("sched", "scheduler",

@@ -7,7 +7,8 @@ transaction:
 2. scheduler admission (MPL gate + policy) and ``sot_time`` CPU startup;
 3. per step: lock acquisition through the scheduler at the step that
    first needs the file, then the scan (CN message out, DD cohorts served
-   round-robin on the DPNs, CN message in);
+   round-robin on the DPNs, CN message in), one
+   :class:`~repro.machine.machine.StepExecution` event;
 4. ``cot_time`` CPU commitment, optimistic validation if the policy has
    one, lock release; failed validation aborts and restarts the
    transaction from scratch.
@@ -26,7 +27,7 @@ from repro.core.registry import create as create_scheduler
 from repro.des import Environment, RandomStreams
 from repro.des.monitor import TimeWeighted
 from repro.machine.config import MachineConfig
-from repro.machine.machine import SharedNothingMachine
+from repro.machine.machine import SharedNothingMachine, StepExecution
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.txn.transaction import BatchTransaction
@@ -146,6 +147,7 @@ class Simulation:
             return self._result()
         finally:
             self.env.close()
+            self.machine.close()
             if self._profiler is not None:
                 self._profiler.detach(self)
 
@@ -172,26 +174,41 @@ class Simulation:
         self.scheduler.stats.reset()
 
     def _execute(self, txn: BatchTransaction) -> typing.Generator:
-        """Drive one transaction to commit, restarting on OPT aborts."""
+        """Drive one transaction to commit, restarting on OPT aborts.
+
+        The CN startup and commit slices and each step are single
+        events, so an attempt without CC waits resumes once for each.
+        Its generator is alive from arrival to commit, queued behind the
+        MPL gate too, so it keeps few locals.
+        """
         scheduler = self.scheduler
         cn = self.machine.control_node
         attempt = txn
         while True:
             attempt_started = self.env.now
             yield from scheduler.admit(attempt)
-            yield from cn.consume(self.config.sot_time_ms, "startup")
+            piece = cn.request(self.config.sot_time_ms, "startup")
+            if piece is not None:
+                yield piece
 
             try:
                 while not attempt.finished_all_steps:
                     step = attempt.current_step
-                    first_need = attempt.first_step_needing(step.file_id)
-                    if first_need == attempt.current_step_index:
+                    if (
+                        attempt.first_step_needing(step.file_id)
+                        == attempt.current_step_index
+                    ):
                         yield from scheduler.acquire(attempt, step.file_id)
                     if self.auditor is not None:
                         self.auditor.record_access(
                             attempt.txn_id, step.file_id, step.mode, self.env.now
                         )
-                    yield from self._run_step(attempt)
+                    yield self._start_step(attempt)
+                    if self.trace.enabled:
+                        self.trace.emit(
+                            self.env.now, "txn.step_end", txn=attempt.txn_id,
+                            file=step.file_id, step=attempt.current_step_index,
+                        )
                     attempt.advance()
             except TransactionAborted:
                 # deadlock victim (plain 2PL): roll back and restart
@@ -209,7 +226,9 @@ class Simulation:
                 attempt = restarted
                 continue
 
-            yield from cn.consume(self.config.cot_time_ms, "commit")
+            piece = cn.request(self.config.cot_time_ms, "commit")
+            if piece is not None:
+                yield piece
             if scheduler.validate_at_commit(attempt):
                 yield from scheduler.commit(attempt)
                 if self.auditor is not None:
@@ -231,8 +250,10 @@ class Simulation:
                 )
             attempt = restarted
 
-    def _run_step(self, txn: BatchTransaction) -> typing.Generator:
-        """The machine-level scan of the current step (Section 4.1)."""
+    def _start_step(self, txn: BatchTransaction) -> StepExecution:
+        """Start the scan of ``txn``'s current step (Section 4.1): CN
+        message out, DD cohorts on the DPNs, CN message in.  Returns the
+        step, one event."""
         step = txn.current_step
         if self.trace.enabled:
             self.trace.emit(
@@ -240,19 +261,10 @@ class Simulation:
                 file=step.file_id, step=txn.current_step_index,
                 cost=step.cost,
             )
-        execution = self.machine.begin_step(
+        execution = txn.current_execution = self.machine.begin_step(
             txn.txn_id, step.file_id, step.cost
         )
-        txn.current_execution = execution
-        cn = self.machine.control_node
-        yield from cn.send_message()
-        yield execution.submit()
-        yield from cn.receive_message()
-        if self.trace.enabled:
-            self.trace.emit(
-                self.env.now, "txn.step_end", txn=txn.txn_id,
-                file=step.file_id, step=txn.current_step_index,
-            )
+        return execution.start()
 
     def _allocate_restart_id(self) -> int:
         self._next_restart_id += 1

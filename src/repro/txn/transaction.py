@@ -17,6 +17,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.machine import StepExecution
 
 
+_EXCLUSIVE = AccessMode.EXCLUSIVE
+_new = object.__new__
+
+
 class TransactionState(enum.Enum):
     """Lifecycle of a batch transaction."""
 
@@ -49,22 +53,55 @@ class BatchTransaction:
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         self.txn_id = txn_id
-        self.steps = list(steps)
+        self.steps = steps = list(steps)
         self.arrival_time = arrival_time
         self.attempt = attempt
         #: free-form workload class tag (drives per-class metrics)
         self.label = label
         if declared_costs is None:
-            declared_costs = [step.cost for step in self.steps]
+            declared_costs = [step.cost for step in steps]
         declared = [float(c) for c in declared_costs]
-        if len(declared) != len(self.steps):
+        if len(declared) != len(steps):
             raise ValueError(
-                f"{len(declared)} declared costs for {len(self.steps)} steps"
+                f"{len(declared)} declared costs for {len(steps)} steps"
             )
-        if any(c < 0 for c in declared):
-            raise ValueError("declared costs must be >= 0")
         self.declared_costs = declared
+        self._begin()
 
+        # The declared shape never changes after construction, so the
+        # views schedulers hammer per decision are built here in one
+        # pass.  Lock plan: strongest mode ever needed per file, the
+        # files in the order of the step that first touches each (the
+        # paper: "X-locks are requested at the first two steps" of
+        # Pattern 1); the access sets; and the suffix sums of the
+        # declared costs (each with the left-to-right association of a
+        # fresh ``sum`` over the slice).
+        mode_by_file: typing.Dict[int, AccessMode] = {}
+        first_need: typing.Dict[int, int] = {}
+        written = []
+        for index, step in enumerate(steps):
+            file_id = step.file_id
+            mode = step.mode
+            if file_id not in first_need:
+                first_need[file_id] = index
+                mode_by_file[file_id] = mode
+            elif mode is _EXCLUSIVE:
+                mode_by_file[file_id] = mode
+            if mode is _EXCLUSIVE:
+                written.append(file_id)
+            if declared[index] < 0:
+                raise ValueError("declared costs must be >= 0")
+        self._mode_by_file = mode_by_file
+        self._first_need = first_need
+        self._files: typing.List[int] = list(first_need)
+        self._read_set: typing.FrozenSet[int] = frozenset(first_need)
+        self._write_set: typing.FrozenSet[int] = frozenset(written)
+        self._cost_from_step: typing.List[float] = [
+            sum(declared[i:]) for i in range(len(declared) + 1)
+        ]
+
+    def _begin(self) -> None:
+        """Set the state of an attempt that has not started."""
         self.state = TransactionState.PENDING
         #: index of the step being (or about to be) executed
         self.current_step_index = 0
@@ -72,35 +109,6 @@ class BatchTransaction:
         self.current_execution: typing.Optional["StepExecution"] = None
         self.start_time: typing.Optional[float] = None
         self.commit_time: typing.Optional[float] = None
-
-        # Lock plan: strongest mode ever needed per file, ordered by the
-        # step that first touches the file (the paper: "X-locks are
-        # requested at the first two steps" of Pattern 1).
-        self._mode_by_file: typing.Dict[int, AccessMode] = {}
-        self._first_need: typing.Dict[int, int] = {}
-        for index, step in enumerate(self.steps):
-            current = self._mode_by_file.get(step.file_id)
-            if current is None:
-                self._mode_by_file[step.file_id] = step.mode
-                self._first_need[step.file_id] = index
-            elif step.mode.is_write and not current.is_write:
-                self._mode_by_file[step.file_id] = AccessMode.EXCLUSIVE
-
-        # The declared shape never changes after construction, so the
-        # derived views schedulers hammer per decision are precomputed:
-        # the first-need file order, the access sets, and the suffix
-        # sums of the declared costs (computed with the same
-        # left-to-right association as a fresh ``sum`` over the slice).
-        self._files: typing.List[int] = sorted(
-            self._first_need, key=self._first_need.__getitem__
-        )
-        self._read_set: typing.FrozenSet[int] = frozenset(self._mode_by_file)
-        self._write_set: typing.FrozenSet[int] = frozenset(
-            f for f, m in self._mode_by_file.items() if m.is_write
-        )
-        self._cost_from_step: typing.List[float] = [
-            sum(declared[i:]) for i in range(len(declared) + 1)
-        ]
 
     # -- static shape -------------------------------------------------------
 
@@ -222,16 +230,24 @@ class BatchTransaction:
         """A fresh attempt of this transaction (for OPT restarts).
 
         Same steps and declarations, same original arrival time, attempt
-        counter bumped.
+        counter bumped.  The declared shape is shared with this attempt:
+        nothing changes it after construction.
         """
-        return BatchTransaction(
-            txn_id=new_txn_id,
-            steps=self.steps,
-            arrival_time=self.arrival_time,
-            declared_costs=self.declared_costs,
-            attempt=self.attempt + 1,
-            label=self.label,
-        )
+        copy = _new(BatchTransaction)
+        copy.txn_id = new_txn_id
+        copy.steps = self.steps
+        copy.arrival_time = self.arrival_time
+        copy.attempt = self.attempt + 1
+        copy.label = self.label
+        copy.declared_costs = self.declared_costs
+        copy._begin()
+        copy._mode_by_file = self._mode_by_file
+        copy._first_need = self._first_need
+        copy._files = self._files
+        copy._read_set = self._read_set
+        copy._write_set = self._write_set
+        copy._cost_from_step = self._cost_from_step
+        return copy
 
     def response_time(self) -> float:
         """Arrival-to-commit latency; requires a committed transaction."""

@@ -3,11 +3,12 @@
 A test oracle for ``repro.machine.control_node``: :class:`Resource` is a
 FIFO multi-server pool whose grants are events, and
 :class:`ReferenceControlNode` serves every CN slice through it -- a
-``Request`` event, a process resume when it is granted and another when
-the slice's ``Timeout`` fires.  The callback-driven ``ControlNode``
-promises exactly the same sequence numbers, trace records (including the
-``res.queue`` records of the ``cn.cpu`` line) and floats, so a run under
-either must agree with ``==``.
+``Request`` event whose grant starts the slice's ``Timeout``, whose end
+books the slice, releases the server and fires the slice's event.  The
+``ControlNode`` serving slices without grant events promises exactly the
+same sequence numbers, trace records (including the ``res.queue``
+records of the ``cn.cpu`` line) and floats, so a run under either must
+agree with ``==``.
 """
 
 from __future__ import annotations
@@ -129,21 +130,22 @@ class ReferenceControlNode(ControlNode):
         super().__init__(env, config)
         self.cpu = Resource(env, capacity=1, name="cn.cpu")
 
-    def consume(
+    def request(
         self, cost_ms: float, category: str = "other"
-    ) -> typing.Generator:
+    ) -> typing.Optional[Event]:
         if cost_ms < 0 or math.isnan(cost_ms):
             raise ValueError(f"CPU cost must be >= 0, got {cost_ms}")
         if cost_ms == 0:
-            return
+            return None
         scaled = self.config.scaled(cost_ms)
         env = self.env
         busy = self.busy
         trace = self._trace
         cpu = self.cpu
+        piece = Event(env)
         req = cpu.request()
-        try:
-            yield req
+
+        def grant(_req: Event) -> None:
             if busy.value != 1.0:
                 busy.update(env.now, 1.0)
             if trace.enabled:
@@ -151,21 +153,26 @@ class ReferenceControlNode(ControlNode):
                     env.now, "cn.exec_start",
                     category=category, cost_ms=scaled,
                 )
-            yield Timeout(env, scaled)
+            Timeout(env, scaled).callbacks.append(end)
+
+        def end(_timeout: Event) -> None:
             categories = self.cpu_ms_by_category
             categories[category] = categories.get(category, 0.0) + scaled
             if trace.enabled:
                 trace.emit(env.now, "cn.exec_end", category=category)
             if not cpu._waiting:
                 busy.update(env.now, 0.0)
-        except GeneratorExit:
-            # the run ended mid-slice and is closing its processes
-            # (Environment.close): hand the CPU to nobody
-            raise
-        except BaseException:
             cpu.release(req)
-            raise
-        cpu.release(req)
+            # the slice's event fires inline, after the next grant, as
+            # a process resumed at the end would have run on
+            callbacks, piece.callbacks = piece.callbacks, []
+            piece._value = None
+            piece._triggered = piece._processed = True
+            for callback in callbacks:
+                callback(piece)
+
+        req.callbacks.append(grant)
+        return piece
 
     @property
     def queue_length(self) -> int:

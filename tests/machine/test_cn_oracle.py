@@ -2,8 +2,8 @@
 
 ``ControlNode`` serves each CN slice as one event fired at its end, with
 a same-instant ``call_at`` hop as the grant; ``reference_cn`` grants a
-``Request`` event per slice and resumes the process at the grant and at
-the end.  Whole runs under either, traced and sampled, must agree on
+``Request`` event per slice, whose callback starts the slice's
+``Timeout``.  Whole runs under either, traced and sampled, must agree on
 every trace record, every sampled point and the result (``==``); so must
 the unit scenarios below, which also pin the expected values.
 """

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des import Environment
-from repro.machine import ControlNode, MachineConfig
+from repro.machine import ControlNode, MachineConfig, SharedNothingMachine
 
 
 @pytest.fixture
@@ -58,36 +58,42 @@ class TestConsume:
 
 
 class TestMessages:
-    def test_send_costs_msgtime(self, env):
-        cn = ControlNode(env, MachineConfig())
+    """A step's CN messages: one sent before its scan (plus the wire
+    delay), one received after it."""
 
-        def job(env, cn):
-            yield from cn.send_message()
+    @staticmethod
+    def run_step(env, config, cost=0.0):
+        machine = SharedNothingMachine(env, config)
+        marks = {}
 
-        env.process(job(env, cn))
+        def job():
+            execution = machine.begin_step(1, 0, cost)
+            execution.done.callbacks.append(
+                lambda _event: marks.setdefault("scanned", env.now)
+            )
+            yield execution.start()
+            marks["back"] = env.now
+
+        env.process(job())
         env.run()
-        assert env.now == pytest.approx(2.0)
-        assert cn.messages.total == 1
+        return machine.control_node, marks
+
+    def test_send_costs_msgtime(self, env):
+        cn, marks = self.run_step(env, MachineConfig())
+        assert marks["scanned"] == pytest.approx(2.0)
+        assert marks["back"] == pytest.approx(4.0)
+        assert cn.messages.total == 2
+        assert cn.cpu_ms_by_category == {"message": pytest.approx(4.0)}
 
     def test_netdelay_added_to_send(self, env):
-        cn = ControlNode(env, MachineConfig(netdelay_ms=50.0))
-
-        def job(env, cn):
-            yield from cn.send_message()
-
-        env.process(job(env, cn))
-        env.run()
-        assert env.now == pytest.approx(52.0)
+        _cn, marks = self.run_step(env, MachineConfig(netdelay_ms=50.0))
+        assert marks["scanned"] == pytest.approx(52.0)
 
     def test_receive_costs_msgtime_without_delay(self, env):
-        cn = ControlNode(env, MachineConfig(netdelay_ms=50.0))
-
-        def job(env, cn):
-            yield from cn.receive_message()
-
-        env.process(job(env, cn))
-        env.run()
-        assert env.now == pytest.approx(2.0)
+        config = MachineConfig(netdelay_ms=50.0)
+        _cn, marks = self.run_step(env, config, cost=1.0)
+        assert marks["scanned"] == pytest.approx(52.0 + config.obj_time_ms)
+        assert marks["back"] - marks["scanned"] == pytest.approx(2.0)
 
 
 class TestUtilisation:

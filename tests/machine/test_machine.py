@@ -135,3 +135,23 @@ class TestCustomPlacement:
         machine = SharedNothingMachine(env, config, placement=placement)
         execution = machine.begin_step(1, 0, cost=8.0)
         assert len(execution.cohorts) == 8
+
+    def test_new_placement_replans_steps(self, env):
+        # step plans are kept per (file, cost) and must not outlive the
+        # placement they were built for
+        config = MachineConfig(dd=1)
+        machine = SharedNothingMachine(env, config)
+        assert len(machine.begin_step(1, 0, cost=8.0).cohorts) == 1
+        machine.placement = DataPlacement(config, dd_overrides={0: 4})
+        execution = machine.begin_step(2, 0, cost=8.0)
+        assert [c.node_id for c in execution.cohorts] == [0, 1, 2, 3]
+        assert all(c.objects == 2.0 for c in execution.cohorts)
+        assert execution.total_objects == 8.0
+
+    def test_invalid_step_is_refused_every_time(self, env):
+        machine = SharedNothingMachine(env, MachineConfig(dd=1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                machine.begin_step(1, 99, cost=1.0)
+            with pytest.raises(ValueError, match="objects must be >= 0"):
+                machine.begin_step(1, 0, cost=-1.0)

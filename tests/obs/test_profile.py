@@ -130,3 +130,43 @@ class TestProfiledWrapper:
         next(wrapped)
         wrapped.close()
         assert closed == [True]
+
+
+class TestAttachedRun:
+    def test_each_cn_slice_is_one_machine_span(self, monkeypatch):
+        # GOW pays CN slices from its scheduler (consume) as well as the
+        # startup, commit and message slices the executor requests
+        from repro.machine import MachineConfig, SharedNothingMachine
+        from repro.machine.control_node import ControlNode
+        from repro.machine.data_node import DataProcessingNode
+        from repro.sim.simulation import Simulation
+        from repro.txn import experiment1_workload
+
+        counts = {}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        counting(ControlNode, "request")
+        counting(ControlNode, "consume")
+        counting(SharedNothingMachine, "begin_step")
+        counting(DataProcessingNode, "submit")
+        profiler = PhaseProfiler()
+        simulation = Simulation(
+            MachineConfig(dd=1, num_files=16),
+            experiment1_workload(1.0, num_files=16),
+            scheduler="GOW", seed=1,
+            duration_ms=60_000.0, profiler=profiler,
+        )
+        simulation.run()
+        # a consume queues its slice through the class's request
+        assert 0 < counts["consume"] < counts["request"]
+        assert profiler.calls["machine"] == (
+            counts["request"] + counts["begin_step"] + counts["submit"]
+        )

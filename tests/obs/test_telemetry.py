@@ -225,6 +225,27 @@ class TestSinkAndTailer:
             validate_telemetry_event(record)
 
 
+def leaked_handles(scenario):
+    """Run ``scenario()`` and return the handles it left open.
+
+    An append handle left open warns when it is collected; the warning
+    is raised inside a finaliser, which reports it to
+    ``sys.unraisablehook`` instead of the caller (so no pytest warning
+    flag fails a run over it).  The scenario's locals are collected when
+    it returns, inside the hook installed here.
+    """
+    unraisable = []
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            scenario()
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    return [str(u.exc_value) for u in unraisable]
+
+
 class TestWorkerTelemetry:
     def test_lifecycle_emits_start_heartbeat_done(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -247,14 +268,19 @@ class TestWorkerTelemetry:
 
     def test_heartbeats_throttled_by_wall_clock(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        worker = WorkerTelemetry(
-            str(path), cell=0, until_ms=1000.0, heartbeat_s=3600.0,
-        )
-        worker.start()
-        for step in range(10):
-            worker._on_progress(step * 100.0, step * 10)
-        records = read_telemetry_records(path, 0)[0]
-        assert [r["kind"] for r in records] == ["run.start"]
+
+        def scenario():
+            worker = WorkerTelemetry(
+                str(path), cell=0, until_ms=1000.0, heartbeat_s=3600.0,
+            )
+            worker.start()
+            for step in range(10):
+                worker._on_progress(step * 100.0, step * 10)
+            records = read_telemetry_records(path, 0)[0]
+            assert [r["kind"] for r in records] == ["run.start"]
+            worker._close()
+
+        assert leaked_handles(scenario) == []
 
     def test_error_carries_message_and_traceback(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -270,41 +296,35 @@ class TestWorkerTelemetry:
     def test_install_hooks_engine_progress(self, tmp_path):
         from repro.des.engine import Environment
 
-        worker = WorkerTelemetry(
-            str(tmp_path / "t.jsonl"), cell=0, until_ms=10_000.0,
-            heartbeat_s=0.0, progress_every=2,
-        )
-        env = Environment()
-        worker.install(env)
-        assert env.progress_every == 2
-        for delay in range(6):
-            env.timeout(float(delay))
-        env.run()
-        records = read_telemetry_records(tmp_path / "t.jsonl", 0)[0]
-        assert [r["kind"] for r in records].count("run.heartbeat") >= 2
+        def scenario():
+            worker = WorkerTelemetry(
+                str(tmp_path / "t.jsonl"), cell=0, until_ms=10_000.0,
+                heartbeat_s=0.0, progress_every=2,
+            )
+            env = Environment()
+            worker.install(env)
+            assert env.progress_every == 2
+            for delay in range(6):
+                env.timeout(float(delay))
+            env.run()
+            records = read_telemetry_records(tmp_path / "t.jsonl", 0)[0]
+            assert [r["kind"] for r in records].count("run.heartbeat") >= 2
+            worker._close()
+
+        assert leaked_handles(scenario) == []
 
     @pytest.mark.parametrize("last", ["done", "error"])
     def test_last_record_closes_the_sink(self, tmp_path, last):
-        # an append handle left open warns when the context is collected;
-        # the warning is raised inside a finaliser, which reports it to
-        # sys.unraisablehook instead of the caller
-        worker = WorkerTelemetry(str(tmp_path / "t.jsonl"), cell=0,
-                                 until_ms=1.0)
-        unraisable = []
-        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", ResourceWarning)
-                worker.start()
-                if last == "done":
-                    worker.done(wall_s=0.1, events=1)
-                else:
-                    worker.error(ValueError("boom"))
-                del worker
-                gc.collect()
-        finally:
-            sys.unraisablehook = hook
-        assert [str(u.exc_value) for u in unraisable] == []
+        def scenario():
+            worker = WorkerTelemetry(str(tmp_path / "t.jsonl"), cell=0,
+                                     until_ms=1.0)
+            worker.start()
+            if last == "done":
+                worker.done(wall_s=0.1, events=1)
+            else:
+                worker.error(ValueError("boom"))
+
+        assert leaked_handles(scenario) == []
         records = read_telemetry_records(tmp_path / "t.jsonl", 0)[0]
         assert [r["kind"] for r in records] == ["run.start", f"run.{last}"]
 

@@ -4,7 +4,8 @@ A CI job that calls a removed verb or flag fails only when that job
 runs.  This test reads ``.github/workflows/ci.yml`` without a YAML
 library (CI installs none), unfolds each ``run:`` script and checks that
 every ``python -m repro ...`` command line parses with
-:func:`repro.cli.build_parser`.  Nothing is executed.
+:func:`repro.cli.build_parser`, and that the Python a job feeds to
+``python -`` through a here-document compiles.  Nothing is executed.
 """
 
 import pathlib
@@ -22,6 +23,8 @@ WORKFLOW = (
 
 _RUN = re.compile(r"^(\s*)(?:- )?run:\s*(.*)$")
 _COMMAND = re.compile(r"\bpython3? -m repro\b(.*)")
+_HEREDOC = re.compile(r"\bpython3? - <<-?\s*'?(\w+)'?\s*$")
+_JOB = re.compile(r"^  ([\w-]+):\s*$")
 _BLOCK_STYLES = (">", ">-", "|", "|-")
 
 
@@ -31,7 +34,8 @@ def _indent(line):
 
 def run_scripts(text):
     """The shell script of every ``run:`` key, block scalars unfolded:
-    ``>`` joins its lines with spaces, ``|`` keeps them."""
+    ``>`` joins its lines with spaces, ``|`` keeps them, each dedented
+    by the block's indentation (that of its first line)."""
     lines = text.splitlines()
     scripts = []
     index = 0
@@ -48,10 +52,41 @@ def run_scripts(text):
         while index < len(lines) and (
             not lines[index].strip() or _indent(lines[index]) > indent
         ):
-            block.append(lines[index].strip())
+            block.append(lines[index])
             index += 1
-        scripts.append((" " if value[0] == ">" else "\n").join(block))
+        if value[0] == ">":
+            scripts.append(" ".join(line.strip() for line in block))
+            continue
+        margin = min(_indent(line) for line in block if line.strip())
+        scripts.append("\n".join(line[margin:] for line in block))
     return scripts
+
+
+def job_text(text, name):
+    """The lines of the workflow job ``name`` (up to the next job)."""
+    found = []
+    inside = False
+    for line in text.splitlines():
+        match = _JOB.match(line)
+        if match is not None:
+            inside = match.group(1) == name
+        elif inside:
+            found.append(line)
+    return "\n".join(found)
+
+
+def heredoc_pythons(script):
+    """The body of every ``python - <<'DELIM'`` here-document in
+    ``script``."""
+    bodies = []
+    lines = script.splitlines()
+    for index, line in enumerate(lines):
+        match = _HEREDOC.search(line)
+        if match is None:
+            continue
+        end = lines.index(match.group(1), index + 1)
+        bodies.append("\n".join(lines[index + 1:end]))
+    return bodies
 
 
 def repro_argvs(script):
@@ -127,6 +162,24 @@ class TestExtraction:
         verbs = {argv[0] for argv in ci_commands()}
         assert {"trace", "sweep", "arena", "explain", "cache"} <= verbs
 
+    def test_literal_block_keeps_relative_indentation(self):
+        sample = (
+            "jobs:\n"
+            "  check:\n"
+            "    steps:\n"
+            "      - run: |\n"
+            "          python - <<'EOF'\n"
+            "          for x in (1, 2):\n"
+            "              print(x)\n"
+            "\n"
+            "          print('done')\n"
+            "          EOF\n"
+        )
+        (script,) = run_scripts(sample)
+        assert heredoc_pythons(script) == [
+            "for x in (1, 2):\n    print(x)\n\nprint('done')"
+        ]
+
     def test_retired_spool_commands_fail_to_parse(self):
         assert not parses(["worker-pool", "--spool", "x"])
         assert not parses(["sweep", "NODC", "--spool", "x"])
@@ -138,3 +191,14 @@ class TestExtraction:
 )
 def test_ci_command_parses(argv):
     assert parses(argv), f"CI runs `python -m repro {shlex.join(argv)}`"
+
+
+def test_artifact_smoke_heredoc_compiles():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    bodies = [
+        body for script in run_scripts(job_text(text, "artifact-smoke"))
+        for body in heredoc_pythons(script)
+    ]
+    assert bodies, "artifact-smoke feeds no Python to `python -`"
+    for body in bodies:
+        compile(body, "artifact-smoke heredoc", "exec")
