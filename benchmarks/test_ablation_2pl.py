@@ -8,7 +8,7 @@ C2PL's blocking chains, and both trail the chain-avoiders badly.
 
 from repro.analysis import render_table
 from repro.machine import MachineConfig
-from repro.sim import run_at_rate
+from repro.sim import run_simulation
 from repro.txn import experiment1_workload
 
 SCHEDULERS = ("ASL", "LOW", "C2PL", "2PL")
@@ -18,10 +18,9 @@ def test_ablation_2pl(benchmark, scale, show):
     def run():
         rows = []
         for scheduler in SCHEDULERS:
-            result = run_at_rate(
+            result = run_simulation(
                 scheduler,
-                lambda rate: experiment1_workload(rate, num_files=16),
-                0.8,
+                experiment1_workload(0.8, num_files=16),
                 config=MachineConfig(dd=1, num_files=16),
                 seed=3,
                 duration_ms=scale.duration_ms,

@@ -8,7 +8,7 @@ replaces lock queueing, so completed work saturates.
 
 from repro.analysis import render_table
 from repro.machine import MachineConfig
-from repro.sim import run_at_rate
+from repro.sim import run_simulation
 from repro.txn import experiment1_workload
 
 MPLS = (2, 4, 8, 16, None)  # None = plain C2PL (infinite MPL)
@@ -18,10 +18,9 @@ def test_ablation_c2plm_mpl(benchmark, scale, show):
     def run():
         rows = []
         for mpl in MPLS:
-            result = run_at_rate(
+            result = run_simulation(
                 "C2PL",
-                lambda rate: experiment1_workload(rate, num_files=16),
-                1.0,
+                experiment1_workload(1.0, num_files=16),
                 config=MachineConfig(dd=1, num_files=16, mpl=mpl),
                 seed=3,
                 duration_ms=scale.duration_ms,

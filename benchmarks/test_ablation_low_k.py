@@ -9,7 +9,7 @@ the choice matters.
 
 from repro.analysis import render_table
 from repro.machine import MachineConfig
-from repro.sim import run_at_rate
+from repro.sim import run_simulation
 from repro.txn import experiment2_workload
 
 K_VALUES = (0, 1, 2, 4, 8)
@@ -19,10 +19,9 @@ def test_ablation_low_k(benchmark, scale, show):
     def run():
         rows = []
         for k in K_VALUES:
-            result = run_at_rate(
+            result = run_simulation(
                 f"LOW(K={k})",
-                experiment2_workload,
-                1.0,
+                experiment2_workload(1.0),
                 config=MachineConfig(dd=1, num_files=16),
                 seed=3,
                 duration_ms=scale.duration_ms,

@@ -8,7 +8,7 @@ scheduler ranking is unchanged even at 50 ms per hop.
 
 from repro.analysis import render_table
 from repro.machine import MachineConfig
-from repro.sim import run_at_rate
+from repro.sim import run_simulation
 from repro.txn import experiment1_workload
 
 DELAYS_MS = (0.0, 10.0, 50.0)
@@ -22,10 +22,9 @@ def test_ablation_netdelay(benchmark, scale, show):
             config = MachineConfig(dd=1, num_files=16, netdelay_ms=delay)
             row = [delay]
             for scheduler in SCHEDULERS:
-                result = run_at_rate(
+                result = run_simulation(
                     scheduler,
-                    lambda rate: experiment1_workload(rate, num_files=16),
-                    0.6,
+                    experiment1_workload(0.6, num_files=16),
                     config=config,
                     seed=3,
                     duration_ms=scale.duration_ms,

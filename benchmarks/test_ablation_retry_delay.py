@@ -27,7 +27,7 @@ import json
 from repro.analysis import render_table
 from repro.core import registry
 from repro.machine import MachineConfig
-from repro.sim import run_at_rate
+from repro.sim import run_simulation
 from repro.txn import experiment1_workload
 
 #: 0 switches the fallback timer off (an infinite delay)
@@ -39,10 +39,9 @@ def test_ablation_retry_delay(benchmark, scale, show):
         results = {}
         for name in registry.available():
             results[name] = [
-                run_at_rate(
+                run_simulation(
                     name,
-                    lambda rate: experiment1_workload(rate, num_files=16),
-                    0.8,
+                    experiment1_workload(0.8, num_files=16),
                     config=MachineConfig(
                         dd=1, num_files=16, retry_delay_ms=delay
                     ),

@@ -26,23 +26,10 @@ import sys
 import time
 
 from repro.analysis import render_table, to_csv
-from repro.experiments import PAPER, QUICK, SMOKE, exp1, exp2, exp3
+from repro.experiments import PAPER, QUICK, SMOKE, figures
 from repro.runner import ParallelRunner, ResultCache
 
 SCALES = {"smoke": SMOKE, "quick": QUICK, "paper": PAPER}
-
-EXPERIMENTS = {
-    "fig8": exp1.figure8,
-    "table2": exp1.table2,
-    "fig9": exp1.figure9,
-    "table3": exp1.table3,
-    "fig10": exp1.figure10,
-    "fig11": exp1.figure11,
-    "table4": exp2.table4,
-    "fig12": exp2.figure12,
-    "fig13": exp3.figure13,
-    "table5": lambda scale, **kwargs: exp3.table5(scale=scale, **kwargs),
-}
 
 
 def main() -> int:
@@ -69,8 +56,9 @@ def main() -> int:
     args = parser.parse_args()
 
     scale = SCALES[args.scale]
-    wanted = [w for w in args.only.split(",") if w] or list(EXPERIMENTS)
-    unknown = set(wanted) - set(EXPERIMENTS)
+    declared = {figure.id: figure for figure in figures()}
+    wanted = [w for w in args.only.split(",") if w] or list(declared)
+    unknown = set(wanted) - set(declared)
     if unknown:
         parser.error(f"unknown experiment ids: {sorted(unknown)}")
 
@@ -89,7 +77,7 @@ def main() -> int:
     for experiment_id in wanted:
         started = time.time()
         print(f"=== {experiment_id} (scale={args.scale}) ...", flush=True)
-        output = EXPERIMENTS[experiment_id](
+        output = declared[experiment_id](
             scale, seed=args.seed, runner=runner
         )
         table = render_table(output.headers, output.rows, title=output.title)

@@ -25,7 +25,7 @@ Packages:
 - :mod:`repro.obs` -- always-available tracing (recorders, exporters).
 - :mod:`repro.sim` -- simulation runs, metrics, operating-point search.
 - :mod:`repro.runner` -- parallel batch execution with result caching.
-- :mod:`repro.experiments` -- one function per paper table/figure.
+- :mod:`repro.experiments` -- one declaration per paper table/figure.
 - :mod:`repro.analysis` -- text-table / CSV reporting.
 
 The names below are imported from their defining modules on first use
@@ -62,9 +62,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "experiment1_workload": "repro.txn.workload",
     "experiment2_workload": "repro.txn.workload",
     "experiment3_workload": "repro.txn.workload",
-    "find_throughput_at_response_time": "repro.sim.experiment",
     "render_summary": "repro.obs.export",
-    "run_at_rate": "repro.sim.experiment",
     "run_simulation": "repro.sim.simulation",
     "write_chrome_trace": "repro.obs.export",
     "write_jsonl": "repro.obs.export",

@@ -44,19 +44,6 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.runner.spec import RunSpec, WorkloadSpec
 
-_EXPERIMENT_HELP = [
-    ("fig8", "arrival rate vs mean response time (Exp. 1, DD=1)"),
-    ("table2", "throughput at RT=70s vs NumFiles (Exp. 1, DD=1)"),
-    ("fig9", "throughput at RT=70s vs DD (Exp. 1)"),
-    ("table3", "response time at 1.2 TPS vs DD, incl. C2PL+M (Exp. 1)"),
-    ("fig10", "response-time speedup vs DD at 1.2 TPS (Exp. 1)"),
-    ("fig11", "speedup (DD=1 to 4) vs arrival rate (Exp. 1)"),
-    ("table4", "hot-set throughput and response time vs DD (Exp. 2)"),
-    ("fig12", "hot-set speedup vs DD at 1.2 TPS (Exp. 2)"),
-    ("fig13", "throughput at RT=70s vs declaration error (Exp. 3)"),
-    ("table5", "sensitivity degradation ratio (Exp. 3)"),
-]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -280,21 +267,6 @@ def _add_single_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _make_workload(args: argparse.Namespace):
-    from repro.txn.workload import (
-        experiment1_workload,
-        experiment2_workload,
-        experiment3_workload,
-    )
-
-    if args.workload == "exp1":
-        return experiment1_workload(args.rate, num_files=args.num_files)
-    if args.workload == "exp2":
-        return experiment2_workload(args.rate)
-    return experiment3_workload(args.rate, args.sigma,
-                                num_files=args.num_files)
-
-
 def _check_horizon(args: argparse.Namespace) -> None:
     if not 0 <= args.warmup < args.duration:
         raise SystemExit(
@@ -326,7 +298,7 @@ def _command_run(args: argparse.Namespace) -> int:
         sampler = TimeSeriesSampler(interval_ms=args.sample_interval)
     result = run_simulation(
         args.scheduler,
-        _make_workload(args),
+        _workload_spec(args, args.rate).build(),
         config,
         seed=args.seed,
         duration_ms=args.duration,
@@ -396,7 +368,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     recorder = MemoryRecorder(max_events=args.max_events)
     result = run_simulation(
         args.scheduler,
-        _make_workload(args),
+        _workload_spec(args, args.rate).build(),
         config,
         seed=args.seed,
         duration_ms=args.duration,
@@ -952,10 +924,18 @@ def _command_schedulers() -> int:
 
 def _command_experiments() -> int:
     from repro.analysis import render_table
+    from repro.experiments.common import figures
 
     print(render_table(
-        ["id", "regenerates"],
-        [[eid, description] for eid, description in _EXPERIMENT_HELP],
+        ["id", "regenerates (at the default parameters)", "schedulers"],
+        [
+            [
+                figure.id,
+                figure.title.format(**figure.defaults),
+                ", ".join(figure.default_schedulers()),
+            ]
+            for figure in figures()
+        ],
         title="paper tables/figures (run: python examples/reproduce_paper.py"
               " --only <id>)",
     ))

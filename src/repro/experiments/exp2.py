@@ -2,151 +2,76 @@
 
 Pattern 2: ``r(B:5) -> w(F1:1) -> w(F2:1)`` with B from 8 read-only files
 and F1 != F2 from 8 hot files; every node is home to one read-only and
-one hot file.  Backs Table 4 and Fig. 12.
-
-Both functions accept an optional
-:class:`~repro.runner.ParallelRunner`; see :mod:`repro.experiments.exp1`
-for the batching convention.
+one hot file.  Backs Table 4 and Fig. 12, each declared once below
+(:mod:`repro.experiments.common` has the driver).
 """
 
 from __future__ import annotations
 
-import typing
-
-from repro.experiments.common import (
-    ExperimentOutput,
-    QUICK,
-    RunScale,
-    resolve_schedulers,
-)
+from repro.core.registry import grid_schedulers
+from repro.experiments.common import Figure, Grid
 from repro.machine.config import MachineConfig
-from repro.runner.spec import RunSpec, WorkloadSpec
-from repro.sim.experiment import (
-    ThroughputRequest,
-    find_throughput_batch,
-    run_specs,
-)
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.runner.runner import ParallelRunner
+from repro.runner.spec import WorkloadSpec
 
 
 def _workload(rate: float) -> WorkloadSpec:
     return WorkloadSpec.make("exp2", rate)
 
 
-def table4(
-    scale: RunScale = QUICK,
-    seed: int = 0,
-    schedulers: typing.Optional[typing.Sequence[str]] = None,
-    dds: typing.Sequence[int] = (1, 2, 4),
-    rate: float = 1.2,
-    runner: typing.Optional["ParallelRunner"] = None,
-) -> ExperimentOutput:
-    """Table 4: throughput at RT = 70 s and response time at 1.2 TPS.
-
-    One row per (metric, DD) pair, matching the paper's layout.
-    """
-    schedulers = resolve_schedulers(schedulers)
-    requests = [
-        ThroughputRequest(
-            scheduler=scheduler,
-            workload=_workload(1.0),
-            config=MachineConfig(dd=dd, num_files=16),
-            iterations=scale.bisect_iterations,
-            seed=seed,
-            duration_ms=scale.duration_ms,
-            warmup_ms=scale.warmup_ms,
-        )
-        for dd in dds
-        for scheduler in schedulers
-    ]
-    throughput = iter(
-        find_throughput_batch(requests, runner, label="table4:thruput")
-    )
-    rows = [
-        [f"thruput DD={dd}"]
-        + [next(throughput).throughput_tps for _ in schedulers]
-        for dd in dds
-    ]
-
-    specs = [
-        RunSpec(
-            scheduler=scheduler,
-            workload=_workload(rate),
-            config=MachineConfig(dd=dd, num_files=16),
-            seed=seed,
-            duration_ms=scale.duration_ms,
-            warmup_ms=scale.warmup_ms,
-        )
-        for dd in dds
-        for scheduler in schedulers
-    ]
-    fixed_rate = iter(run_specs(specs, runner, label="table4:rt"))
-    rows += [
-        [f"resp.time DD={dd}"]
-        + [next(fixed_rate).mean_response_s for _ in schedulers]
-        for dd in dds
-    ]
-    return ExperimentOutput(
-        experiment_id="table4",
-        title=(
-            "Table 4: hot-set throughput (TPS at RT = 70 s) and response "
-            f"time (s at {rate} TPS) vs DD"
-        ),
-        headers=["metric"] + list(schedulers),
-        rows=typing.cast(typing.List[typing.List[object]], rows),
-        paper_reference=(
-            "Paper throughput (DD=1/2/4): NODC 1.1/1.11/1.13, ASL .4/.7/1.03, "
-            "GOW .57/.88/1.1, LOW .77/1.01/1.12, C2PL .7/.92/1.09, OPT .38/.55/.85. "
-            "Response time: NODC 112/97/87, ASL 611/380/116, GOW 500/252/80, "
-            "LOW 321/133/57, C2PL 432/242/118, OPT 751/746/457. "
-            "LOW best, then C2PL, then GOW; ASL worst lock-based at low DD."
-        ),
-    )
+def _config(dd: int) -> MachineConfig:
+    return MachineConfig(dd=dd, num_files=16)
 
 
-def figure12(
-    scale: RunScale = QUICK,
-    seed: int = 0,
-    schedulers: typing.Optional[typing.Sequence[str]] = None,
-    dds: typing.Sequence[int] = (1, 2, 4, 8),
-    rate: float = 1.2,
-    runner: typing.Optional["ParallelRunner"] = None,
-) -> ExperimentOutput:
-    """Fig. 12: response-time speedup vs DD at 1.2 TPS on the hot set."""
-    schedulers = resolve_schedulers(schedulers)
-    specs = [
-        RunSpec(
-            scheduler=scheduler,
-            workload=_workload(rate),
-            config=MachineConfig(dd=dd, num_files=16),
-            seed=seed,
-            duration_ms=scale.duration_ms,
-            warmup_ms=scale.warmup_ms,
-        )
-        for dd in dds
-        for scheduler in schedulers
+def _table4_rows(g: Grid):
+    return [("thruput", dd) for dd in g.dds] + [
+        ("resp.time", dd) for dd in g.dds
     ]
-    results = iter(run_specs(specs, runner, label="fig12"))
-    base_results: typing.Dict[str, typing.Any] = {}
-    rows = []
-    for dd in dds:
-        row: typing.List[object] = [dd]
-        for scheduler in schedulers:
-            result = next(results)
-            if dd == dds[0]:
-                base_results[scheduler] = result
-            row.append(result.speedup_against(base_results[scheduler]))
-        rows.append(row)
-    return ExperimentOutput(
-        experiment_id="fig12",
-        title=f"Fig. 12: hot-set declustering vs RT speedup (lambda = {rate} TPS)",
-        headers=["dd"] + list(schedulers),
-        rows=rows,
-        paper_reference=(
-            "LOW has the best throughput *and* the best speedup; ASL "
-            "speeds up better than C2PL despite worse absolute RT; "
-            "NODC's speedup is only ~1.57 at DD=8 (very heavy load)."
-        ),
-    )
+
+
+def _table4_cell(g: Grid, row, scheduler: str):
+    metric, dd = row
+    if metric == "thruput":
+        return g.throughput(scheduler, _workload(1.0), _config(dd))
+    return g.rt(scheduler, _workload(g.rate), _config(dd))
+
+
+#: one row per (metric, DD) pair, matching the paper's layout
+table4 = Figure(
+    id="table4",
+    title=(
+        "Table 4: hot-set throughput (TPS at RT = 70 s) and response "
+        "time (s at {rate} TPS) vs DD"
+    ),
+    paper_reference=(
+        "Paper throughput (DD=1/2/4): NODC 1.1/1.11/1.13, ASL .4/.7/1.03, "
+        "GOW .57/.88/1.1, LOW .77/1.01/1.12, C2PL .7/.92/1.09, OPT .38/.55/.85. "
+        "Response time: NODC 112/97/87, ASL 611/380/116, GOW 500/252/80, "
+        "LOW 321/133/57, C2PL 432/242/118, OPT 751/746/457. "
+        "LOW best, then C2PL, then GOW; ASL worst lock-based at low DD."
+    ),
+    axis="metric",
+    defaults={"dds": (1, 2, 4), "rate": 1.2},
+    schedulers=grid_schedulers,
+    rows=_table4_rows,
+    cell=_table4_cell,
+    row_label=lambda row: f"{row[0]} DD={row[1]}",
+)
+
+figure12 = Figure(
+    id="fig12",
+    title="Fig. 12: hot-set declustering vs RT speedup (lambda = {rate} TPS)",
+    paper_reference=(
+        "LOW has the best throughput *and* the best speedup; ASL "
+        "speeds up better than C2PL despite worse absolute RT; "
+        "NODC's speedup is only ~1.57 at DD=8 (very heavy load)."
+    ),
+    axis="dd",
+    defaults={"dds": (1, 2, 4, 8), "rate": 1.2},
+    schedulers=grid_schedulers,
+    rows=lambda g: g.dds,
+    cell=lambda g, dd, scheduler: g.speedup(
+        scheduler, _workload(g.rate), _config(g.dds[0]), _config(dd)
+    ),
+)
+
+FIGURES = (table4, figure12)

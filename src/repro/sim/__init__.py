@@ -12,11 +12,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ThroughputRequest": "repro.sim.experiment",
     "best_mpl_result": "repro.sim.experiment",
     "estimate": "repro.sim.replication",
-    "find_throughput_at_response_time": "repro.sim.experiment",
     "find_throughput_batch": "repro.sim.experiment",
     "replicate": "repro.sim.replication",
-    "run_at_rate": "repro.sim.experiment",
     "run_simulation": "repro.sim.simulation",
     "run_specs": "repro.sim.experiment",
-    "sweep": "repro.sim.experiment",
 })

@@ -1,24 +1,21 @@
-"""Operating-point search and parameter sweeps.
+"""Operating-point search over run specifications.
 
 The paper reports two kinds of operating points:
 
-- metrics at a *fixed arrival rate* (e.g. response time at 1.2 TPS);
+- metrics at a *fixed arrival rate* (e.g. response time at 1.2 TPS):
+  one :class:`~repro.runner.spec.RunSpec` each, run by :func:`run_specs`;
 - *throughput at a fixed response time* of 70 s: the arrival rate is
   tuned until the scheduler's mean response time hits the target, and
   the measured throughput there is reported (Tables 2 and 4, Figs. 9
-  and 13).  :func:`find_throughput_at_response_time` performs that
-  tuning by bisection on the arrival rate, treating an unstable run
-  (response time exploding past the target) as "too fast".
+  and 13).  :func:`find_throughput_batch` performs that tuning by
+  bisection on the arrival rate, treating an unstable run (response
+  time exploding past the target) as "too fast".
 
-Every search here can execute through a
-:class:`~repro.runner.ParallelRunner`: pass ``runner`` (and, where a
-factory callable is otherwise used, a declarative ``workload_spec``) and
-independent probes fan out across worker processes and are memoised in
-the runner's disk cache.  :func:`find_throughput_batch` runs many
-bisections in lockstep -- each round batches the next probe of every
-unfinished search -- which is how the table/figure sweeps parallelise
-work that is sequential within a single search.  Results are identical
-to the sequential code path because each probe is a pure function of its
+Every function takes an optional
+:class:`~repro.runner.ParallelRunner`: with one, independent runs fan
+out across worker processes and are memoised in the runner's disk
+cache; without one, the same specs run inline, sequentially.  Results
+are identical either way because each run is a pure function of its
 spec.
 """
 
@@ -32,38 +29,12 @@ import warnings
 from repro.machine.config import MachineConfig
 from repro.runner.spec import RunSpec, WorkloadSpec
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulation import Simulation
-from repro.txn.workload import Workload
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.runner.runner import ParallelRunner
 
-WorkloadFactory = typing.Callable[[float], Workload]
-
 #: the paper's operating-point target: mean response time of 70 seconds
 TARGET_RT_MS = 70_000.0
-
-
-def run_at_rate(
-    scheduler: str,
-    workload_factory: WorkloadFactory,
-    rate_tps: float,
-    config: typing.Optional[MachineConfig] = None,
-    seed: int = 0,
-    duration_ms: float = 2_000_000.0,
-    warmup_ms: float = 0.0,
-    **kwargs: typing.Any,
-) -> SimulationResult:
-    """One run of ``scheduler`` at a fixed arrival rate."""
-    return Simulation(
-        config or MachineConfig(),
-        workload_factory(rate_tps),
-        scheduler=scheduler,
-        seed=seed,
-        duration_ms=duration_ms,
-        warmup_ms=warmup_ms,
-        **kwargs,
-    ).run()
 
 
 def run_specs(
@@ -93,8 +64,16 @@ def _above_target(result: SimulationResult, target_rt_ms: float) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class ThroughputRequest:
-    """One bisection search, declaratively (see
-    :func:`find_throughput_at_response_time` for the semantics)."""
+    """One bisection search for the rate where mean RT hits the target.
+
+    The search probes ``rate_hi`` first (if it meets the target, that
+    run is the answer), then ``rate_lo`` (if even that misses, the
+    target is unreachable and that run is reported), then bisects
+    ``iterations`` times, keeping the fastest probe that met the
+    target.  Mean response time is monotone in the arrival rate, and a
+    NaN response time (no commits: hopeless overload) counts as above
+    target.
+    """
 
     scheduler: str
     workload: WorkloadSpec
@@ -119,7 +98,7 @@ class ThroughputRequest:
 
 
 class _BisectionState:
-    """Drives one search probe-by-probe; mirrors the sequential logic."""
+    """Drives one search probe-by-probe (see :class:`ThroughputRequest`)."""
 
     def __init__(self, request: ThroughputRequest) -> None:
         self.request = request
@@ -179,13 +158,13 @@ def find_throughput_batch(
     runner: typing.Optional["ParallelRunner"] = None,
     label: str = "rt-target",
 ) -> typing.List[SimulationResult]:
-    """Run many rate bisections in lockstep.
+    """Run many rate bisections in lockstep; one result per request.
 
     Each round collects the next probe of every unfinished search into
     one batch, so independent searches proceed in parallel even though
-    probes within a search are inherently sequential.  Per search, the
-    probes (and hence the returned result) are exactly those of
-    :func:`find_throughput_at_response_time`.
+    probes within a search are inherently sequential.  Each result is
+    the final (matched) run of its search; its ``throughput_tps`` is the
+    paper's "throughput at RT = 70 s".
     """
     states = [_BisectionState(request) for request in requests]
     round_no = 0
@@ -201,191 +180,35 @@ def find_throughput_batch(
     return [typing.cast(SimulationResult, state.result) for state in states]
 
 
-def _reject_extra_kwargs(kwargs: typing.Mapping[str, typing.Any]) -> None:
-    if kwargs:
-        raise ValueError(
-            "keyword arguments "
-            f"{sorted(kwargs)} cannot be expressed as a RunSpec; "
-            "drop the runner/workload_spec to use the direct path"
-        )
-
-
-def find_throughput_at_response_time(
-    scheduler: str,
-    workload_factory: typing.Optional[WorkloadFactory] = None,
-    config: typing.Optional[MachineConfig] = None,
-    target_rt_ms: float = TARGET_RT_MS,
-    rate_lo: float = 0.02,
-    rate_hi: float = 1.5,
-    iterations: int = 9,
-    seed: int = 0,
-    duration_ms: float = 2_000_000.0,
-    warmup_ms: float = 0.0,
-    runner: typing.Optional["ParallelRunner"] = None,
-    workload_spec: typing.Optional[WorkloadSpec] = None,
-    **kwargs: typing.Any,
-) -> SimulationResult:
-    """Bisect the arrival rate until mean RT hits ``target_rt_ms``.
-
-    Returns the result of the final (matched) run; its
-    ``throughput_tps`` is the paper's "throughput at RT = 70 s".  Mean
-    response time is monotone in the arrival rate, and NaN response
-    times (no commits: hopeless overload) count as above target.
-
-    With ``workload_spec`` (instead of, or in addition to, the factory
-    callable) the probes run as :class:`RunSpec`s -- through ``runner``
-    when one is given, gaining its cache and process pool.
-    """
-    if workload_spec is not None:
-        _reject_extra_kwargs(kwargs)
-        request = ThroughputRequest(
-            scheduler=scheduler,
-            workload=workload_spec,
-            config=config or MachineConfig(),
-            target_rt_ms=target_rt_ms,
-            rate_lo=rate_lo,
-            rate_hi=rate_hi,
-            iterations=iterations,
-            seed=seed,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-        )
-        return find_throughput_batch(
-            [request], runner, label=f"rt-target:{scheduler}"
-        )[0]
-    if workload_factory is None:
-        raise TypeError("need a workload_factory or a workload_spec")
-
-    def response_at(rate: float) -> SimulationResult:
-        return run_at_rate(
-            scheduler,
-            workload_factory,
-            rate,
-            config=config,
-            seed=seed,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            **kwargs,
-        )
-
-    lo, hi = rate_lo, rate_hi
-    best: typing.Optional[SimulationResult] = None
-
-    hi_result = response_at(hi)
-    if not _above_target(hi_result, target_rt_ms):
-        return hi_result  # even the fastest probed rate meets the target
-
-    lo_result = response_at(lo)
-    if _above_target(lo_result, target_rt_ms):
-        return lo_result  # target unreachable; report the floor probe
-
-    best = lo_result
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        result = response_at(mid)
-        if _above_target(result, target_rt_ms):
-            hi = mid
-        else:
-            lo = mid
-            best = result
-    return best
-
-
-def sweep(
-    schedulers: typing.Iterable[str],
-    runner: typing.Optional[
-        typing.Callable[[str], SimulationResult]
-    ] = None,
-    spec_for: typing.Optional[typing.Callable[[str], RunSpec]] = None,
-    parallel: typing.Optional["ParallelRunner"] = None,
-    label: str = "sweep",
-) -> typing.Dict[str, SimulationResult]:
-    """Run one result per scheduler name, keyed by name.
-
-    Two forms:
-
-    - ``sweep(names, runner)`` -- the original callable form, executed
-      sequentially in-process;
-    - ``sweep(names, spec_for=..., parallel=...)`` -- ``spec_for`` maps
-      each name to a :class:`RunSpec` and the whole sweep executes as
-      one batch on the parallel runner (``parallel=None`` still works:
-      the specs run inline).
-    """
-    names = list(schedulers)
-    if spec_for is not None:
-        specs = [spec_for(name) for name in names]
-        results = run_specs(specs, parallel, label=label)
-        return dict(zip(names, results))
-    if runner is None:
-        raise TypeError("need a runner callable or a spec_for mapping")
-    return {name: runner(name) for name in names}
-
-
 def best_mpl_result(
-    workload_factory: typing.Optional[WorkloadFactory] = None,
-    base_config: MachineConfig = MachineConfig(),
-    rate_tps: float = 1.2,
+    spec: RunSpec,
     mpl_candidates: typing.Sequence[int] = (2, 4, 6, 8, 12, 16),
-    scheduler: str = "C2PL",
     runner: typing.Optional["ParallelRunner"] = None,
-    workload_spec: typing.Optional[WorkloadSpec] = None,
-    seed: int = 0,
-    duration_ms: float = 2_000_000.0,
-    warmup_ms: float = 0.0,
-    **kwargs: typing.Any,
 ) -> SimulationResult:
-    """C2PL+M: the best C2PL over a small MPL sweep (lowest mean RT).
+    """C2PL+M: ``spec`` at its best MPL among the candidates (lowest mean RT).
 
     The paper defines C2PL+M as "the best C2PL to control
-    multi-programming level"; runs that complete no transactions are
-    skipped.  If *no* candidate commits anything the raw (uncapped) run
-    is returned instead, flagged via ``result.fallback`` and a warning
-    -- a NaN-RT candidate silently posing as C2PL+M would otherwise
-    corrupt downstream tables.
-
-    With ``workload_spec`` the candidate runs execute as one batch
-    (parallel and cached when ``runner`` is given).
+    multi-programming level"; ``spec`` is the uncapped run, and the
+    candidates replace its ``config.mpl``.  They run as one batch, and
+    runs that complete no transactions are skipped.  If *no* candidate
+    commits anything the uncapped ``spec`` is returned instead, flagged
+    via ``result.fallback`` and a warning -- a NaN-RT candidate silently
+    posing as C2PL+M would otherwise corrupt downstream tables.
     """
 
     def relabel(result: SimulationResult, **changes: typing.Any):
         # never mutate: callers may hold the same result object
         return dataclasses.replace(result, scheduler="C2PL+M", **changes)
 
-    if workload_spec is not None:
-        _reject_extra_kwargs(kwargs)
-
-        def spec_with(config: MachineConfig) -> RunSpec:
-            return RunSpec(
-                scheduler=scheduler,
-                workload=workload_spec.at_rate(rate_tps),
-                config=config,
-                seed=seed,
-                duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-            )
-
-        candidates = run_specs(
-            [spec_with(base_config.replace(mpl=mpl)) for mpl in mpl_candidates],
-            runner,
-            label=f"c2pl+m:{rate_tps:g}tps",
-        )
-    else:
-        if workload_factory is None:
-            raise TypeError("need a workload_factory or a workload_spec")
-        candidates = [
-            run_at_rate(
-                scheduler,
-                workload_factory,
-                rate_tps,
-                config=base_config.replace(mpl=mpl),
-                seed=seed,
-                duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-                **kwargs,
-            )
+    rate_tps = spec.workload.rate_tps
+    candidates = run_specs(
+        [
+            dataclasses.replace(spec, config=spec.config.replace(mpl=mpl))
             for mpl in mpl_candidates
-        ]
-
+        ],
+        runner,
+        label=f"c2pl+m:{rate_tps:g}tps",
+    )
     best: typing.Optional[SimulationResult] = None
     for result in candidates:
         if math.isnan(result.mean_response_ms):
@@ -403,19 +226,5 @@ def best_mpl_result(
         RuntimeWarning,
         stacklevel=2,
     )
-    if workload_spec is not None:
-        fallback = run_specs(
-            [spec_with(base_config)], runner, label="c2pl+m:fallback"
-        )[0]
-    else:
-        fallback = run_at_rate(
-            scheduler,
-            typing.cast(WorkloadFactory, workload_factory),
-            rate_tps,
-            config=base_config,
-            seed=seed,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            **kwargs,
-        )
+    fallback = run_specs([spec], runner, label="c2pl+m:fallback")[0]
     return relabel(fallback, fallback=True)

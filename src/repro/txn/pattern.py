@@ -53,10 +53,10 @@ class Pattern:
         for step in self.steps:
             seen.setdefault(step.placeholder, None)
         self.placeholders: typing.List[str] = list(seen)
-        #: resolved-binding tuple -> shared Step list (Steps are frozen,
+        #: resolved-binding tuple -> shared Step tuple (Steps are frozen,
         #: so instances may be shared across transactions)
         self._memo: typing.Dict[
-            typing.Tuple[int, ...], typing.List[Step]
+            typing.Tuple[int, ...], typing.Tuple[Step, ...]
         ] = {}
 
     @classmethod
@@ -91,13 +91,15 @@ class Pattern:
 
     def instantiate(
         self, binding: typing.Mapping[str, int]
-    ) -> typing.List[Step]:
+    ) -> typing.Tuple[Step, ...]:
         """Concrete steps with placeholders replaced per ``binding``.
 
         Literal integer "placeholders" bind to themselves unless
         overridden.  Resolution is memoised per distinct binding: the
         workloads draw the same few file combinations over and over, and
-        :class:`Step` is frozen, so step objects are shared.
+        :class:`Step` is frozen, so the tuple and its steps are shared
+        (a :class:`~repro.txn.transaction.BatchTransaction` keeps its
+        own list).
         """
         resolved = []
         for name in self.placeholders:
@@ -111,17 +113,17 @@ class Pattern:
         steps = self._memo.get(key)
         if steps is None:
             lookup = dict(zip(self.placeholders, resolved))
-            steps = [
+            steps = tuple(
                 Step(
                     file_id=lookup[pattern_step.placeholder],
                     mode=pattern_step.mode,
                     cost=pattern_step.cost,
                 )
                 for pattern_step in self.steps
-            ]
+            )
             if len(self._memo) < self._MEMO_LIMIT:
                 self._memo[key] = steps
-        return list(steps)
+        return steps
 
     @property
     def total_cost(self) -> float:

@@ -37,10 +37,15 @@ class DeclarationErrorModel:
 
     def declare(
         self, exact_costs: typing.Sequence[float], streams: RandomStreams
-    ) -> typing.List[float]:
-        """Per-step declared costs for a new transaction."""
+    ) -> typing.Sequence[float]:
+        """Per-step declared costs for a new transaction.
+
+        At ``sigma = 0`` these are ``exact_costs`` themselves;
+        :class:`~repro.txn.transaction.BatchTransaction` converts its
+        declared costs to float once, in its constructor.
+        """
         if self.sigma == 0.0:
-            return [float(c) for c in exact_costs]
+            return exact_costs
         declared = []
         for cost in exact_costs:
             x = streams.gauss("declaration-error", 0.0, self.sigma)

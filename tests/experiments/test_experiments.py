@@ -1,11 +1,12 @@
 """Tests of the experiment definitions (SMOKE scale: plumbing + shape).
 
 Quantitative agreement with the paper lives in the benchmark suite and
-EXPERIMENTS.md; these tests verify each table/figure function produces
+EXPERIMENTS.md; these tests verify each table/figure declaration produces
 well-formed output and preserves the cheap-to-check orderings.
 """
 
 import math
+import pathlib
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.experiments import (
     PAPER,
     QUICK,
     SMOKE,
+    figures,
     scale_from_env,
 )
 from repro.experiments import exp1, exp2, exp3
@@ -92,7 +94,7 @@ class TestTable3AndFigure10:
             ["dd", "ASL", "C2PL+M"],
             [[1, 100.0, 200.0], [4, 25.0, 100.0]],
         )
-        speedup = exp1.speedups_from_rt(rt)
+        speedup = exp1.figure10.derive(rt)
         assert speedup.rows[0][1:] == [1.0, 1.0]
         assert speedup.rows[1][1] == pytest.approx(4.0)
         assert speedup.rows[1][2] == pytest.approx(2.0)
@@ -101,7 +103,7 @@ class TestTable3AndFigure10:
         rt = ExperimentOutput(
             "table3", "t", ["dd", "X"], [[1, 100.0], [4, float("nan")]]
         )
-        speedup = exp1.speedups_from_rt(rt)
+        speedup = exp1.figure10.derive(rt)
         assert math.isnan(speedup.rows[1][1])
 
 
@@ -163,7 +165,7 @@ class TestFigure13AndTable5:
             ["sigma", "GOW@DD=1", "LOW@DD=1"],
             [[0.0, 0.5, 0.6], [10.0, 0.45, 0.42]],
         )
-        out = exp3.table5(fig, dds=(1,))
+        out = exp3.table5.derive(fig, dds=(1,))
         assert out.rows[0] == ["GOW", pytest.approx(90.0)]
         assert out.rows[1] == ["LOW", pytest.approx(70.0)]
 
@@ -172,4 +174,61 @@ class TestFigure13AndTable5:
             "fig13", "t", ["sigma", "GOW@DD=1", "LOW@DD=1"], [[0.0, 0.5, 0.6]]
         )
         with pytest.raises(ValueError):
-            exp3.table5(fig, dds=(1,))
+            exp3.table5.derive(fig, dds=(1,))
+
+
+DESIGN = pathlib.Path(__file__).resolve().parents[2] / "DESIGN.md"
+DESIGN_HEADER = (
+    "| id | Title (at the defaults) | Rows, and the defaults | "
+    "Schedulers | Declared as | Bench target |"
+)
+
+
+def design_row(figure):
+    """One DESIGN.md index row, read off the declaration."""
+    (module, name), = [
+        (module.__name__.rsplit(".", 1)[-1], name)
+        for module in (exp1, exp2, exp3)
+        for name, value in vars(module).items()
+        if value is figure
+    ]
+    defaults = ", ".join(
+        f"{key}={value}" for key, value in figure.defaults.items()
+    )
+    schedulers = ", ".join(figure.default_schedulers())
+    source = getattr(figure, "source", None)
+    derived = f", from {source.id}" if source is not None else ""
+    return (
+        f"| {figure.id} | {figure.title.format(**figure.defaults)} | "
+        f"`{figure.axis}`; {defaults} | {schedulers} | "
+        f"`experiments.{module}.{name}`{derived} | "
+        f"`benchmarks/test_{figure.id}.py` |"
+    )
+
+
+class TestDeclarations:
+    def test_ten_figures_in_paper_order(self):
+        assert [figure.id for figure in figures()] == [
+            "fig8", "table2", "fig9", "table3", "fig10", "fig11",
+            "table4", "fig12", "fig13", "table5",
+        ]
+
+    def test_derived_figures_name_their_source(self):
+        assert exp1.figure10.source is exp1.table3
+        assert exp3.table5.source is exp3.figure13
+
+    def test_design_table_reads_the_declarations(self):
+        lines = DESIGN.read_text().splitlines()
+        start = lines.index(DESIGN_HEADER) + 2
+        table = lines[start:start + len(figures())]
+        assert table == [design_row(figure) for figure in figures()]
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(TypeError, match="no parameter"):
+            exp1.figure8(SMOKE, dds=(1,))
+
+    def test_fixed_scheduler_set_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="no parameter"):
+            exp1.table3(SMOKE, schedulers=("ASL",))
+        with pytest.raises(TypeError, match="no parameter"):
+            exp3.table5(SMOKE, schedulers=("GOW",))

@@ -1,8 +1,9 @@
 """Equivalence of the runner-backed search/experiment paths.
 
-Every rewired entry point must produce the same numbers whether the
+Every spec-based entry point must produce the same numbers whether the
 specs run inline, through a cached single-process runner, or across a
-worker pool.
+worker pool -- and the same numbers as the serial, callable-based
+reference forms in :mod:`tests.sim.reference_experiment`.
 """
 
 import math
@@ -13,11 +14,12 @@ from repro.runner import ParallelRunner, ResultCache, RunSpec, WorkloadSpec
 from repro.sim import (
     ThroughputRequest,
     best_mpl_result,
-    find_throughput_at_response_time,
     find_throughput_batch,
-    sweep,
+    run_simulation,
+    run_specs,
 )
 from repro.txn import experiment1_workload
+from tests.sim import reference_experiment as reference
 
 QUICK = dict(duration_ms=60_000.0, warmup_ms=10_000.0)
 
@@ -30,19 +32,25 @@ def quiet_runner(tmp_path, pool_size=1):
     )
 
 
+def factory(rate):
+    return experiment1_workload(rate, num_files=16)
+
+
 class TestFindThroughput:
     def test_spec_path_matches_factory_path(self, tmp_path):
         common = dict(target_rt_ms=40_000.0, iterations=4, seed=1, **QUICK)
-        legacy = find_throughput_at_response_time(
-            "NODC",
-            lambda rate: experiment1_workload(rate, num_files=16),
-            **common,
+        legacy = reference.find_throughput_at_response_time(
+            "NODC", factory, **common
         )
-        via_runner = find_throughput_at_response_time(
-            "NODC",
-            workload_spec=WorkloadSpec.make("exp1", 1.0, num_files=16),
-            runner=quiet_runner(tmp_path),
-            **common,
+        [via_runner] = find_throughput_batch(
+            [
+                ThroughputRequest(
+                    scheduler="NODC",
+                    workload=WorkloadSpec.make("exp1", 1.0, num_files=16),
+                    **common,
+                )
+            ],
+            quiet_runner(tmp_path),
         )
         assert via_runner.to_dict() == legacy.to_dict()
 
@@ -59,27 +67,42 @@ class TestFindThroughput:
             for scheduler in ("NODC", "ASL")
         ]
         batched = find_throughput_batch(requests, quiet_runner(tmp_path))
-        individual = [find_throughput_batch([request]) for request in requests]
+        individual = [
+            reference.find_throughput_at_response_time(
+                request.scheduler,
+                factory,
+                target_rt_ms=request.target_rt_ms,
+                iterations=request.iterations,
+                seed=request.seed,
+                **QUICK,
+            )
+            for request in requests
+        ]
         assert [r.to_dict() for r in batched] == [
-            r[0].to_dict() for r in individual
+            r.to_dict() for r in individual
         ]
 
 
 class TestBestMpl:
     def test_runner_path_matches_legacy(self, tmp_path):
-        common = dict(
-            rate_tps=0.6, mpl_candidates=(2, 8), seed=1, **QUICK
-        )
-        legacy = best_mpl_result(
-            lambda rate: experiment1_workload(rate, num_files=16),
+        legacy = reference.best_mpl_result(
+            factory,
             MachineConfig(dd=1),
-            **common,
+            rate_tps=0.6,
+            mpl_candidates=(2, 8),
+            seed=1,
+            **QUICK,
         )
         via_runner = best_mpl_result(
-            base_config=MachineConfig(dd=1),
-            workload_spec=WorkloadSpec.make("exp1", 1.0, num_files=16),
+            RunSpec(
+                scheduler="C2PL",
+                workload=WorkloadSpec.make("exp1", 0.6, num_files=16),
+                config=MachineConfig(dd=1),
+                seed=1,
+                **QUICK,
+            ),
+            mpl_candidates=(2, 8),
             runner=quiet_runner(tmp_path),
-            **common,
         )
         assert via_runner.to_dict() == legacy.to_dict()
         assert via_runner.scheduler == "C2PL+M"
@@ -88,31 +111,21 @@ class TestBestMpl:
 
 class TestSweep:
     def test_spec_form_matches_callable_form(self, tmp_path):
-        def spec_for(name):
-            return RunSpec(
+        names = ["NODC", "C2PL"]
+        by_callable = {
+            name: run_simulation(name, factory(0.5), seed=1, **QUICK)
+            for name in names
+        }
+        specs = [
+            RunSpec(
                 scheduler=name,
                 workload=WorkloadSpec.make("exp1", 0.5, num_files=16),
                 seed=1,
                 **QUICK,
             )
-
-        from repro.sim import run_at_rate
-
-        by_callable = sweep(
-            ["NODC", "C2PL"],
-            lambda name: run_at_rate(
-                name,
-                lambda rate: experiment1_workload(rate, num_files=16),
-                0.5,
-                seed=1,
-                **QUICK,
-            ),
-        )
-        by_spec = sweep(
-            ["NODC", "C2PL"],
-            spec_for=spec_for,
-            parallel=quiet_runner(tmp_path),
-        )
+            for name in names
+        ]
+        by_spec = dict(zip(names, run_specs(specs, quiet_runner(tmp_path))))
         assert {k: v.to_dict() for k, v in by_spec.items()} == {
             k: v.to_dict() for k, v in by_callable.items()
         }

@@ -1,49 +1,54 @@
-"""Tests for the operating-point search and sweeps."""
+"""Tests for the operating-point search over run specs."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.machine import MachineConfig
+from repro.runner import RunSpec, WorkloadSpec
 from repro.sim import (
+    ThroughputRequest,
     best_mpl_result,
-    find_throughput_at_response_time,
-    run_at_rate,
-    sweep,
+    find_throughput_batch,
+    run_specs,
 )
-from repro.txn import experiment1_workload
-
-
-def factory(num_files=16):
-    return lambda rate: experiment1_workload(rate, num_files=num_files)
-
 
 QUICK = dict(duration_ms=150_000.0, warmup_ms=20_000.0)
 
 
+def workload(rate=1.0, num_files=16):
+    return WorkloadSpec.make("exp1", rate, num_files=num_files)
+
+
+def spec(scheduler, rate, config=MachineConfig(), seed=1, **window):
+    return RunSpec(
+        scheduler=scheduler, workload=workload(rate), config=config,
+        seed=seed, **(window or QUICK),
+    )
+
+
+def search(scheduler, **settings):
+    request = ThroughputRequest(
+        scheduler=scheduler, workload=workload(), seed=1, **QUICK, **settings
+    )
+    return find_throughput_batch([request])[0]
+
+
 class TestRunAtRate:
     def test_returns_result_for_rate(self):
-        result = run_at_rate("NODC", factory(), 0.5, seed=1, **QUICK)
+        [result] = run_specs([spec("NODC", 0.5)])
         assert result.arrival_rate_tps == 0.5
         assert result.completed > 10
 
     def test_custom_config(self):
-        result = run_at_rate(
-            "NODC", factory(), 0.5, config=MachineConfig(dd=8), seed=1, **QUICK
-        )
+        [result] = run_specs([spec("NODC", 0.5, MachineConfig(dd=8))])
         assert result.completed > 10
 
 
 class TestBisection:
     def test_finds_rate_with_target_rt(self):
-        result = find_throughput_at_response_time(
-            "ASL",
-            factory(),
-            target_rt_ms=40_000.0,
-            iterations=5,
-            seed=1,
-            **QUICK,
-        )
+        result = search("ASL", target_rt_ms=40_000.0, iterations=5)
         # final run's RT is at or below target, throughput positive
         assert result.mean_response_ms <= 40_000.0
         assert result.throughput_tps > 0.1
@@ -51,46 +56,31 @@ class TestBisection:
     def test_low_target_returns_floor_probe(self):
         """An unreachable target (RT below a single service time) makes
         even the lowest probed rate 'too fast'."""
-        result = find_throughput_at_response_time(
+        result = search(
             "NODC",
-            factory(),
             target_rt_ms=1_000.0,  # one scan alone takes > 7 s
             rate_lo=0.05,
             iterations=3,
-            seed=1,
-            **QUICK,
         )
         assert result.arrival_rate_tps == 0.05
 
     def test_fast_scheduler_saturates_at_hi(self):
         """If RT stays under target even at rate_hi, rate_hi is returned."""
-        result = find_throughput_at_response_time(
-            "NODC",
-            factory(),
-            target_rt_ms=10_000_000.0,
-            rate_hi=0.3,
-            iterations=3,
-            seed=1,
-            **QUICK,
+        result = search(
+            "NODC", target_rt_ms=10_000_000.0, rate_hi=0.3, iterations=3
         )
         assert result.arrival_rate_tps == 0.3
 
     def test_better_scheduler_gets_higher_operating_point(self):
-        asl = find_throughput_at_response_time(
-            "ASL", factory(), iterations=5, seed=1, **QUICK
-        )
-        c2pl = find_throughput_at_response_time(
-            "C2PL", factory(), iterations=5, seed=1, **QUICK
-        )
+        asl = search("ASL", iterations=5)
+        c2pl = search("C2PL", iterations=5)
         assert asl.throughput_tps > c2pl.throughput_tps
 
 
 class TestSweep:
     def test_sweep_keys_by_scheduler(self):
-        results = sweep(
-            ["NODC", "ASL"],
-            lambda s: run_at_rate(s, factory(), 0.4, seed=1, **QUICK),
-        )
+        names = ["NODC", "ASL"]
+        results = dict(zip(names, run_specs([spec(s, 0.4) for s in names])))
         assert set(results) == {"NODC", "ASL"}
         assert results["ASL"].scheduler == "ASL"
 
@@ -98,12 +88,7 @@ class TestSweep:
 class TestC2PLM:
     def test_best_mpl_labelled(self):
         result = best_mpl_result(
-            factory(),
-            MachineConfig(dd=1),
-            rate_tps=0.6,
-            mpl_candidates=(2, 8),
-            seed=1,
-            **QUICK,
+            spec("C2PL", 0.6, MachineConfig(dd=1)), mpl_candidates=(2, 8)
         )
         assert result.scheduler == "C2PL+M"
         assert not math.isnan(result.mean_response_ms)
@@ -111,16 +96,11 @@ class TestC2PLM:
     def test_best_mpl_does_not_mutate_candidate_results(self):
         """Relabelling to C2PL+M must produce a copy, not rewrite the
         winning candidate in place."""
-        settings = dict(rate_tps=0.6, mpl_candidates=(8,), seed=1, **QUICK)
-        candidate = run_at_rate(
-            "C2PL",
-            factory(),
-            settings["rate_tps"],
-            config=MachineConfig(dd=1, mpl=8),
-            seed=1,
-            **QUICK,
-        )
-        tuned = best_mpl_result(factory(), MachineConfig(dd=1), **settings)
+        uncapped = spec("C2PL", 0.6, MachineConfig(dd=1))
+        [candidate] = run_specs([
+            dataclasses.replace(uncapped, config=MachineConfig(dd=1, mpl=8))
+        ])
+        tuned = best_mpl_result(uncapped, mpl_candidates=(8,))
         assert candidate.scheduler == "C2PL"
         assert tuned.scheduler == "C2PL+M"
         assert tuned.mean_response_ms == candidate.mean_response_ms
@@ -131,13 +111,11 @@ class TestC2PLM:
         NaN RT; the fallback must be flagged, not silently mislabelled."""
         with pytest.warns(RuntimeWarning, match="committed no transactions"):
             result = best_mpl_result(
-                factory(),
-                MachineConfig(dd=1),
-                rate_tps=0.6,
+                spec(
+                    "C2PL", 0.6, MachineConfig(dd=1),
+                    duration_ms=2_000.0, warmup_ms=0.0,
+                ),
                 mpl_candidates=(1,),
-                seed=1,
-                duration_ms=2_000.0,
-                warmup_ms=0.0,
             )
         assert result.fallback
         assert result.scheduler == "C2PL+M"
@@ -145,12 +123,7 @@ class TestC2PLM:
 
     def test_healthy_sweep_not_flagged(self):
         result = best_mpl_result(
-            factory(),
-            MachineConfig(dd=1),
-            rate_tps=0.6,
-            mpl_candidates=(2, 8),
-            seed=1,
-            **QUICK,
+            spec("C2PL", 0.6, MachineConfig(dd=1)), mpl_candidates=(2, 8)
         )
         assert not result.fallback
 
@@ -159,15 +132,7 @@ class TestC2PLM:
         short horizon overload censors response times -- only the few
         fast commits are counted -- so the robust comparison is
         completed work, where the MPL-bounded run wins.)"""
-        raw = run_at_rate(
-            "C2PL", factory(), 1.0, config=MachineConfig(dd=1), seed=1, **QUICK
-        )
-        tuned = best_mpl_result(
-            factory(),
-            MachineConfig(dd=1),
-            rate_tps=1.0,
-            mpl_candidates=(4, 8),
-            seed=1,
-            **QUICK,
-        )
+        uncapped = spec("C2PL", 1.0, MachineConfig(dd=1))
+        [raw] = run_specs([uncapped])
+        tuned = best_mpl_result(uncapped, mpl_candidates=(4, 8))
         assert tuned.throughput_tps >= raw.throughput_tps * 0.95
