@@ -18,7 +18,13 @@ The algorithm here:
    directed contiguous sub-path -- an O(n^2) candidate set.  We binary
    search the candidates with an O(n * pareto) feasibility DP
    ("is there an orientation whose every run value <= theta?") and then
-   reconstruct one optimal orientation greedily, edge by edge.
+   reconstruct one optimal orientation greedily, edge by edge: each free
+   edge goes RIGHT when the suffix is still feasible from the DP state
+   of the prefix oriented so far (one step plus the suffix, not a
+   re-run from edge 0), else LEFT.  The DP reads flat per-edge lists
+   (weights and allowed directions), built straight from the WTPG on
+   GOW's hot path; :func:`solve_component`, the whole-graph and the
+   one-path :func:`compute_optimal_order` share it.
 
 Already-determined precedence edges participate as direction-constrained
 edges.
@@ -41,43 +47,21 @@ LEFT = "left"
 _DIRECTIONS = frozenset({RIGHT, LEFT})
 
 
+@dataclasses.dataclass(frozen=True)
 class ChainEdge:
-    """One edge of a chain component, in path position order.
+    """One edge of a chain component, in path position order."""
 
-    A plain slotted class rather than a frozen dataclass: the requester's
-    component is rebuilt (weights re-read) on every GOW decision that
-    would fix an order, so edge construction sits on GOW's hot path and
-    the per-field ``object.__setattr__`` of a frozen dataclass is
-    measurable.
-    """
+    left_node: int
+    right_node: int
+    weight_right: float  # weight when oriented left_node -> right_node
+    weight_left: float  # weight when oriented right_node -> left_node
+    allowed: typing.FrozenSet[str]  # subset of {RIGHT, LEFT}
 
-    __slots__ = (
-        "left_node", "right_node", "weight_right", "weight_left", "allowed"
-    )
-
-    def __init__(
-        self,
-        left_node: int,
-        right_node: int,
-        weight_right: float,  # weight when oriented left_node -> right_node
-        weight_left: float,  # weight when oriented right_node -> left_node
-        allowed: typing.FrozenSet[str],  # subset of {RIGHT, LEFT}
-    ) -> None:
-        if not allowed:
+    def __post_init__(self) -> None:
+        if not self.allowed:
             raise ValueError("edge must allow at least one direction")
-        if not allowed <= _DIRECTIONS:
-            raise ValueError(f"bad direction set {allowed!r}")
-        self.left_node = left_node
-        self.right_node = right_node
-        self.weight_right = weight_right
-        self.weight_left = weight_left
-        self.allowed = allowed
-
-    def __repr__(self) -> str:
-        return (
-            f"ChainEdge({self.left_node}, {self.right_node}, "
-            f"{self.weight_right}, {self.weight_left}, {self.allowed})"
-        )
+        if not self.allowed <= _DIRECTIONS:
+            raise ValueError(f"bad direction set {self.allowed!r}")
 
 
 @dataclasses.dataclass
@@ -276,61 +260,96 @@ def _component_node_orders(wtpg: WTPG) -> typing.List[typing.List[int]]:
 def _build_component(
     wtpg: WTPG, ordered: typing.List[int]
 ) -> ChainComponent:
-    edges = []
+    w0, w_right, w_left, can_right, can_left = _path_lists(wtpg, ordered)
+    edges = [
+        ChainEdge(
+            left, right, w_right[i], w_left[i],
+            _ALLOWED[can_right[i], can_left[i]],
+        )
+        for i, (left, right) in enumerate(zip(ordered, ordered[1:]))
+    ]
+    return ChainComponent(nodes=ordered, node_weights=w0, edges=edges)
+
+
+#: ``ChainEdge.allowed`` by (may go RIGHT, may go LEFT)
+_ALLOWED = {
+    (True, True): _DIRECTIONS,
+    (True, False): frozenset({RIGHT}),
+    (False, True): frozenset({LEFT}),
+}
+
+
+#: a component as the solver reads it: the T0 weight per node, and per
+#: edge the weight and whether it may be oriented RIGHT and LEFT (a
+#: direction not allowed weighs nan)
+_Lists = typing.Tuple[
+    typing.List[float], typing.List[float], typing.List[float],
+    typing.List[bool], typing.List[bool],
+]
+
+
+def _path_lists(wtpg: WTPG, ordered: typing.List[int]) -> _Lists:
+    """The solver's lists for the path ``ordered``, read from the WTPG."""
+    w_right: typing.List[float] = []
+    w_left: typing.List[float] = []
+    can_right: typing.List[bool] = []
+    can_left: typing.List[bool] = []
     for left, right in zip(ordered, ordered[1:]):
         if wtpg.has_precedence(left, right):
-            weight = wtpg.precedence_weight(left, right)
-            edges.append(
-                ChainEdge(left, right, weight, math.nan, frozenset({RIGHT}))
-            )
+            w_right.append(wtpg.precedence_weight(left, right))
+            w_left.append(math.nan)
+            can_right.append(True)
+            can_left.append(False)
         elif wtpg.has_precedence(right, left):
-            weight = wtpg.precedence_weight(right, left)
-            edges.append(
-                ChainEdge(left, right, math.nan, weight, frozenset({LEFT}))
-            )
+            w_right.append(math.nan)
+            w_left.append(wtpg.precedence_weight(right, left))
+            can_right.append(False)
+            can_left.append(True)
         else:
             conflict = wtpg.conflict_edge(left, right)
-            edges.append(
-                ChainEdge(
-                    left,
-                    right,
-                    conflict.weight(left, right),
-                    conflict.weight(right, left),
-                    frozenset({RIGHT, LEFT}),
-                )
-            )
-    return ChainComponent(
-        nodes=ordered,
-        node_weights=[wtpg.t0_weight(t) for t in ordered],
-        edges=edges,
+            w_right.append(conflict.weight(left, right))
+            w_left.append(conflict.weight(right, left))
+            can_right.append(True)
+            can_left.append(True)
+    w0 = [wtpg.t0_weight(t) for t in ordered]
+    return w0, w_right, w_left, can_right, can_left
+
+
+def _component_lists(component: ChainComponent) -> _Lists:
+    """The solver's lists for a hand-built component."""
+    edges = component.edges
+    return (
+        component.node_weights,
+        [edge.weight_right for edge in edges],
+        [edge.weight_left for edge in edges],
+        [RIGHT in edge.allowed for edge in edges],
+        [LEFT in edge.allowed for edge in edges],
     )
 
 
 # -- optimal orientation of one component ---------------------------------------
 
 
-def _candidate_values(component: ChainComponent) -> typing.List[float]:
+def _candidate_values(lists: _Lists) -> typing.List[float]:
     """All possible run values: directed contiguous sub-path lengths."""
-    w0 = component.node_weights
-    k = len(component.nodes)
+    w0, w_right, w_left, can_right, can_left = lists
+    k = len(w0)
     candidates = set(w0)
     # rightward: start c, over edges c..d-1
     for c in range(k):
         total = w0[c]
         for d in range(c, k - 1):
-            weight = component.edges[d].weight_right
-            if math.isnan(weight):
+            if not can_right[d]:
                 break  # direction not allowed; longer right paths impossible
-            total += weight
+            total += w_right[d]
             candidates.add(total)
     # leftward: start c, descending over edges c-1..d
     for c in range(k - 1, -1, -1):
         total = w0[c]
         for d in range(c - 1, -1, -1):
-            weight = component.edges[d].weight_left
-            if math.isnan(weight):
+            if not can_left[d]:
                 break
-            total += weight
+            total += w_left[d]
             candidates.add(total)
     return sorted(candidates)
 
@@ -349,66 +368,38 @@ def _pareto_reduce(
     return frontier
 
 
-def _feasible(
-    component: ChainComponent,
-    theta: float,
-    forced: typing.Optional[typing.Mapping[int, str]] = None,
-) -> bool:
-    """Is there an orientation with every run value <= theta?
+#: the feasibility DP's state after some prefix of edges: the minimal
+#: height of an open RIGHT run (None when no orientation ends in one)
+#: and the Pareto (cum, m) pairs of open LEFT runs
+_State = typing.Tuple[
+    typing.Optional[float], typing.List[typing.Tuple[float, float]]
+]
 
-    ``forced`` maps edge index -> direction, narrowing the allowed set
-    (used during reconstruction).
+#: tolerance of the threshold test ``run value <= theta``
+_EPS = 1e-9
+
+
+def _start(lists: _Lists) -> _State:
+    """The state before edge 0: node 0 alone, as an open RIGHT run."""
+    return lists[0][0], []
+
+
+def _advance(
+    lists: _Lists, bound: float, state: _State, start: int, stop: int
+) -> typing.Optional[_State]:
+    """Carry the feasibility DP across edges ``start..stop-1``.
+
+    Returns None as soon as no orientation of those edges keeps every
+    run value <= ``bound``.
     """
-    eps = 1e-9
-    w0 = component.node_weights
-    k = len(component.nodes)
-    if k == 1:
-        return w0[0] <= theta + eps
-    edges = component.edges
-    bound = theta + eps
-
-    if forced:
-        def allowed(i: int) -> typing.FrozenSet[str]:
-            if i in forced:
-                direction = forced[i]
-                if direction not in edges[i].allowed:
-                    return frozenset()
-                return frozenset({direction})
-            return edges[i].allowed
-    else:
-        def allowed(i: int) -> typing.FrozenSet[str]:
-            return edges[i].allowed
-
-    right_state: typing.Optional[float] = None  # minimal h for an open R run
-    left_states: typing.List[typing.Tuple[float, float]] = []  # (cum, m)
-
-    # edge 0
-    directions = allowed(0)
-    edge = edges[0]
-    if RIGHT in directions:
-        h = w0[0] + edge.weight_right
-        if h < w0[1]:
-            h = w0[1]
-        if h <= bound:
-            right_state = h
-    if LEFT in directions:
-        cum = edge.weight_left
-        m = w0[1] + cum
-        if m < w0[0]:
-            m = w0[0]
-        if m <= bound:
-            left_states = [(cum, m)]
-    if right_state is None and not left_states:
-        return False
-
-    for i in range(1, k - 1):
-        edge = edges[i]
-        directions = allowed(i)
+    w0, w_right, w_left, can_right, can_left = lists
+    right_state, left_states = state
+    for i in range(start, stop):
         new_right: typing.Optional[float] = None
         new_left: typing.List[typing.Tuple[float, float]] = []
         node_w = w0[i + 1]
-        if RIGHT in directions:
-            weight_right = edge.weight_right
+        if can_right[i]:
+            weight_right = w_right[i]
             if right_state is not None:  # continue the R run
                 h = right_state + weight_right
                 if h < node_w:
@@ -421,8 +412,8 @@ def _feasible(
                     h = node_w
                 if h <= bound and (new_right is None or h < new_right):
                     new_right = h
-        if LEFT in directions:
-            weight_left = edge.weight_left
+        if can_left[i]:
+            weight_left = w_left[i]
             for cum, m in left_states:  # continue the L run
                 cum2 = cum + weight_left
                 m2 = node_w + cum2
@@ -439,10 +430,74 @@ def _feasible(
                     new_left.append((cum2, m2))
             if len(new_left) > 1:
                 new_left = _pareto_reduce(new_left)
+        if new_right is None and not new_left:
+            return None
         right_state, left_states = new_right, new_left
-        if right_state is None and not left_states:
-            return False
-    return True
+    return right_state, left_states
+
+
+def _feasible(lists: _Lists, theta: float) -> bool:
+    """Is there an orientation with every run value <= theta?"""
+    w0 = lists[0]
+    bound = theta + _EPS
+    if len(w0) == 1:
+        return w0[0] <= bound
+    return _advance(lists, bound, _start(lists), 0, len(w0) - 1) is not None
+
+
+def _solve(
+    lists: _Lists, count: int
+) -> typing.Tuple[float, typing.List[str]]:
+    """Optimal critical-path value and the directions of edges
+    ``0..count-1`` in the greedy RIGHT-first optimal orientation."""
+    w0 = lists[0]
+    if len(w0) == 1:
+        return w0[0], []
+    candidates = _candidate_values(lists)
+    lo, hi = 0, len(candidates) - 1
+    if not _feasible(lists, candidates[hi]):
+        raise RuntimeError(
+            "no feasible orientation at the maximal candidate -- "
+            "this should be impossible for a path"
+        )
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(lists, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    theta = candidates[lo]
+
+    # Greedy reconstruction: orient each free edge RIGHT when the rest
+    # can still be oriented within theta, else LEFT.  ``state`` is the
+    # DP state of the prefix oriented so far, so each test runs one
+    # step and the suffix.
+    w0, w_right, w_left, can_right, can_left = lists
+    can_right, can_left = list(can_right), list(can_left)
+    narrowed = (w0, w_right, w_left, can_right, can_left)
+    bound = theta + _EPS
+    last = len(w0) - 1
+    state: typing.Optional[_State] = _start(lists)
+    directions: typing.List[str] = []
+    for i in range(count):
+        if can_right[i] and can_left[i]:
+            can_left[i] = False
+            stepped = _advance(narrowed, bound, state, i, i + 1)
+            if (
+                stepped is None
+                or _advance(narrowed, bound, stepped, i + 1, last) is None
+            ):
+                can_left[i], can_right[i] = True, False
+                stepped = _advance(narrowed, bound, state, i, i + 1)
+            state = stepped
+        else:
+            state = _advance(narrowed, bound, state, i, i + 1)
+        assert state is not None, "reconstruction failed"
+        directions.append(RIGHT if can_right[i] else LEFT)
+    assert _advance(narrowed, bound, state, count, last) is not None, (
+        "reconstruction failed"
+    )
+    return theta, directions
 
 
 def solve_component(
@@ -457,36 +512,8 @@ def solve_component(
     greedy choice depends only on the edges before it, so the directions
     returned are those of the full reconstruction, truncated.
     """
-    if len(component.nodes) == 1:
-        return component.node_weights[0], []
-    candidates = _candidate_values(component)
-    lo, hi = 0, len(candidates) - 1
-    if not _feasible(component, candidates[hi]):
-        raise RuntimeError(
-            "no feasible orientation at the maximal candidate -- "
-            "this should be impossible for a path"
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(component, candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    theta = candidates[lo]
-
-    # Greedy reconstruction: force each edge RIGHT if feasible, else LEFT.
-    forced: typing.Dict[int, str] = {}
     count = len(component.edges) if last_edge is None else last_edge + 1
-    for i in range(count):
-        edge_allowed = component.edges[i].allowed
-        if len(edge_allowed) == 1:
-            forced[i] = next(iter(edge_allowed))
-            continue
-        forced[i] = RIGHT
-        if not _feasible(component, theta, forced):
-            forced[i] = LEFT
-    assert _feasible(component, theta, forced), "reconstruction failed"
-    return theta, [forced[i] for i in range(count)]
+    return _solve(_component_lists(component), count)
 
 
 def brute_force_component(
@@ -575,25 +602,24 @@ def compute_optimal_order(
     grant to it can fix, oriented exactly as the whole-graph call does.
     """
     if around is None:
-        solved = [
-            (component, solve_component(component))
-            for component in extract_components(wtpg)
+        paths = [
+            (ordered, len(ordered) - 1)
+            for ordered in _component_node_orders(wtpg)
         ]
     else:
         ordered = path_through(wtpg, around)
-        component = _build_component(wtpg, ordered)
-        last_edge = min(ordered.index(around), len(component.edges) - 1)
-        solved = [(component, solve_component(component, last_edge))]
+        paths = [(ordered, min(ordered.index(around), len(ordered) - 2) + 1)]
     orientations: typing.Dict[
         typing.FrozenSet[int], typing.Tuple[int, int]
     ] = {}
     worst = 0.0
-    for component, (value, directions) in solved:
+    for ordered, count in paths:
+        value, directions = _solve(_path_lists(wtpg, ordered), count)
         worst = max(worst, value)
-        for edge, direction in zip(component.edges, directions):
-            pair = frozenset((edge.left_node, edge.right_node))
+        for i, direction in enumerate(directions):
+            left, right = ordered[i], ordered[i + 1]
             if direction == RIGHT:
-                orientations[pair] = (edge.left_node, edge.right_node)
+                orientations[frozenset((left, right))] = (left, right)
             else:
-                orientations[pair] = (edge.right_node, edge.left_node)
+                orientations[frozenset((left, right))] = (right, left)
     return SerializableOrder(orientations, worst)

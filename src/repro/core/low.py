@@ -14,7 +14,7 @@ runs more transactions than GOW on hot sets.
 
 CPU cost: every E() evaluation costs ``kwtpgtime`` (10 ms) on the CN, so
 one request evaluation costs ``(1 + |C(q)|) * kwtpgtime``, however little
-the simulator's own evaluation (:meth:`WTPG.grant_evaluator`) reads.
+the simulator's own evaluation (:meth:`WTPG.grant_raise`) reads.
 """
 
 from __future__ import annotations
@@ -115,34 +115,33 @@ class LOWScheduler(WTPGSchedulerMixin, Scheduler):
         )
         if not self.lock_table.is_compatible(file_id, mode):
             return Decision.BLOCK  # lock taken while we computed
-        # Phase 2: E(q); deadlock delays q.
-        evaluate = self.wtpg.grant_evaluator()
-        e_q = evaluate(txn.txn_id, file_id)
-        if math.isinf(e_q):
-            if self._trace.enabled:
-                self._trace.emit(
-                    self.env.now, "sched.e_eval", txn=txn.txn_id,
-                    file=file_id, e_q=e_q, granted=False,
-                )
-            return Decision.DELAY
-        # Phase 3: grant only if E(q) <= E(p) for every p in C(q).
-        for other_id in self._conflicting_declarations(txn, file_id, mode):
-            e_p = evaluate(other_id, file_id)
-            if e_q > e_p:
-                if self._trace.enabled:
-                    self._trace.emit(
-                        self.env.now, "sched.e_eval", txn=txn.txn_id,
-                        file=file_id, e_q=e_q, granted=False,
-                    )
-                return Decision.DELAY
+        # Phase 2: E(q); deadlock delays q.  Phase 3: grant only if
+        # E(q) <= E(p) for every p in C(q).  E(q) > E(p) iff r_q > r_p
+        # and r_q exceeds the critical path now (``grant_raise``), so
+        # that path is read only when r_q > r_p -- or for the trace.
+        wtpg = self.wtpg
+        t0: typing.Dict[int, float] = {}  # T0 weights, read once each
+        r_q, fixes = wtpg.grant_raise(txn.txn_id, file_id, t0)
+        granted = not math.isinf(r_q)
+        if granted:
+            for other_id in self._conflicting_declarations(txn, file_id, mode):
+                r_p, _ = wtpg.grant_raise(other_id, file_id, t0)
+                if r_q > r_p and r_q > wtpg.critical_path_length(t0):
+                    granted = False
+                    break
         if self._trace.enabled:
+            e_q = r_q
+            if not math.isinf(r_q):
+                e_q = max(wtpg.critical_path_length(t0), r_q)
             self._trace.emit(
                 self.env.now, "sched.e_eval", txn=txn.txn_id,
-                file=file_id, e_q=e_q, granted=True,
+                file=file_id, e_q=e_q, granted=granted,
             )
+        if not granted:
+            return Decision.DELAY
         # Granted; Phase 4 fixes newly determined precedence edges.
         self._grant_lock(txn, file_id, mode)
-        applied = self.wtpg.grant(txn.txn_id, file_id)
+        applied = wtpg.grant(txn.txn_id, file_id, fixes=fixes)
         if self._trace.enabled:
             self._emit_wtpg_fixes(applied)
         return Decision.GRANT

@@ -51,15 +51,17 @@ Incremental maintenance invariants (the kernel-speed campaign):
   provably acyclic, so :meth:`critical_path_length` replaces its old
   Kahn toposort with a single O(E) certificate scan (returning ``inf``
   when the certificate fails, preserving the deadlock contract).
-- Hypothetical evaluation (LOW's E function) no longer copies the graph:
-  mutations made while ``_journal`` is active append undo records
-  (conflict-edge deletion, precedence insertion, level raise, L raise)
-  that :meth:`_rollback` replays in reverse.  The journal also says what
-  a hypothetical grant changed, and E reads only that: fixes only raise
-  suffix distances, so E is the current critical path (from T0 weights
-  read once per decision, see :meth:`grant_evaluator`) maxed with
-  ``t0 + L`` over the raised nodes, and the acyclicity certificate only
-  needs the new edges and the out-edges of level-raised nodes.
+- Hypothetical evaluation (LOW's E function) never mutates the graph.
+  Let A be the requester T and its ancestors, D the fix targets and
+  their descendants.  The grant and its transitive propagation orient
+  exactly the conflict edges between A and D, from the A side, so only
+  suffix distances in A can rise.  :meth:`grant_raise` walks A
+  deepest-level first, taking ``L'(x)`` as the maximum of ``L(x)``,
+  ``w(x -> s) + L'(s)`` over raised successors and ``w(x -> j) + L(j)``
+  over conflict neighbours j in D -- the same floats the applied grant
+  would store.  E is the current critical path maxed with ``t0 + L'``
+  over the raised nodes, reading each T0 weight at most once per
+  decision.
 - Transitive propagation is restricted to candidates that a *new* edge
   could force: any new path i ~> j passes through a just-inserted edge
   (s, t) with i an ancestor of s and j a descendant of t, so
@@ -124,8 +126,6 @@ class WTPG:
         self._level: typing.Dict[int, int] = {}
         #: maintained suffix distance L(t) over precedence edges
         self._longest: typing.Dict[int, float] = {}
-        #: undo log; non-None only inside hypothetical evaluation
-        self._journal: typing.Optional[typing.List[typing.Tuple]] = None
 
     # -- membership ------------------------------------------------------------
 
@@ -406,9 +406,6 @@ class WTPG:
                 return  # already determined in this direction
             raise KeyError(f"no conflict edge between T{i} and T{j}")
         edge = self._materialise(key)
-        journal = self._journal
-        if journal is not None:
-            journal.append(("conflict", key, edge))
         del self._conflicts[key]
         self._conflict_adj[i].discard(j)
         self._conflict_adj[j].discard(i)
@@ -416,8 +413,6 @@ class WTPG:
         self._precedence[(i, j)] = weight
         self._succ.setdefault(i, set()).add(j)
         self._pred.setdefault(j, set()).add(i)
-        if journal is not None:
-            journal.append(("edge", i, j))
         self._raise_level(i, j)
         self._raise_longest(i, weight + self._longest[j])
 
@@ -429,9 +424,6 @@ class WTPG:
         """
         if self._level[target] > self._level[source]:
             return
-        journal = self._journal
-        if journal is not None:
-            journal.append(("level", target, self._level[target]))
         self._level[target] = self._level[source] + 1
         stack = [target]
         while stack:
@@ -443,23 +435,18 @@ class WTPG:
                         raise ValueError(
                             f"precedence cycle through T{source} -> T{target}"
                         )
-                    if journal is not None:
-                        journal.append(("level", nxt, self._level[nxt]))
                     self._level[nxt] = node_level + 1
                     stack.append(nxt)
 
     def _raise_longest(self, node: int, candidate: float) -> None:
         """Propagate a new suffix-distance candidate up the ancestors."""
         longest = self._longest
-        journal = self._journal
         precedence = self._precedence
         stack = [(node, candidate)]
         while stack:
             n, cand = stack.pop()
             if cand <= longest[n]:
                 continue
-            if journal is not None:
-                journal.append(("longest", n, longest[n]))
             longest[n] = cand
             for p in self._pred.get(n, ()):
                 stack.append((p, precedence[(p, n)] + cand))
@@ -648,7 +635,9 @@ class WTPG:
             colour.get(node, WHITE) == WHITE and visit(node) for node in nodes
         )
 
-    def critical_path_length(self) -> float:
+    def critical_path_length(
+        self, t0: typing.Optional[typing.Dict[int, float]] = None
+    ) -> float:
         """Longest T0-to-Tf path over precedence edges (conflicts ignored).
 
         Returns ``inf`` when the precedence edges contain a cycle (a state
@@ -656,17 +645,22 @@ class WTPG:
         acyclicity in one O(E) scan -- ``level(i) < level(j)`` for every
         edge proves there is no cycle -- and the maintained suffix
         distances reduce the longest path to one pass over the (drifting)
-        T0 weights.
+        T0 weights.  ``t0`` is :meth:`grant_raise`'s per-decision cache
+        of those weights, read and filled here.
         """
         level = self._level
         for i, j in self._precedence:
             if level[i] >= level[j]:
                 return math.inf
+        if t0 is None:
+            t0 = {}
         longest = self._longest
-        t0_weight = self.t0_weight
         best = 0.0
         for txn_id in self._txns:
-            value = t0_weight(txn_id) + longest[txn_id]
+            weight = t0.get(txn_id)
+            if weight is None:
+                weight = t0[txn_id] = self.t0_weight(txn_id)
+            value = weight + longest[txn_id]
             if value > best:
                 best = value
         return best
@@ -690,106 +684,77 @@ class WTPG:
     ) -> float:
         """E(q) of Fig. 5: critical path after granting q, or inf on deadlock.
 
-        One evaluation of :meth:`grant_evaluator`; the graph the caller
-        sees is untouched.
+        ``max(critical path now, r)`` for the ``r`` of :meth:`grant_raise`;
+        the graph is not changed.
         """
-        return self.grant_evaluator()(txn_id, file_id)
+        t0: typing.Dict[int, float] = {}
+        raised, _ = self.grant_raise(txn_id, file_id, t0)
+        if math.isinf(raised):
+            return raised
+        return max(self.critical_path_length(t0), raised)
 
-    def grant_evaluator(self) -> typing.Callable[[int, int], float]:
-        """E() for one atomic decision: ``evaluate(txn_id, file_id)``.
+    def grant_raise(
+        self, txn_id: int, file_id: int, t0: typing.Dict[int, float]
+    ) -> typing.Tuple[float, typing.List[typing.Tuple[int, int]]]:
+        """How granting ``file_id`` to T would lengthen the critical path.
 
-        Reads every T0 weight once, through :meth:`t0_weight`, and takes
-        the current critical path from that read; valid only while the
-        graph and the transactions' progress stand still (no yield
-        between the evaluations of one decision).  Each evaluation
-        applies the fixes (direct and transitive) under an undo journal,
-        reads E from what the journal recorded, and rolls back.
+        Returns ``(r, fixes)``: ``fixes`` is :meth:`fixes_for_grant`'s
+        list and ``r`` the largest ``t0(x) + L'(x)`` over the nodes x
+        whose suffix distance the grant (with its transitive
+        propagation) would raise -- ``inf`` when the grant deadlocks,
+        0.0 when it raises nothing.  E(q) is ``max(critical path, r)``,
+        so for two requests ``E(q) > E(p)`` iff ``r_q > r_p`` and
+        ``r_q`` exceeds the current critical path.  ``t0`` caches T0
+        weights across the evaluations of one atomic decision, each read
+        at most once through :meth:`t0_weight`.  The graph is not
+        changed.
         """
-        weights = {txn_id: self.t0_weight(txn_id) for txn_id in self._txns}
-        longest = self._longest
-        base = max([0.0] + [w + longest[t] for t, w in weights.items()])
-
-        def evaluate(txn_id: int, file_id: int) -> float:
-            fixes = self.fixes_for_grant(txn_id, file_id)
-            if self.creates_cycle(fixes):
-                return math.inf
-            if self._journal is not None:
-                raise RuntimeError("nested hypothetical evaluation")
-            journal: typing.List[typing.Tuple] = []
-            self._journal = journal
-            try:
-                for i, j in fixes:
-                    self.apply_fix(i, j)
-                self.propagate_transitive_fixes(touched=fixes)
-                return self._journalled_critical_path(journal, weights, base)
-            finally:
-                self._journal = None
-                self._rollback(journal)
-
-        return evaluate
-
-    def _journalled_critical_path(
-        self,
-        journal: typing.List[typing.Tuple],
-        weights: typing.Mapping[int, float],
-        base: float,
-    ) -> float:
-        """:meth:`critical_path_length` after the journalled mutations.
-
-        ``base`` is the critical path before them.  Suffix distances only
-        rose, so the longest path is ``base`` or runs from a raised node;
-        ``max`` is exact, so this equals the full scan bit for bit.  The
-        level certificate held before, so only new edges and the
-        out-edges of raised levels can break it.
-        """
+        fixes = self.fixes_for_grant(txn_id, file_id)
+        if not fixes:
+            return 0.0, fixes
+        below = self._closure({j for _, j in fixes}, self._succ)
+        if txn_id in below:  # a target reaches T: :meth:`creates_cycle`
+            return math.inf, fixes
+        # the grant and its propagation orient exactly the conflict
+        # edges between ``above`` (A) and ``below`` (D), from A
+        above = self._closure({txn_id}, self._pred)
         level = self._level
         longest = self._longest
-        best = base
-        for entry in journal:
-            kind = entry[0]
-            if kind == "longest":
-                node = entry[1]
-                value = weights[node] + longest[node]
-                if value > best:
-                    best = value
-            elif kind == "level":
-                node = entry[1]
-                node_level = level[node]
-                for succ in self._succ[node]:
-                    if node_level >= level[succ]:
-                        return math.inf
-            elif kind == "edge":
-                if level[entry[1]] >= level[entry[2]]:
-                    return math.inf
-        return best
-
-    def _rollback(self, journal: typing.List[typing.Tuple]) -> None:
-        """Undo journaled mutations in reverse order."""
-        for entry in reversed(journal):
-            kind = entry[0]
-            if kind == "longest":
-                self._longest[entry[1]] = entry[2]
-            elif kind == "level":
-                self._level[entry[1]] = entry[2]
-            elif kind == "edge":
-                _, i, j = entry
-                del self._precedence[(i, j)]
-                self._succ[i].discard(j)
-                self._pred[j].discard(i)
-            else:  # "conflict"
-                _, key, edge = entry
-                self._conflicts[key] = edge
-                i, j = tuple(key)
-                self._conflict_adj[i].add(j)
-                self._conflict_adj[j].add(i)
+        succ = self._succ
+        precedence = self._precedence
+        conflict_adj = self._conflict_adj
+        raised: typing.Dict[int, float] = {}
+        best = 0.0
+        for node in sorted(above, key=level.__getitem__, reverse=True):
+            old = value = longest[node]
+            for s in succ[node]:
+                if s in raised:
+                    cand = precedence[(node, s)] + raised[s]
+                    if cand > value:
+                        value = cand
+            for j in conflict_adj[node]:
+                if j in below:
+                    edge = self._materialise(frozenset((node, j)))
+                    cand = edge.weight(node, j) + longest[j]
+                    if cand > value:
+                        value = cand
+            if value > old:
+                raised[node] = value
+                weight = t0.get(node)
+                if weight is None:
+                    weight = t0[node] = self.t0_weight(node)
+                total = weight + value
+                if total > best:
+                    best = total
+        return best, fixes
 
     def _scratch_copy(self) -> "WTPG":
         """Copy sharing transactions but with private edge/level state.
 
         Subclass-aware: extension WTPGs (e.g. the resource-aware variant)
         keep their extra weighting state in hypothetical evaluations.
-        Kept as the reference evaluation path (tests compare it against
-        the journal-based one).
+        Kept as the reference evaluation path (tests compare
+        :meth:`grant_raise` against grants applied to a copy).
         """
         copy = type(self).__new__(type(self))
         copy.__dict__.update(self.__dict__)
@@ -805,7 +770,6 @@ class WTPG:
         copy._writers = {k: set(v) for k, v in self._writers.items()}
         copy._level = dict(self._level)
         copy._longest = dict(self._longest)
-        copy._journal = None
         return copy
 
     def check_invariants(self) -> None:

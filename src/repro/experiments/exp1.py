@@ -148,7 +148,7 @@ def _speedups_vs_first_row(output: ExperimentOutput, _g: Grid):
 
 figure10 = DerivedFigure(
     id="fig10",
-    title="Fig. 10: declustering vs response-time speedup (lambda = 1.2 TPS)",
+    title="Fig. 10: declustering vs response-time speedup (lambda = {rate} TPS)",
     paper_reference=(
         "ASL/LOW/GOW speed up near-linearly (4-5x at DD=4, ~9x at DD=8); "
         "C2PL+M reaches only ~2.5x at DD=4; OPT ~1.5x; NODC ~2x at DD=8."

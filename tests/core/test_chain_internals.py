@@ -10,6 +10,7 @@ from repro.core.chain import (
     ChainComponent,
     ChainEdge,
     _candidate_values,
+    _component_lists,
     _feasible,
     _pareto_reduce,
 )
@@ -25,6 +26,21 @@ def component(node_weights, edges):
         node_weights=list(node_weights),
         edges=edges,
     )
+
+
+def lists(node_weights, edges):
+    """The solver's flat lists for a hand-built component."""
+    return _component_lists(component(node_weights, edges))
+
+
+def forced(flat, index, direction):
+    """``flat`` with edge ``index`` narrowed to ``direction`` (an
+    empty set when the edge does not allow it)."""
+    w0, w_right, w_left, can_right, can_left = flat
+    can_right, can_left = list(can_right), list(can_left)
+    can_right[index] = can_right[index] and direction == RIGHT
+    can_left[index] = can_left[index] and direction == LEFT
+    return w0, w_right, w_left, can_right, can_left
 
 
 class TestChainEdgeValidation:
@@ -66,60 +82,62 @@ class TestParetoReduce:
 
 class TestCandidateValues:
     def test_single_node(self):
-        comp = component([4.0], [])
-        assert _candidate_values(comp) == [4.0]
+        assert _candidate_values(lists([4.0], [])) == [4.0]
 
     def test_includes_node_weights_and_path_sums(self):
-        comp = component([1.0, 2.0], [free_edge(0, 1, 10.0, 20.0)])
-        values = _candidate_values(comp)
+        values = _candidate_values(
+            lists([1.0, 2.0], [free_edge(0, 1, 10.0, 20.0)])
+        )
         # node weights 1, 2; rightward 1+10 = 11; leftward 2+20 = 22
         assert set(values) == {1.0, 2.0, 11.0, 22.0}
 
     def test_respects_direction_constraints(self):
-        comp = component(
-            [1.0, 2.0],
-            [ChainEdge(0, 1, 10.0, math.nan, frozenset({RIGHT}))],
+        values = _candidate_values(
+            lists(
+                [1.0, 2.0],
+                [ChainEdge(0, 1, 10.0, math.nan, frozenset({RIGHT}))],
+            )
         )
-        values = _candidate_values(comp)
         assert 11.0 in values
         assert all(not math.isnan(v) for v in values)
 
     def test_sorted_output(self):
-        comp = component(
-            [3.0, 1.0, 2.0],
-            [free_edge(0, 1, 1.0, 1.0), free_edge(1, 2, 1.0, 1.0)],
+        values = _candidate_values(
+            lists(
+                [3.0, 1.0, 2.0],
+                [free_edge(0, 1, 1.0, 1.0), free_edge(1, 2, 1.0, 1.0)],
+            )
         )
-        values = _candidate_values(comp)
         assert values == sorted(values)
 
 
 class TestFeasibility:
     def test_single_node_threshold(self):
-        comp = component([4.0], [])
-        assert _feasible(comp, 4.0)
-        assert not _feasible(comp, 3.9)
+        flat = lists([4.0], [])
+        assert _feasible(flat, 4.0)
+        assert not _feasible(flat, 3.9)
 
     def test_two_node_choice(self):
         # right: max(1+5, 1) = 6; left: max(1+2, 1) = 3
-        comp = component([1.0, 1.0], [free_edge(0, 1, 5.0, 2.0)])
-        assert _feasible(comp, 3.0)
-        assert not _feasible(comp, 2.9)
-        assert _feasible(comp, 6.0)
+        flat = lists([1.0, 1.0], [free_edge(0, 1, 5.0, 2.0)])
+        assert _feasible(flat, 3.0)
+        assert not _feasible(flat, 2.9)
+        assert _feasible(flat, 6.0)
 
     def test_forced_direction_changes_feasibility(self):
-        comp = component([1.0, 1.0], [free_edge(0, 1, 5.0, 2.0)])
+        flat = lists([1.0, 1.0], [free_edge(0, 1, 5.0, 2.0)])
         # forcing RIGHT makes 3.0 infeasible
-        assert not _feasible(comp, 3.0, forced={0: RIGHT})
-        assert _feasible(comp, 6.0, forced={0: RIGHT})
+        assert not _feasible(forced(flat, 0, RIGHT), 3.0)
+        assert _feasible(forced(flat, 0, RIGHT), 6.0)
 
     def test_forcing_direction_not_allowed_is_infeasible(self):
-        comp = component(
+        flat = lists(
             [1.0, 1.0],
             [ChainEdge(0, 1, 5.0, math.nan, frozenset({RIGHT}))],
         )
-        assert not _feasible(comp, 100.0, forced={0: LEFT})
+        assert not _feasible(forced(flat, 0, LEFT), 100.0)
 
     def test_node_weight_alone_bounds_theta(self):
-        comp = component([9.0, 1.0], [free_edge(0, 1, 0.0, 0.0)])
-        assert not _feasible(comp, 8.0)
-        assert _feasible(comp, 9.0)
+        flat = lists([9.0, 1.0], [free_edge(0, 1, 0.0, 0.0)])
+        assert not _feasible(flat, 8.0)
+        assert _feasible(flat, 9.0)

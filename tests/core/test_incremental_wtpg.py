@@ -1,8 +1,8 @@
 """Regression and property tests for the incremental WTPG hot path.
 
 The scheduler hot path maintains topological levels and backward
-suffix distances incrementally, evaluates hypothetical grants under an
-apply/undo journal, and restricts transitive-fix sweeps to the edges a
+suffix distances incrementally, evaluates hypothetical grants without
+mutating the graph, and restricts transitive-fix sweeps to the edges a
 new precedence path could force.  These tests pin all three against
 their from-scratch references:
 
@@ -11,10 +11,11 @@ their from-scratch references:
 * random add/grant/remove sequences keep the maintained structures
   bit-for-bit equal to a scratch recompute (``check_invariants``), the
   critical path equal to an independent longest-path DP, and the
-  journal-based hypothetical evaluation -- E read from what the grant
-  changed, on T0 weights read once per decision -- equal to the
-  scratch copy's full ``critical_path_length()``, on plain and
-  backlog-inflated (LOW-LB) T0 weights.
+  read-only hypothetical evaluation (``grant_raise``, on T0 weights
+  read at most once per decision) equal to the scratch copy's full
+  ``critical_path_length()`` after the grant, with LOW's verdict rule
+  ``r_q > r_p and r_q > base`` equal to ``E(q) > E(p)`` for every pair
+  of requests, on plain and backlog-inflated (LOW-LB) T0 weights.
 """
 
 import math
@@ -65,7 +66,7 @@ def reference_critical_path(wtpg):
 
 
 def graph_state(wtpg):
-    """Snapshot of everything a hypothetical evaluation must restore."""
+    """Snapshot of everything a hypothetical evaluation must leave as is."""
     return (
         dict(wtpg._precedence),
         set(wtpg._conflicts),
@@ -194,45 +195,66 @@ class TestIncrementalMatchesRecompute:
 
     @given(ops=ops_strategy)
     @settings(max_examples=40, deadline=None)
-    def test_journal_hypothetical_matches_scratch_copy(self, ops):
-        drive(WTPG(), ops, self._journal_matches_scratch_copy)
+    def test_read_only_e_matches_scratch_copy(self, ops):
+        drive(WTPG(), ops, self._read_only_e_matches_scratch_copy)
 
     @given(ops=ops_strategy)
     @settings(max_examples=40, deadline=None)
-    def test_journal_hypothetical_matches_scratch_copy_lowlb(self, ops):
+    def test_read_only_e_matches_scratch_copy_lowlb(self, ops):
         # LOW-LB: T0 weights inflated by uneven, non-integral backlogs
         wtpg = ResourceAwareWTPG(
             lambda node: 1 / 3 + 0.7 * node,
             lambda file_id: [file_id % 3, (file_id + 1) % 3],
             rho=0.9,
         )
-        drive(wtpg, ops, self._journal_matches_scratch_copy)
+        drive(wtpg, ops, self._read_only_e_matches_scratch_copy)
 
     @staticmethod
-    def _journal_matches_scratch_copy(graph):
-        # one evaluator per state, as one LOW decision uses it
-        evaluate = graph.grant_evaluator()
-        for txn_id in graph.txn_ids:
-            txn = graph.transaction(txn_id)
-            for file_id in txn.files:
-                before = graph_state(graph)
-                value = evaluate(txn_id, file_id)
-                # the journal rolled everything back
-                assert graph_state(graph) == before
-                assert graph.hypothetical_grant_critical_path(
-                    txn_id, file_id
-                ) == value
+    def _read_only_e_matches_scratch_copy(graph):
+        requests = [
+            (txn_id, file_id)
+            for txn_id in graph.txn_ids
+            for file_id in graph.transaction(txn_id).files
+        ]
+        # one T0 cache per state, as one LOW decision shares it; each
+        # weight is read at most once through it
+        reads = []
+        t0_weight = graph.t0_weight
+        graph.t0_weight = lambda txn_id: reads.append(txn_id) or t0_weight(
+            txn_id
+        )
+        t0 = {}
+        before = graph_state(graph)
+        raised = {q: graph.grant_raise(*q, t0) for q in requests}
+        base = graph.critical_path_length(t0)
+        assert graph_state(graph) == before  # nothing was mutated
+        assert sorted(reads) == sorted(set(reads))
+        del graph.t0_weight
 
-                scratch = graph._scratch_copy()
-                fixes = scratch.fixes_for_grant(txn_id, file_id)
-                if scratch.creates_cycle(fixes):
-                    expected = math.inf
-                else:
-                    for i, j in fixes:
-                        scratch.apply_fix(i, j)
-                    scratch.propagate_transitive_fixes(touched=fixes)
-                    expected = scratch.critical_path_length()
-                assert value == expected
+        expected = {}
+        for q in requests:
+            r_q, fixes = raised[q]
+            assert fixes == graph.fixes_for_grant(*q)
+            scratch = graph._scratch_copy()
+            if scratch.creates_cycle(fixes):
+                expected[q] = math.inf
+            else:
+                for i, j in fixes:
+                    scratch.apply_fix(i, j)
+                scratch.propagate_transitive_fixes(touched=fixes)
+                expected[q] = scratch.critical_path_length()
+            # E(q) = max(critical path now, r_q), bit for bit
+            e_q = r_q if math.isinf(r_q) else max(base, r_q)
+            assert e_q == expected[q]
+            assert graph.hypothetical_grant_critical_path(*q) == expected[q]
+        # LOW's verdict rule: E(q) > E(p) iff r_q > r_p and r_q > base
+        for q in requests:
+            r_q = raised[q][0]
+            for p in requests:
+                r_p = raised[p][0]
+                assert (r_q > r_p and r_q > base) == (
+                    expected[q] > expected[p]
+                )
 
     @given(ops=ops_strategy)
     @settings(max_examples=40, deadline=None)

@@ -147,3 +147,10 @@ if __name__ == "__main__":
         indent=1, sort_keys=True,
     ) + "\n")
     print(f"wrote {GOLDEN}")
+
+
+def test_figure10_title_names_its_rate():
+    output = exp1.figure10(
+        scale=MICRO, dds=(2,), num_files=8, rate=0.8, mpl_candidates=(2,)
+    )
+    assert output.title.endswith("(lambda = 0.8 TPS)")
