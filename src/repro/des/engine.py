@@ -1,11 +1,16 @@
-"""The event loop: a time-ordered heap of triggered events.
+"""The event loop: a time-ordered heap of entries, each an event or the
+batch of calls due at one instant.
 
-Determinism: events scheduled for the same simulated time fire in FIFO
-order of scheduling (a monotonically increasing sequence number breaks
-ties), so a simulation with a fixed RNG seed replays identically.
-Callbacks registered with :meth:`Environment.call_at` take their place
-in that order as if each were an event of its own, though the calls due
-at one instant share one heap entry.
+Determinism: everything scheduled for the same simulated time fires in
+FIFO order of scheduling (a monotonically increasing sequence number
+breaks ties), so a simulation with a fixed RNG seed replays identically.
+Only events scheduled for a later instant (a :class:`Timeout`, a
+``succeed(at=...)``, :meth:`Environment.schedule_at`) get heap entries
+of their own.  Every zero-delay trigger -- an event's ``succeed()`` or
+``fail()``, a process's start and its resume on an event already
+processed -- is a call registered with :meth:`Environment.call_at`, and
+all calls due at one instant share one heap entry while each takes its
+place in the FIFO order as if it were an event of its own.
 """
 
 from __future__ import annotations
@@ -16,16 +21,12 @@ import typing
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-from repro.des.events import AllOf, AnyOf, Event, Timeout
+from repro.des.events import AllOf, AnyOf, Event, StopSimulation, Timeout
 from repro.des.process import Process, ProcessGenerator
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.timeseries import TimeSeriesSampler
-
-
-class StopSimulation(Exception):
-    """Raised by :meth:`Environment.run` internals to end the run early."""
 
 
 class _CallBatch(list):
@@ -39,7 +40,7 @@ class _CallBatch(list):
     __slots__ = ("env", "callbacks", "_processed")
 
 
-def _fire(batch: _CallBatch) -> None:
+def _run_batch(batch: _CallBatch) -> None:
     """Run a batch's calls in key order.
 
     Before each call after the first the heap head is checked: an event
@@ -64,13 +65,13 @@ def _fire(batch: _CallBatch) -> None:
     finally:
         if done < len(batch):
             del batch[:done]
-            batch.callbacks = _FIRE
+            batch.callbacks = _RUN_BATCH
             _heappush(queue, (when, batch[0][0], batch))
         else:
             del env._batches[when]
 
 
-_FIRE = (_fire,)
+_RUN_BATCH = (_run_batch,)
 
 
 class Environment:
@@ -87,6 +88,10 @@ class Environment:
         #: the pending :meth:`call_at` batch of each instant
         self._batches: typing.Dict[float, _CallBatch] = {}
         self._active_process: typing.Optional[Process] = None
+        #: the entry the running loop stops after (the event of
+        #: ``run(until=event)``): an event firing inside a call batch
+        #: checks it, to end the run right after its callbacks
+        self._stop_event: object = None
         #: processes whose generator has not finished, in start order
         #: (kept so :meth:`close` can reach the ones still parked)
         self._processes: typing.Dict[Process, None] = {}
@@ -149,19 +154,15 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Enqueue a triggered event to fire ``delay`` from now."""
-        self.schedule_at(event, self._now + delay)
-
     def schedule_at(self, event: Event, when: float) -> None:
-        """Enqueue a triggered event to fire at exactly the time ``when``.
+        """Enqueue a triggered event to fire at exactly the time ``when``,
+        in a heap entry of its own.
 
-        ``schedule(event, when - now)`` would fire at ``now + (when -
-        now)``, which need not round back to ``when``; a caller that has
-        computed an instant itself uses this (or :meth:`call_at`) to keep
-        it bit for bit.  Same-time events still fire in FIFO order of
-        scheduling.  The kernel's own events (``succeed``, ``Timeout``)
-        are enqueued here directly.
+        A delay added to ``now`` need not round back to an instant a
+        caller has computed itself, so such a caller passes the instant
+        here (or to :meth:`call_at`) to keep it bit for bit.  Same-time
+        events still fire in FIFO order of scheduling.  ``Timeout`` and
+        ``succeed(at=...)`` enqueue their events here.
         """
         if not when >= self._now:
             raise ValueError(f"when={when} lies in the past (now={self._now})")
@@ -177,7 +178,10 @@ class Environment:
         and fires in exactly the order an event scheduled in its place
         would: FIFO among everything due at ``when``.  All calls due at
         one instant share one heap entry, so a group of callbacks that
-        fall due together costs one push, one pop and one dispatch.
+        fall due together costs one push, one pop and one dispatch.  A
+        call registered for ``now`` while that instant's batch runs joins
+        it.  Every zero-delay trigger of the kernel (``succeed()``,
+        ``fail()``, a process's start and relay) is such a call.
         """
         self._seq += 1
         key = self._seq
@@ -190,7 +194,7 @@ class Environment:
         batch = batches[when] = _CallBatch()
         batch.append((key, fn, arg))
         batch.env = self
-        batch.callbacks = _FIRE
+        batch.callbacks = _RUN_BATCH
         _heappush(self._queue, (when, key, batch))
 
     def peek(self) -> float:
@@ -198,7 +202,12 @@ class Environment:
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
-        """Fire the single next heap entry (advancing the clock to it)."""
+        """Fire the single next heap entry (advancing the clock to it).
+
+        When that entry is an instant's call batch, the calls that join
+        the batch while it runs (the zero-delay triggers it causes) fire
+        in this step too, unless an entry on the heap must come between.
+        """
         queue = self._queue
         if not queue:
             raise StopSimulation("event queue is empty")
@@ -235,7 +244,8 @@ class Environment:
           measurement window ``[0, until)`` never counts boundary events
           twice across adjacent windows;
         - an :class:`Event`: run until that event fires, returning its
-          value (or raising its exception).
+          value (or raising its exception).  The run stops right after
+          the event's callbacks, leaving the rest of its instant pending.
         """
         if until is None:
             stop_at = _INF
@@ -278,7 +288,9 @@ class Environment:
     def _loop(self, stop_at: float, stop_event: object) -> None:
         """Pop and fire heap entries until the queue drains, the next
         entry lies at or past ``stop_at``, or the entry ``stop_event``
-        (an event, or the head entry for :meth:`step`) has fired.
+        (an event, or the head entry for :meth:`step`) has fired.  An
+        event that fires inside a call batch ends the loop by raising
+        :class:`StopSimulation` when it is ``stop_event``.
 
         The sampler's next boundary and the progress threshold are read
         once per call; each changes only through the sampler or the hook
@@ -292,6 +304,7 @@ class Environment:
         progress = self.progress_hook
         report_at = _INF if progress is None else self._progress_next
         count = self.events_processed
+        outer_stop, self._stop_event = self._stop_event, stop_event
         try:
             while queue:
                 when, key, event = pop(queue)
@@ -317,7 +330,10 @@ class Environment:
                     callback(event)
                 if event is stop_event:
                     break
+        except StopSimulation:
+            pass
         finally:
+            self._stop_event = outer_stop
             self.events_processed = count
 
 

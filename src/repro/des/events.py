@@ -4,6 +4,13 @@ An :class:`Event` is a one-shot future scheduled on an
 :class:`~repro.des.engine.Environment`.  Processes yield events; the
 environment resumes the process when the event fires.  Events succeed with
 an optional value or fail with an exception.
+
+An event triggered for a later instant (a :class:`Timeout`, or
+``succeed(at=...)``) waits on the heap as an entry of its own.  One
+triggered for now is a :func:`fire` call in the instant's
+:meth:`~repro.des.engine.Environment.call_at` batch: it takes the same
+sequence number and fires in the same FIFO place, without a heap push
+and pop of its own.
 """
 
 from __future__ import annotations
@@ -14,11 +21,17 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.engine import Environment
 
 
+class StopSimulation(Exception):
+    """Raised by :meth:`~repro.des.engine.Environment.run` internals to
+    end the run early: :func:`fire` raises it when the event a run waits
+    for fires inside a call batch."""
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
-    Lifecycle: *pending* -> *triggered* (scheduled on the event queue) ->
-    *processed* (callbacks ran).  An event may only be triggered once.
+    Lifecycle: *pending* -> *triggered* (scheduled to fire) -> *processed*
+    (callbacks ran).  An event may only be triggered once.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_processed")
@@ -68,7 +81,10 @@ class Event:
         if self._triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
         env = self.env
-        env.schedule_at(self, env._now if at is None else at)
+        if at is None:
+            env.call_at(env._now, fire, self)
+        else:
+            env.schedule_at(self, at)
         self._ok = True
         self._value = value
         self._triggered = True
@@ -83,7 +99,8 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        self.env.schedule_at(self, self.env._now)
+        env = self.env
+        env.call_at(env._now, fire, self)
         return self
 
     def __repr__(self) -> str:
@@ -95,6 +112,17 @@ class Event:
             else "pending"
         )
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
+
+
+def fire(event: Event) -> None:
+    """Run a triggered event's callbacks: its turn in its instant's call
+    batch.  It ends a ``run(until=event)`` right after them."""
+    callbacks, event.callbacks = event.callbacks, []
+    event._processed = True
+    for callback in callbacks:
+        callback(event)
+    if event is event.env._stop_event:
+        raise StopSimulation
 
 
 class Timeout(Event):

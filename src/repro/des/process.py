@@ -19,6 +19,17 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ProcessGenerator = typing.Generator[Event, object, object]
 
 
+class _Start:
+    """The outcome a process's first resume reads: success, no value."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
+
+
 class Process(Event):
     """A running simulation process wrapping a generator."""
 
@@ -36,11 +47,8 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         env._processes[self] = None
-
-        # Kick the process off via an immediately-firing bootstrap event.
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        # the first resume: a same-instant call, as a succeeded event's is
+        env.call_at(env._now, self._resume, _START)
 
     @property
     def is_alive(self) -> bool:
@@ -82,13 +90,8 @@ class Process(Event):
         if next_target.env is not env:
             raise ValueError("yielded event belongs to another environment")
         if next_target._processed:
-            # Already fired and processed: resume on the next scheduling slot.
-            relay = Event(self.env)
-            relay.callbacks.append(self._resume)
-            relay._ok = next_target.ok
-            relay._value = next_target._value
-            relay._triggered = True
-            self.env.schedule(relay)
+            # already fired: resume with its outcome in a same-instant call
+            env.call_at(env._now, self._resume, next_target)
         else:
             next_target.callbacks.append(self._resume)
 

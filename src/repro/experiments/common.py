@@ -17,9 +17,9 @@ Calling a declaration runs it::
     exp1.figure9(QUICK, seed=0, runner=runner, dds=(1, 8))
 
 Keyword arguments override the declaration's ``defaults``.  The driver
-runs every distinct job of the figure once: the fixed-rate runs as one
-batch, the rate bisections as one lockstep search, and each C2PL+M cell
-as one batch of MPL candidates.  With a
+runs every distinct job of the figure once: the fixed-rate runs and
+every C2PL+M cell's MPL candidates as one batch, and the rate
+bisections as one lockstep search.  With a
 :class:`~repro.runner.ParallelRunner` the batches fan out across worker
 processes and are served from its cache; without one the same specs run
 inline, with identical results.
@@ -36,8 +36,9 @@ import typing
 from repro.runner.spec import RunSpec, WorkloadSpec
 from repro.sim.experiment import (
     ThroughputRequest,
-    best_mpl_result,
+    choose_best_mpl,
     find_throughput_batch,
+    mpl_candidate_specs,
     run_specs,
 )
 
@@ -203,20 +204,37 @@ def _run_jobs(
     runner: typing.Optional["ParallelRunner"],
     label: str,
 ) -> typing.Dict[Job, typing.Any]:
-    """Every distinct job once; its result by job."""
+    """Every distinct job once; its result by job.
+
+    The fixed-rate runs and every C2PL+M job's MPL candidates share one
+    batch.
+    """
     unique = list(dict.fromkeys(jobs))
     done: typing.Dict[Job, typing.Any] = {}
     specs = [job for job in unique if isinstance(job, RunSpec)]
-    if specs:
-        done.update(zip(specs, run_specs(specs, runner, label=label)))
+    candidates = {
+        job: mpl_candidate_specs(job.spec, job.mpl_candidates)
+        for job in unique
+        if isinstance(job, BestMpl)
+    }
+    batch = list(dict.fromkeys(
+        specs + [spec for runs in candidates.values() for spec in runs]
+    ))
+    if batch:
+        results = dict(zip(batch, run_specs(batch, runner, label=label)))
+        done.update((spec, results[spec]) for spec in specs)
+        for job, runs in candidates.items():
+            done[job] = choose_best_mpl(
+                job.spec,
+                job.mpl_candidates,
+                [results[spec] for spec in runs],
+                runner,
+            )
     searches = [job for job in unique if isinstance(job, ThroughputRequest)]
     if searches:
         done.update(
             zip(searches, find_throughput_batch(searches, runner, label=label))
         )
-    for job in unique:
-        if isinstance(job, BestMpl):
-            done[job] = best_mpl_result(job.spec, job.mpl_candidates, runner)
     return done
 
 

@@ -22,12 +22,16 @@ the end) would take it.
 from __future__ import annotations
 
 import collections
+import heapq
 import math
 import typing
 
 from repro.des import Environment, Event
 from repro.des.monitor import Counter, TimeWeighted
 from repro.machine.config import MachineConfig
+
+
+_heappush = heapq.heappush
 
 
 class _Slice(Event):
@@ -126,30 +130,29 @@ class ControlNode:
                 category=piece.category, cost_ms=piece.cost_ms,
             )
         piece._triggered = True
-        env.schedule_at(piece, now + piece.cost_ms)
+        # the end's heap entry, pushed as ``schedule_at`` would
+        env._seq += 1
+        _heappush(env._queue, (now + piece.cost_ms, env._seq, piece))
 
     def _finish(self, piece: _Slice) -> None:
-        """The end of ``piece``'s service, before its process resumes."""
-        now = self.env._now
+        """The end of ``piece``'s service, before its process resumes:
+        book it and hand the CPU to the oldest waiter, if any."""
+        env = self.env
+        now = env._now
         category = piece.category
         categories = self.cpu_ms_by_category
         categories[category] = categories.get(category, 0.0) + piece.cost_ms
-        if self._trace.enabled:
-            self._trace.emit(now, "cn.exec_end", category=category)
-        if not self._waiting:
-            self.busy.update(now, 0.0)
-        self._grant_next()
-
-    def _grant_next(self) -> None:
-        """Hand the CPU to the oldest waiter, if any."""
+        trace = self._trace
+        if trace.enabled:
+            trace.emit(now, "cn.exec_end", category=category)
         waiting = self._waiting
         if not waiting:
+            self.busy.update(now, 0.0)
             self._serving = None
             return
         piece = self._serving = waiting.popleft()
-        env = self.env
-        env.call_at(env._now, self._start, piece)
-        if self._trace.enabled:
+        env.call_at(now, self._start, piece)
+        if trace.enabled:
             self._trace_queue()
 
     def _trace_queue(self) -> None:

@@ -21,8 +21,9 @@ time-series gauges).  A submission re-arms the timer only when it moves
 the completion; a replaced timer is recognised as stale when it fires,
 by the generation number it carries.  A step's cohorts share one
 :class:`Completion`.  The timer, an idle node's start hop and a step's
-completion relay are :meth:`~repro.des.Environment.call_at` calls, so
-those due at one instant share one heap entry.  docs/MODEL.md states the
+completion relay are :meth:`~repro.des.Environment.call_at` calls (as
+is every zero-delay trigger), so those due at one instant share one
+heap entry.  docs/MODEL.md states the
 booking rule for reads and the completion-order rule.
 
 One node object may serve a *group* of nodes that the placement keeps
@@ -55,6 +56,8 @@ class Completion(Event):
     With ``relay`` (a step's cohorts) it fires one hop after the last
     one finishes -- where that cohort's own event and an ``AllOf`` over
     the step's cohorts would fire -- so same-instant ties resolve alike.
+    Both hops, the relay and the ``succeed()`` it makes, are calls in
+    the instant's batch.
     """
 
     __slots__ = ("_pending", "_relay")

@@ -180,6 +180,16 @@ def find_throughput_batch(
     return [typing.cast(SimulationResult, state.result) for state in states]
 
 
+def mpl_candidate_specs(
+    spec: RunSpec, mpl_candidates: typing.Sequence[int]
+) -> typing.List[RunSpec]:
+    """``spec`` under each MPL cap of ``mpl_candidates``: C2PL+M's runs."""
+    return [
+        dataclasses.replace(spec, config=spec.config.replace(mpl=mpl))
+        for mpl in mpl_candidates
+    ]
+
+
 def best_mpl_result(
     spec: RunSpec,
     mpl_candidates: typing.Sequence[int] = (2, 4, 6, 8, 12, 16),
@@ -189,26 +199,35 @@ def best_mpl_result(
 
     The paper defines C2PL+M as "the best C2PL to control
     multi-programming level"; ``spec`` is the uncapped run, and the
-    candidates replace its ``config.mpl``.  They run as one batch, and
-    runs that complete no transactions are skipped.  If *no* candidate
-    commits anything the uncapped ``spec`` is returned instead, flagged
-    via ``result.fallback`` and a warning -- a NaN-RT candidate silently
-    posing as C2PL+M would otherwise corrupt downstream tables.
+    candidates replace its ``config.mpl``.  They run as one batch; see
+    :func:`choose_best_mpl` for the choice.
+    """
+    candidates = run_specs(
+        mpl_candidate_specs(spec, mpl_candidates),
+        runner,
+        label=f"c2pl+m:{spec.workload.rate_tps:g}tps",
+    )
+    return choose_best_mpl(spec, mpl_candidates, candidates, runner)
+
+
+def choose_best_mpl(
+    spec: RunSpec,
+    mpl_candidates: typing.Sequence[int],
+    candidates: typing.Sequence[SimulationResult],
+    runner: typing.Optional["ParallelRunner"] = None,
+) -> SimulationResult:
+    """C2PL+M from the results of ``mpl_candidate_specs(spec, ...)``.
+
+    Runs that complete no transactions are skipped.  If *no* candidate
+    commits anything the uncapped ``spec`` is run and returned instead,
+    flagged via ``result.fallback`` and a warning -- a NaN-RT candidate
+    silently posing as C2PL+M would otherwise corrupt downstream tables.
     """
 
     def relabel(result: SimulationResult, **changes: typing.Any):
         # never mutate: callers may hold the same result object
         return dataclasses.replace(result, scheduler="C2PL+M", **changes)
 
-    rate_tps = spec.workload.rate_tps
-    candidates = run_specs(
-        [
-            dataclasses.replace(spec, config=spec.config.replace(mpl=mpl))
-            for mpl in mpl_candidates
-        ],
-        runner,
-        label=f"c2pl+m:{rate_tps:g}tps",
-    )
     best: typing.Optional[SimulationResult] = None
     for result in candidates:
         if math.isnan(result.mean_response_ms):
@@ -221,10 +240,10 @@ def best_mpl_result(
     # degenerate: nothing committed under any MPL; fall back to raw C2PL
     warnings.warn(
         f"C2PL+M sweep over mpl={tuple(mpl_candidates)} at "
-        f"{rate_tps:g} TPS committed no transactions; falling back to the "
-        "uncapped run (result.fallback=True)",
+        f"{spec.workload.rate_tps:g} TPS committed no transactions; falling "
+        "back to the uncapped run (result.fallback=True)",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
     fallback = run_specs([spec], runner, label="c2pl+m:fallback")[0]
     return relabel(fallback, fallback=True)

@@ -194,10 +194,7 @@ class Simulation:
             try:
                 while not attempt.finished_all_steps:
                     step = attempt.current_step
-                    if (
-                        attempt.first_step_needing(step.file_id)
-                        == attempt.current_step_index
-                    ):
+                    if attempt.locks_at[attempt.current_step_index]:
                         yield from scheduler.acquire(attempt, step.file_id)
                     if self.auditor is not None:
                         self.auditor.record_access(

@@ -73,16 +73,20 @@ class BatchTransaction:
         # pass.  Lock plan: strongest mode ever needed per file, the
         # files in the order of the step that first touches each (the
         # paper: "X-locks are requested at the first two steps" of
-        # Pattern 1); the access sets; and the suffix sums of the
+        # Pattern 1), and whether each step is the one that locks its
+        # file; the access sets; and the suffix sums of the
         # declared costs (each with the left-to-right association of a
         # fresh ``sum`` over the slice).
         mode_by_file: typing.Dict[int, AccessMode] = {}
         first_need: typing.Dict[int, int] = {}
         written = []
+        locks_at: typing.List[bool] = []
         for index, step in enumerate(steps):
             file_id = step.file_id
             mode = step.mode
-            if file_id not in first_need:
+            first = file_id not in first_need
+            locks_at.append(first)
+            if first:
                 first_need[file_id] = index
                 mode_by_file[file_id] = mode
             elif mode is _EXCLUSIVE:
@@ -93,6 +97,9 @@ class BatchTransaction:
                 raise ValueError("declared costs must be >= 0")
         self._mode_by_file = mode_by_file
         self._first_need = first_need
+        #: per step: is it the first to need its file (so its lock is
+        #: acquired there)?  Shared with restarts; callers must not mutate
+        self.locks_at: typing.List[bool] = locks_at
         self._files: typing.List[int] = list(first_need)
         self._read_set: typing.FrozenSet[int] = frozenset(first_need)
         self._write_set: typing.FrozenSet[int] = frozenset(written)
@@ -123,10 +130,6 @@ class BatchTransaction:
     def mode_for(self, file_id: int) -> AccessMode:
         """Strongest access mode the transaction ever needs on the file."""
         return self._mode_by_file[file_id]
-
-    def first_step_needing(self, file_id: int) -> int:
-        """Index of the first step that scans ``file_id``."""
-        return self._first_need[file_id]
 
     def writes(self, file_id: int) -> bool:
         """True when the transaction ever writes ``file_id``."""
@@ -243,6 +246,7 @@ class BatchTransaction:
         copy._begin()
         copy._mode_by_file = self._mode_by_file
         copy._first_need = self._first_need
+        copy.locks_at = self.locks_at
         copy._files = self._files
         copy._read_set = self._read_set
         copy._write_set = self._write_set

@@ -18,7 +18,8 @@ from repro.experiments import (
     figures,
     scale_from_env,
 )
-from repro.experiments import exp1, exp2, exp3
+from repro.experiments import common, exp1, exp2, exp3
+from repro.experiments.common import RunScale
 
 
 class TestScales:
@@ -86,6 +87,23 @@ class TestTable3AndFigure10:
         out = exp1.table3(SMOKE, dds=(1,), mpl_candidates=(4, 8))
         assert "C2PL+M" in out.headers
         assert len(out.rows) == 1
+
+    def test_table3_runs_as_one_batch(self, monkeypatch):
+        """Its fixed-rate cells and every DD's C2PL+M candidates."""
+        batches = []
+        run_specs = common.run_specs
+
+        def counted(specs, runner=None, label="batch"):
+            batches.append((label, len(specs)))
+            return run_specs(specs, runner, label=label)
+
+        monkeypatch.setattr(common, "run_specs", counted)
+        micro = RunScale("micro", 20_000.0, 2_000.0, 2)
+        out = exp1.table3(micro, dds=(1, 2), mpl_candidates=(4, 8))
+        # five fixed-rate columns and two MPL candidates per DD
+        assert batches == [("table3", 2 * 5 + 2 * 2)]
+        assert out.headers[5] == "C2PL+M"
+        assert all(not math.isnan(row[5]) for row in out.rows)
 
     def test_figure10_speedups_baseline_is_one(self):
         rt = ExperimentOutput(

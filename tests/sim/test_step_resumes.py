@@ -2,9 +2,10 @@
 
 The CN message out, the DD-way scan and the CN message in are chained by
 callbacks into one event, so a transaction's process resumes once per
-step, plus once each for its bootstrap and its startup and commit
-slices.  NODC decides without CN slices or waits, so on an NODC cell
-those are all its resumes.
+step, plus once each for its start and its startup and commit slices.
+NODC decides without CN slices or waits, so on an NODC cell those are
+all its resumes.  The zero-delay triggers join their instant's call
+batch, which cuts the cell's heap entries but none of its resumes.
 """
 
 import collections
@@ -15,12 +16,19 @@ from repro.obs import MemoryRecorder
 from repro.sim.simulation import Simulation
 from repro.txn import experiment1_workload
 
-#: events the same cell fired when a step resumed its process three
-#: times (send slice, scan, receive slice)
-THREE_RESUME_EVENTS = 1549
+#: heap entries the same cell fired while each zero-delay trigger (a
+#: ``succeed()`` at now, a process start or relay) took one of its own,
+#: with three resumes per step and with one alike
+HEAP_ENTRY_PER_TRIGGER_EVENTS = 1549
+#: heap entries it fires now that those triggers join their instant's
+#: call batch
+BATCHED_EVENTS = 1121
+#: process resumes in the cell, the same under both
+RESUMES = 387
 
 
-def test_nodc_attempt_resumes_once_per_step(monkeypatch):
+def run_cell(monkeypatch):
+    """The NODC DD = 8 cell: the run, its trace and resumes by process."""
     resumes = collections.Counter()
     resume = Process._resume
 
@@ -38,6 +46,11 @@ def test_nodc_attempt_resumes_once_per_step(monkeypatch):
     )
     result = simulation.run()
     records = [event.to_record() for event in recorder.events]
+    return simulation, result, records, resumes
+
+
+def test_nodc_attempt_resumes_once_per_step(monkeypatch):
+    simulation, result, records, resumes = run_cell(monkeypatch)
     committed = [
         record["txn"] for record in records if record["kind"] == "txn.commit"
     ]
@@ -48,7 +61,12 @@ def test_nodc_attempt_resumes_once_per_step(monkeypatch):
     assert result.completed > 30 and result.restarts == 0
     assert len(committed) >= result.completed
     for txn_id in committed:
-        # bootstrap, startup slice, one per step, commit slice
+        # start, startup slice, one per step, commit slice
         assert steps[txn_id] == 4
         assert resumes[f"txn-{txn_id}"] == 1 + 1 + steps[txn_id] + 1
-    assert simulation.env.events_processed <= THREE_RESUME_EVENTS
+
+
+def test_batched_triggers_cut_heap_entries_not_resumes(monkeypatch):
+    simulation, _result, _records, resumes = run_cell(monkeypatch)
+    assert sum(resumes.values()) == RESUMES
+    assert simulation.env.events_processed == BATCHED_EVENTS

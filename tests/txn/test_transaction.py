@@ -63,10 +63,12 @@ class TestLockPlan:
         txn = simple_txn(1, [(5, "r", 1.0), (2, "w", 1.0), (5, "w", 1.0)])
         assert txn.files == [5, 2]
 
-    def test_first_step_needing(self):
-        txn = pattern1_txn(f1=0, f2=1)
-        assert txn.first_step_needing(0) == 0
-        assert txn.first_step_needing(1) == 1
+    def test_locks_at_marks_each_files_first_step(self):
+        # Pattern 1 locks both files at its first two steps
+        assert pattern1_txn(f1=0, f2=1).locks_at == [True, True, False, False]
+        txn = simple_txn(1, [(5, "r", 1.0), (2, "w", 1.0), (5, "w", 1.0)])
+        assert txn.locks_at == [True, True, False]
+        assert txn.restart_copy(2).locks_at is txn.locks_at
 
     def test_read_and_write_sets(self):
         txn = simple_txn(1, [(0, "r", 5.0), (1, "w", 1.0), (2, "w", 1.0)])
