@@ -27,7 +27,7 @@ import typing
 
 from repro.artifact import Family, require
 from repro.core.registry import FAMILIES, family_of, grid_schedulers
-from repro.runner.spec import RunSpec, WorkloadSpec
+from repro.runner.spec import RunSpec, paper_workload
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.runner.runner import ParallelRunner
@@ -89,22 +89,12 @@ def arena_specs(
     warmup_ms: float = DEFAULT_WARMUP_MS,
 ) -> typing.List[RunSpec]:
     """The matrix as RunSpecs, in (rate, dd, scheduler) order."""
-
-    def _workload(rate: float) -> WorkloadSpec:
-        if workload == "exp2":
-            return WorkloadSpec.make("exp2", rate)
-        if workload == "exp3":
-            return WorkloadSpec.make(
-                "exp3", rate, sigma=sigma, num_files=num_files
-            )
-        return WorkloadSpec.make("exp1", rate, num_files=num_files)
-
     from repro.machine.config import MachineConfig
 
     return [
         RunSpec(
             scheduler=scheduler,
-            workload=_workload(rate),
+            workload=paper_workload(workload, rate, num_files, sigma),
             config=MachineConfig(dd=dd, num_files=num_files),
             seed=seed,
             duration_ms=duration_ms,

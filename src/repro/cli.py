@@ -42,7 +42,7 @@ import time
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.runner.spec import RunSpec, WorkloadSpec
+    from repro.runner.spec import RunSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,6 +278,7 @@ def _check_horizon(args: argparse.Namespace) -> None:
 def _command_run(args: argparse.Namespace) -> int:
     from repro.analysis import render_table
     from repro.machine.config import MachineConfig
+    from repro.runner.spec import paper_workload
     from repro.sim.simulation import run_simulation
 
     _check_horizon(args)
@@ -298,7 +299,9 @@ def _command_run(args: argparse.Namespace) -> int:
         sampler = TimeSeriesSampler(interval_ms=args.sample_interval)
     result = run_simulation(
         args.scheduler,
-        _workload_spec(args, args.rate).build(),
+        paper_workload(
+            args.workload, args.rate, args.num_files, args.sigma
+        ).build(),
         config,
         seed=args.seed,
         duration_ms=args.duration,
@@ -354,6 +357,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     from repro.obs.events import TRACE
     from repro.obs.export import render_summary, write_chrome_trace, write_jsonl
     from repro.obs.recorder import MemoryRecorder
+    from repro.runner.spec import paper_workload
     from repro.sim.simulation import run_simulation
 
     _check_horizon(args)
@@ -368,7 +372,9 @@ def _command_trace(args: argparse.Namespace) -> int:
     recorder = MemoryRecorder(max_events=args.max_events)
     result = run_simulation(
         args.scheduler,
-        _workload_spec(args, args.rate).build(),
+        paper_workload(
+            args.workload, args.rate, args.num_files, args.sigma
+        ).build(),
         config,
         seed=args.seed,
         duration_ms=args.duration,
@@ -410,23 +416,12 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workload_spec(args: argparse.Namespace, rate: float) -> WorkloadSpec:
-    from repro.runner.spec import WorkloadSpec
-
-    if args.workload == "exp1":
-        return WorkloadSpec.make("exp1", rate, num_files=args.num_files)
-    if args.workload == "exp2":
-        return WorkloadSpec.make("exp2", rate)
-    return WorkloadSpec.make(
-        "exp3", rate, sigma=args.sigma, num_files=args.num_files
-    )
-
-
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import render_table
     from repro.core.registry import available
     from repro.machine.config import MachineConfig
     from repro.runner import ParallelRunner, ResultCache, RunSpec
+    from repro.runner.spec import paper_workload
 
     schedulers = [s for s in args.schedulers.split(",") if s]
     rates = [float(r) for r in args.rates.split(",") if r]
@@ -467,7 +462,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
     specs = [
         RunSpec(
             scheduler=scheduler,
-            workload=_workload_spec(args, rate),
+            workload=paper_workload(
+                args.workload, rate, args.num_files, args.sigma
+            ),
             config=config,
             seed=args.seed,
             duration_ms=args.duration,

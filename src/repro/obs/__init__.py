@@ -36,8 +36,8 @@ Public surface:
   run's entry points from outside the model and attributes the
   simulator's own time to its layers (event loop, machine, scheduler,
   lock table, WTPG, metrics).
-- :mod:`repro.obs.telemetry` -- live batch telemetry: worker lifecycle
-  JSONL streams, heartbeats, the ``status.json`` aggregator and the
+- :mod:`repro.obs.telemetry` -- live batch telemetry: per-run lifecycle
+  records and heartbeats, the ``status.json`` aggregator and the
   ``repro watch`` renderer.
 
 Every name is imported from its defining module on first use
@@ -61,7 +61,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Series": "repro.obs.timeseries",
     "Span": "repro.obs.attrib",
     "TELEMETRY_EVENT_KINDS": "repro.obs.telemetry",
-    "TelemetrySink": "repro.obs.telemetry",
     "TimeSeriesSampler": "repro.obs.timeseries",
     "TraceEvent": "repro.obs.events",
     "TraceRecorder": "repro.obs.recorder",
@@ -72,7 +71,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "fold_trace_path": "repro.obs.attrib",
     "gauge": "repro.obs.timeseries",
     "max_rss_kb": "repro.obs.telemetry",
-    "read_telemetry_records": "repro.obs.telemetry",
     "render_series_report": "repro.obs.timeseries",
     "render_status": "repro.obs.telemetry",
     "render_summary": "repro.obs.export",

@@ -2,18 +2,19 @@
 
 Traces and series are *post-hoc and per-run*: those artifacts only
 exist once a run finished.  This module is the *live*
-layer: while a batch executes, every worker appends structured lifecycle
+layer: while a batch executes, every run reports structured lifecycle
 records (``run.start`` / ``run.heartbeat`` / ``run.done`` / ``run.error``)
-to a shared per-batch ``telemetry.jsonl``, and the parent folds that
-stream into an atomically rewritten ``status.json`` snapshot -- per-cell
-% of the simulated horizon reached, cells done/failed/pending, EWMA
-fleet throughput and an ETA -- which ``repro watch`` renders and the
-runner's stall detector watches (no heartbeat for ``stall_timeout``
-means a worker is hung, not slow).
+through :class:`WorkerTelemetry`, and the batch's parent process writes
+them, with its own records, to the per-batch ``telemetry.jsonl``.  The
+parent is the stream's only writer: a pool worker sends its records
+over the pipe it already shares with the parent, and an in-process run
+hands them over directly.  The parent also folds the stream into an
+atomically rewritten ``status.json`` snapshot -- per-cell % of the
+simulated horizon reached, cells done/failed/pending, EWMA fleet
+throughput and an ETA -- which ``repro watch`` renders and the runner's
+stall detector watches (no heartbeat for ``stall_timeout`` means a
+worker is hung, not slow).
 
-Concurrency model: every record is one JSON line written with a single
-``write()`` call on an append-mode handle, so POSIX ``O_APPEND``
-guarantees lines from different worker processes never interleave.
 ``status.json`` is a STATUS artifact rewritten through
 :func:`repro.artifact.write`, so a reader can never observe a torn
 snapshot.  The stream is the TELEMETRY artifact family: its
@@ -27,9 +28,7 @@ telemetry on returns byte-identical results to the same run without.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import sys
 import time
 import traceback as traceback_mod
@@ -42,7 +41,8 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
-PathLike = typing.Union[str, pathlib.Path]
+#: one telemetry record: ``ts``, ``kind`` and the kind's fields
+Record = typing.Dict[str, typing.Any]
 
 #: every kind a telemetry stream may carry, mapped to the field names
 #: each record must have besides ``ts`` and ``kind`` (the TELEMETRY
@@ -118,133 +118,55 @@ TELEMETRY = artifact.Family(
 STATUS = artifact.Family("status", 1, validate_status)
 
 
-# -- the multiprocessing-safe writer ------------------------------------------
-
-
-class TelemetrySink:
-    """Appends telemetry records to a JSONL file, one line per record.
-
-    Safe to use from many processes at once: the handle is opened in
-    append mode and each record is one ``write()`` of one line, which
-    POSIX guarantees lands contiguously for ``O_APPEND`` writes (lines
-    stay far below ``PIPE_BUF``).  The handle opens lazily so a sink is
-    picklable until first use.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        after_emit: typing.Optional[
-            typing.Callable[[typing.Dict[str, typing.Any]], None]
-        ] = None,
-    ) -> None:
-        self.path = pathlib.Path(path)
-        #: optional same-process hook fired after every record (the
-        #: serial runner uses it to refresh status.json mid-run)
-        self.after_emit = after_emit
-        self._handle: typing.Optional[typing.TextIO] = None
-
-    def emit(self, kind: str, **fields: typing.Any) -> None:
-        """Append one record stamped with the current wall clock."""
-        record: typing.Dict[str, typing.Any] = {
-            "ts": round(time.time(), 6), "kind": kind,
-        }
-        record.update(fields)
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        if self.after_emit is not None:
-            self.after_emit(record)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-def read_telemetry_records(
-    path: PathLike, offset: int = 0
-) -> typing.Tuple[typing.List[typing.Dict[str, typing.Any]], int]:
-    """Read complete records appended since ``offset`` (bytes).
-
-    Returns ``(records, new_offset)``.  A trailing partial line (a
-    worker mid-write) is left for the next call; malformed complete
-    lines are skipped -- the tailer must stay robust while the strict
-    :func:`repro.artifact.check_stream` is what CI runs on the final
-    file.
-    """
-    path = pathlib.Path(path)
-    try:
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            data = handle.read()
-    except OSError:
-        return [], offset
-    end = data.rfind(b"\n")
-    if end < 0:
-        return [], offset
-    records = []
-    for line in data[: end + 1].splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records, offset + end + 1
+def telemetry_record(kind: str, **fields: typing.Any) -> Record:
+    """One telemetry record stamped with the current wall clock."""
+    record: Record = {"ts": round(time.time(), 6), "kind": kind}
+    record.update(fields)
+    return record
 
 
 # -- worker-side lifecycle emitter --------------------------------------------
 
 
 class WorkerTelemetry:
-    """Emits one cell's lifecycle from inside the worker process.
+    """Reports one cell's lifecycle from wherever the run executes.
 
-    Instances are built in the parent and pickled into worker jobs, so
-    the sink opens lazily on first emit (in the worker).  Heartbeats
-    ride the engine's progress hook: the hook fires every
-    ``progress_every`` DES events and a heartbeat is emitted whenever at
-    least ``heartbeat_s`` wall seconds elapsed since the previous one,
-    carrying the simulated clock, the cumulative event count and the
-    fraction of the run horizon reached.
+    Every record goes to ``send``: the parent's stream writer for an
+    in-process run, the worker's pipe to the parent in a pool (which
+    :func:`repro.runner.pool.serve` sets, since a context is pickled
+    into the job without one).  Heartbeats ride the engine's progress
+    hook: the hook fires every ``progress_every`` DES events and a
+    heartbeat is sent whenever at least ``heartbeat_s`` wall seconds
+    elapsed since the previous one, carrying the simulated clock, the
+    cumulative event count and the fraction of the run horizon reached.
     """
 
     def __init__(
         self,
-        path: str,
         cell: int,
         until_ms: float,
         key: str = "",
         label: str = "",
         heartbeat_s: float = 0.5,
         progress_every: int = 4096,
+        send: typing.Optional[typing.Callable[[Record], None]] = None,
     ) -> None:
-        self.path = str(path)
         self.cell = cell
         self.until_ms = float(until_ms)
         self.key = key
         self.label = label
         self.heartbeat_s = heartbeat_s
         self.progress_every = progress_every
-        #: optional same-process hook (serial path only; not pickled
-        #: into pool jobs, which leave it None)
-        self.on_emit: typing.Optional[
-            typing.Callable[[typing.Dict[str, typing.Any]], None]
-        ] = None
-        self._sink: typing.Optional[TelemetrySink] = None
+        self.send = send
         self._last_beat = 0.0
 
     def _emit(self, kind: str, **fields: typing.Any) -> None:
-        if self._sink is None:
-            self._sink = TelemetrySink(self.path, after_emit=self.on_emit)
-        self._sink.emit(kind, cell=self.cell, pid=os.getpid(), **fields)
+        self.send(telemetry_record(
+            kind, cell=self.cell, pid=os.getpid(), **fields
+        ))
 
     def start(self) -> None:
-        """Emit ``run.start``; call before any simulation work."""
+        """Send ``run.start``; call before any simulation work."""
         self._last_beat = time.monotonic()
         self._emit(
             "run.start", key=self.key, label=self.label,
@@ -274,7 +196,7 @@ class WorkerTelemetry:
         )
 
     def done(self, wall_s: float, events: int) -> None:
-        """Emit ``run.done`` and close the sink (the cell's last record)."""
+        """Send ``run.done`` (the cell's last record)."""
         extra: typing.Dict[str, typing.Any] = {}
         rss = max_rss_kb()
         if rss is not None:
@@ -282,21 +204,14 @@ class WorkerTelemetry:
         self._emit(
             "run.done", wall_s=round(wall_s, 6), events=events, **extra,
         )
-        self._close()
 
     def error(self, exc: BaseException) -> None:
-        """Emit ``run.error`` and close the sink (the cell's last record)."""
+        """Send ``run.error`` (the cell's last record)."""
         self._emit(
             "run.error",
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback_mod.format_exc(),
         )
-        self._close()
-
-    def _close(self) -> None:
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
 
 
 # -- parent-side aggregation --------------------------------------------------
@@ -305,8 +220,8 @@ class WorkerTelemetry:
 class BatchStatus:
     """Folds a telemetry stream into the live ``status.json`` snapshot.
 
-    The parent feeds every record (its own and the tailed worker ones)
-    through :meth:`consume`; :meth:`snapshot` is the JSON-ready view and
+    The parent feeds every record it writes to the stream (its own and
+    the workers') through :meth:`consume`; :meth:`snapshot` is the JSON-ready view and
     :meth:`stalled_candidates` is what the runner's stall detector
     polls.  All state derives from the stream, so a crashed parent can
     rebuild the snapshot by replaying ``telemetry.jsonl``.

@@ -11,6 +11,12 @@ other workers never notice.  A worker that dies (a kill, an OOM kill, a
 segfault) fails only the cell it was running, with a ``crashed``
 outcome, and a new worker takes its place at the next dispatch.  Tasks
 and results travel by pickle.
+
+The pipe also carries a run's telemetry records (dicts) ahead of its
+reply (a tuple).  The pool hands each record to ``on_record`` as it
+arrives, and always drains a worker's unread records before it reports
+that worker's cell, done or crashed, so a cell's records reach the
+parent's stream before its outcome does.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ import typing
 
 from repro.runner.worker import execute_spec
 
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.telemetry import Record
+
 #: one run: the keyword arguments of :func:`execute_spec`
 Task = typing.Dict[str, typing.Any]
 
@@ -32,13 +41,16 @@ Task = typing.Dict[str, typing.Any]
 def serve(conn: multiprocessing.connection.Connection) -> None:
     """A worker's life: run each task ``conn`` delivers and send back
     ``(True, result, None)`` or ``(False, "Type: message", traceback)``,
-    until the parent closes its end."""
+    until the parent closes its end.  A task's telemetry context sends
+    its records over ``conn`` too, before the reply."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
     while True:
         try:
             task = conn.recv()
         except EOFError:
             return
+        if task.get("telemetry") is not None:
+            task["telemetry"].send = conn.send
         try:
             reply = (True, execute_spec(**task), None)
         except Exception as exc:
@@ -67,10 +79,17 @@ class _Worker(typing.NamedTuple):
 
 
 class WorkerPool:
-    """Up to ``workers`` worker processes, kept for one batch."""
+    """Up to ``workers`` worker processes, kept for one batch; their
+    telemetry records go to ``on_record`` (required once a task carries
+    a telemetry context)."""
 
-    def __init__(self, workers: int) -> None:
+    def __init__(
+        self,
+        workers: int,
+        on_record: typing.Optional[typing.Callable[[Record], None]] = None,
+    ) -> None:
         self.workers = max(1, workers)
+        self._on_record = on_record
         self._context = multiprocessing.get_context()
         self._queue: typing.Deque[typing.Tuple[int, Task]] = (
             collections.deque()
@@ -92,14 +111,19 @@ class WorkerPool:
 
     def poll(self, timeout: typing.Optional[float]) -> typing.List[JobOutcome]:
         """Wait up to ``timeout`` seconds (``None``: until one cell is
-        done) and return every outcome available."""
-        if not self._ready and self._busy:
+        done), passing on the telemetry records that arrive, and return
+        every outcome available."""
+        while not self._ready and self._busy:
             owners: typing.Dict[typing.Any, int] = {}
             for cell, worker in self._busy.items():
                 owners[worker.conn] = owners[worker.process.sentinel] = cell
             ready = multiprocessing.connection.wait(list(owners), timeout)
             for cell in dict.fromkeys(owners[waitable] for waitable in ready):
-                self._ready.append(self._collect(cell))
+                outcome = self._collect(cell)
+                if outcome is not None:
+                    self._ready.append(outcome)
+            if timeout is not None:
+                break
         self._dispatch()
         outcomes, self._ready = self._ready, []
         return outcomes
@@ -148,24 +172,40 @@ class WorkerPool:
         child.close()  # EOF on ``parent`` then means the worker is gone
         return _Worker(process, parent)
 
-    def _collect(self, cell: int) -> JobOutcome:
-        worker = self._busy.pop(cell)
+    def _collect(self, cell: int) -> typing.Optional[JobOutcome]:
+        """Read the next message of ``cell``'s worker: its outcome, or
+        None after passing on a telemetry record (the run goes on)."""
+        worker = self._busy[cell]
         try:
-            ok, value, trace = worker.conn.recv()
+            message = worker.conn.recv()
         except (EOFError, OSError):
+            del self._busy[cell]
             return JobOutcome(
                 cell, crashed=True,
                 error=f"worker exited {self._reap(worker)} without a result",
             )
+        if isinstance(message, dict):
+            self._on_record(message)
+            return None
+        del self._busy[cell]
         self._idle.append(worker)
+        ok, value, trace = message
         if ok:
             return JobOutcome(cell, result=value)
         return JobOutcome(cell, error=value, traceback=trace)
 
-    @staticmethod
-    def _reap(worker: _Worker) -> typing.Optional[int]:
+    def _reap(self, worker: _Worker) -> typing.Optional[int]:
+        """Kill and join ``worker``, then pass on the records it sent
+        before it died."""
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join()
+        try:
+            while worker.conn.poll():
+                message = worker.conn.recv()
+                if isinstance(message, dict):
+                    self._on_record(message)
+        except (EOFError, OSError):
+            pass  # the dead worker's end is closed: all read
         worker.conn.close()
         return worker.process.exitcode

@@ -25,22 +25,25 @@ detection, retry policy, and manifest/registry/status writing; the pool
 owns the worker processes.  Worker deaths come back as crashed outcomes
 for their own cell, never as exceptions that lose the batch.
 
-Live telemetry (``telemetry=True``): workers append lifecycle records
-to ``<runs_dir>/<batch_id>/telemetry.jsonl`` and the runner folds them
-into an atomically rewritten ``status.json`` (watch it with ``repro
-watch``).  With a ``stall_timeout_s`` the runner watches heartbeats: a
-running worker silent for that long is marked *stalled*, its worker
-alone is killed, and (``stall_retry``) the cell is resubmitted once --
-a hung cell can fail, but it can never hang the batch.  A worker process
-that dies abruptly (OOM kill, segfault) fails only its own cell, after
-one retry: the manifest records it as failed and the batch returns its
-partial results instead of losing everything.  ``KeyboardInterrupt``
-writes a partial manifest marked ``interrupted`` before propagating.
+Live telemetry (``telemetry=True``): every run reports lifecycle
+records to the parent -- a pool worker over its pipe, an in-process run
+directly -- and the parent alone writes them, with its own, to
+``<runs_dir>/<batch_id>/telemetry.jsonl`` and folds them into an
+atomically rewritten ``status.json`` (watch it with ``repro watch``).
+With a ``stall_timeout_s`` the runner watches heartbeats: a running
+worker silent for that long is marked *stalled*, its worker alone is
+killed, and the cell is resubmitted once -- a hung cell can fail, but it
+can never hang the batch.  A worker process that dies abruptly (OOM
+kill, segfault) fails only its own cell, after one retry: the manifest
+records it as failed and the batch returns its partial results instead
+of losing everything.  ``KeyboardInterrupt`` writes a partial manifest
+marked ``interrupted`` before propagating.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import pathlib
 import re
@@ -60,7 +63,7 @@ from repro.runner.worker import (
 from repro.sim.metrics import SimulationResult
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.telemetry import WorkerTelemetry
+    from repro.obs.telemetry import Record, WorkerTelemetry
     from repro.runner.pool import WorkerPool
 
 #: the accepted ``backend`` names: ``local`` runs a batch with more than
@@ -146,19 +149,19 @@ def _slug(label: str) -> str:
 
 
 class _BatchTelemetry:
-    """Parent-side telemetry of one batch: sink + status + stall watch.
+    """Parent-side telemetry of one batch: stream + status + stall watch.
 
-    Workers (and the parent itself) append records to
-    ``<dir>/telemetry.jsonl``; :meth:`tick` tails the file, folds every
-    new record into the :class:`BatchStatus`, flags heartbeat-overdue
-    cells, and rewrites ``status.json`` (throttled).  Everything the
-    snapshot says derives from the JSONL stream, so the stream is the
-    single source of truth.
+    The only writer of ``<dir>/telemetry.jsonl``: :meth:`record` appends
+    each record -- the parent's own and every run's -- to the stream,
+    folds it into the :class:`BatchStatus` and rewrites ``status.json``
+    when due (throttled).  :meth:`tick` flags heartbeat-overdue cells.
+    Everything the snapshot says derives from the records written to
+    the stream, so the stream is the single source of truth.
     """
 
     #: at most one status.json rewrite per this many seconds
     STATUS_INTERVAL_S = 0.5
-    #: how long the runner waits on futures between telemetry ticks
+    #: how long the runner waits on the pool between telemetry ticks
     POLL_S = 0.2
 
     def __init__(
@@ -173,7 +176,7 @@ class _BatchTelemetry:
         stall_timeout_s: typing.Optional[float],
         backend: str = "local",
     ) -> None:
-        from repro.obs.telemetry import TELEMETRY, BatchStatus, TelemetrySink
+        from repro.obs.telemetry import TELEMETRY, BatchStatus
 
         self.dir = pathlib.Path(runs_dir) / batch_id
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -184,7 +187,6 @@ class _BatchTelemetry:
         self.stall_timeout_s = stall_timeout_s
         self._specs = list(specs)
         self._keys = list(keys)
-        self.sink = TelemetrySink(self.path)
         self.status = BatchStatus(
             batch_id,
             label,
@@ -198,96 +200,79 @@ class _BatchTelemetry:
                 for index in range(len(specs))
             ],
         )
-        self._offset = 0
-        self._last_write = 0.0
-        self.sink.emit(TELEMETRY.header, **artifact.envelope(TELEMETRY, {
+        self._last_write = float("-inf")
+        self._stream = self.path.open("w", encoding="utf-8")
+        self.emit(TELEMETRY.header, **artifact.envelope(TELEMETRY, {
             "batch": batch_id,
             "label": label,
             "total": len(specs),
             "mode": "sweep",
             "backend": backend,
         }))
-        self.tick(force=True)
 
-    # -- worker contexts ----------------------------------------------------
-
-    def worker_context(self, index: int) -> "WorkerTelemetry":
-        """A picklable lifecycle emitter for one pool job."""
+    def worker_context(
+        self,
+        index: int,
+        send: typing.Optional[typing.Callable[["Record"], None]] = None,
+    ) -> "WorkerTelemetry":
+        """One run's lifecycle reporter; a pool job's gets its ``send``
+        in the worker."""
         from repro.obs.telemetry import WorkerTelemetry
 
         spec = self._specs[index]
         return WorkerTelemetry(
-            str(self.path),
             index,
             until_ms=spec.duration_ms,
             key=self._keys[index][:16],
             label=spec.describe(),
             heartbeat_s=self.heartbeat_s,
             progress_every=self.progress_every,
+            send=send,
         )
 
-    def inline_worker(self, index: int) -> "WorkerTelemetry":
-        """Same, for the serial path: every emit refreshes the status."""
-        context = self.worker_context(index)
-        context.on_emit = self._on_inline_record
-        return context
+    # -- the stream ---------------------------------------------------------
 
-    def _on_inline_record(
-        self, record: typing.Mapping[str, typing.Any]
-    ) -> None:
-        del record  # the tick tails the file; stalls can't self-detect
-        self.tick()
+    def record(self, record: "Record") -> None:
+        """Write one record to the stream, fold it into the status and
+        rewrite ``status.json`` when due."""
+        self._stream.write(json.dumps(record, sort_keys=True) + "\n")
+        self._stream.flush()
+        self.status.consume(record)
+        self._write_status()
 
-    # -- parent-emitted lifecycle -------------------------------------------
+    def emit(self, kind: str, **fields: typing.Any) -> None:
+        """Record one of the parent's own records, stamped now."""
+        from repro.obs.telemetry import telemetry_record
 
-    def mark_cached(self, index: int) -> None:
-        self.sink.emit("run.cached", cell=index)
+        self.record(telemetry_record(kind, **fields))
 
-    def mark_coalesced(self, index: int) -> None:
-        self.sink.emit("run.coalesced", cell=index)
+    def _write_status(self, force: bool = False) -> None:
+        from repro.obs.telemetry import STATUS
 
-    def fail(self, index: int, message: str) -> None:
-        self.sink.emit("run.error", cell=index, error=message)
-
-    def retry(self, index: int, attempt: int) -> None:
-        self.sink.emit("run.retry", cell=index, attempt=attempt)
+        now = time.monotonic()
+        if force or now - self._last_write >= self.STATUS_INTERVAL_S:
+            artifact.write(self.status_path, STATUS, self.status.snapshot())
+            self._last_write = now
 
     # -- the heartbeat of the parent loop -----------------------------------
 
-    def tick(self, force: bool = False) -> typing.List[int]:
-        """Fold new records in; returns cells that *just* went stalled."""
-        from repro.obs.telemetry import STATUS, read_telemetry_records
-
-        records, self._offset = read_telemetry_records(
-            self.path, self._offset
-        )
-        for record in records:
-            self.status.consume(record)
+    def tick(self) -> typing.List[int]:
+        """Flag heartbeat-overdue cells; returns those that *just* went
+        stalled."""
         newly: typing.List[int] = []
         if self.stall_timeout_s is not None:
             for cell in self.status.stalled_candidates(self.stall_timeout_s):
                 last = self.status.cells[cell]["last_activity_ts"]
                 idle = time.time() - last if last else 0.0
-                self.sink.emit(
-                    "run.stalled", cell=cell, idle_s=round(idle, 3)
-                )
+                self.emit("run.stalled", cell=cell, idle_s=round(idle, 3))
                 newly.append(cell)
-            if newly:
-                records, self._offset = read_telemetry_records(
-                    self.path, self._offset
-                )
-                for record in records:
-                    self.status.consume(record)
-        now = time.monotonic()
-        if force or newly or now - self._last_write >= self.STATUS_INTERVAL_S:
-            artifact.write(self.status_path, STATUS, self.status.snapshot())
-            self._last_write = now
+        self._write_status(force=bool(newly))
         return newly
 
     def finish(self, status: str, wall_s: float) -> None:
-        self.sink.emit("batch.done", status=status, wall_s=round(wall_s, 3))
-        self.tick(force=True)
-        self.sink.close()
+        self.emit("batch.done", status=status, wall_s=round(wall_s, 3))
+        self._write_status(force=True)
+        self._stream.close()
 
 
 class ParallelRunner:
@@ -305,7 +290,6 @@ class ParallelRunner:
         series_dir: typing.Optional[typing.Union[str, pathlib.Path]] = None,
         telemetry: bool = False,
         stall_timeout_s: typing.Optional[float] = None,
-        stall_retry: bool = True,
         heartbeat_s: float = 0.5,
         progress_every: int = 4096,
         backend: str = "local",
@@ -338,7 +322,6 @@ class ParallelRunner:
         #: live telemetry + registry configuration
         self.telemetry = telemetry
         self.stall_timeout_s = stall_timeout_s
-        self.stall_retry = stall_retry
         self.heartbeat_s = heartbeat_s
         self.progress_every = progress_every
         self.registry = (
@@ -409,7 +392,7 @@ class ParallelRunner:
         if tele is not None:
             for index, flag in enumerate(cached_flags):
                 if flag:
-                    tele.mark_cached(index)
+                    tele.emit("run.cached", cell=index)
         self._register(batch_id, label, keys, "running", tele=tele)
 
         done = hits
@@ -425,7 +408,7 @@ class ParallelRunner:
                     results[twin] = result
                 if tele is not None:
                     for twin in by_key[keys[index]][1:]:
-                        tele.mark_coalesced(twin)
+                        tele.emit("run.coalesced", cell=twin)
                 done += len(by_key[keys[index]])
                 self._emit(
                     RunEvent(
@@ -479,8 +462,6 @@ class ParallelRunner:
         recorded in ``last_failures`` instead of being yielded.
         """
         if not pending:
-            if tele is not None:
-                tele.tick(force=True)
             return
         traces_dir: typing.Optional[str] = None
         if self.traces_dir is not None and any(
@@ -502,15 +483,15 @@ class ParallelRunner:
         else:
             from repro.runner.pool import WorkerPool
 
-            pool = WorkerPool(workers)
+            pool = WorkerPool(
+                workers, on_record=tele.record if tele is not None else None
+            )
             try:
                 yield from self._execute_pool(
                     specs, pending, traces_dir, series_dir, tele, pool
                 )
             finally:
                 pool.shutdown()
-        if tele is not None:
-            tele.tick(force=True)
 
     def _execute_inline(
         self,
@@ -520,10 +501,14 @@ class ParallelRunner:
         series_dir: typing.Optional[str],
         tele: typing.Optional[_BatchTelemetry],
     ) -> typing.Iterator[typing.Tuple[int, SimulationResult, float]]:
-        """Serial path: run in-process (stalls cannot self-detect here)."""
+        """Serial path: run in-process, each record straight to the
+        stream (stalls cannot self-detect here)."""
         for index in pending:
             run_started = time.time()
-            context = tele.inline_worker(index) if tele is not None else None
+            context = (
+                tele.worker_context(index, send=tele.record)
+                if tele is not None else None
+            )
             try:
                 result = execute_spec(
                     specs[index], traces_dir=traces_dir,
@@ -535,8 +520,6 @@ class ParallelRunner:
                 )
                 raise
             yield index, result, time.time() - run_started
-            if tele is not None:
-                tele.tick()
 
     def _execute_pool(
         self,
@@ -549,10 +532,11 @@ class ParallelRunner:
     ) -> typing.Iterator[typing.Tuple[int, SimulationResult, float]]:
         """Fan out over the worker pool: submit every cell, then poll.
 
-        The loop never blocks indefinitely: with telemetry it polls at
-        most ``POLL_S`` between ticks, and kills the worker of each cell
-        that went stalled.  A crashed cell (killed or dead worker) goes
-        straight back into the pool once (:meth:`_retry`).
+        The loop never blocks indefinitely: with telemetry the pool
+        passes each worker record to the stream as it arrives, the loop
+        ticks at least every ``POLL_S``, and kills the worker of each
+        cell that went stalled.  A crashed cell (killed or dead worker)
+        goes straight back into the pool once (:meth:`_retry`).
         """
 
         def submit(index: int) -> None:
@@ -605,27 +589,23 @@ class ParallelRunner:
         tele: typing.Optional[_BatchTelemetry],
     ) -> bool:
         """Whether a crashed cell gets a second attempt; records its
-        failure otherwise.  A stall-killed cell is retried once when
-        ``stall_retry`` is set, an unexpected death (OOM kill, segfault)
-        once in any case."""
-        if cell in killed:
-            killed.discard(cell)
-            if not self.stall_retry or cell in retried:
-                self._record_failure(
-                    cell,
-                    "stalled: no heartbeat for "
-                    f"{self.stall_timeout_s}s (worker killed)",
-                    tele,
+        failure otherwise.  A cell is retried once, whether its worker
+        was killed for a stall or died (OOM kill, segfault)."""
+        stalled = cell in killed
+        killed.discard(cell)
+        if cell in retried:
+            if stalled:
+                message = (
+                    f"stalled: no heartbeat for {self.stall_timeout_s}s "
+                    "(worker killed)"
                 )
-                return False
-        elif cell in retried:
-            self._record_failure(
-                cell, f"worker died abruptly: {reason}", tele
-            )
+            else:
+                message = f"worker died abruptly: {reason}"
+            self._record_failure(cell, message, tele)
             return False
         retried.add(cell)
         if tele is not None:
-            tele.retry(cell, attempt=2)
+            tele.emit("run.retry", cell=cell, attempt=2)
         return True
 
     def _record_failure(
@@ -637,7 +617,7 @@ class ParallelRunner:
     ) -> None:
         self.last_failures[index] = message
         if tele is not None and emit:
-            tele.fail(index, message)
+            tele.emit("run.error", cell=index, error=message)
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -112,6 +112,21 @@ class WorkloadSpec:
         )
 
 
+def paper_workload(
+    kind: str, rate_tps: float, num_files: int = 16, sigma: float = 1.0
+) -> WorkloadSpec:
+    """One of the paper's experiment workloads: ``exp1`` over
+    ``num_files`` files, ``exp2`` (fixed files), or ``exp3`` with
+    declaration-error ``sigma``."""
+    if kind == "exp2":
+        return WorkloadSpec.make("exp2", rate_tps)
+    if kind == "exp3":
+        return WorkloadSpec.make(
+            "exp3", rate_tps, sigma=sigma, num_files=num_files
+        )
+    return WorkloadSpec.make("exp1", rate_tps, num_files=num_files)
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """Everything one simulation run depends on, as hashable plain data."""

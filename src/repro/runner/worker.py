@@ -15,10 +15,13 @@ run that fails while writing leaves no file at the content-addressed
 path, so a file that exists there is complete.
 
 When the runner hands a job a :class:`~repro.obs.telemetry.WorkerTelemetry`
-context, the worker emits ``run.start`` immediately (with its pid),
+context, the run reports ``run.start`` immediately (with its pid),
 heartbeats through the engine's progress hook while simulating, and
-``run.done`` / ``run.error`` (with traceback) on exit; telemetry never
-changes the returned result.
+``run.done`` / ``run.error`` (with traceback) on exit.  The context
+sends each record to the parent -- over the pool worker's pipe, or
+straight to the stream writer in-process -- and never opens a file: the
+parent alone writes ``telemetry.jsonl``.  Telemetry never changes the
+returned result.
 """
 
 from __future__ import annotations

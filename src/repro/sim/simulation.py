@@ -209,18 +209,9 @@ class Simulation:
                     attempt.advance()
             except TransactionAborted:
                 # deadlock victim (plain 2PL): roll back and restart
-                yield from scheduler.abort(attempt)
-                if self.auditor is not None:
-                    self.auditor.record_abort(attempt.txn_id)
-                if self.env.now >= self.warmup_ms:
-                    self.metrics.record_restart(self.env.now - attempt_started)
-                restarted = attempt.restart_copy(self._allocate_restart_id())
-                if self.trace.enabled:
-                    self.trace.emit(
-                        self.env.now, "txn.restart", txn=attempt.txn_id,
-                        new_txn=restarted.txn_id, reason="deadlock",
-                    )
-                attempt = restarted
+                attempt = yield from self._restart(
+                    attempt, attempt_started, "deadlock"
+                )
                 continue
 
             piece = cn.request(self.config.cot_time_ms, "commit")
@@ -234,18 +225,27 @@ class Simulation:
                     self.metrics.record_commit(attempt.response_time(), attempt.label)
                 self.in_flight.increment(self.env.now, -1)
                 return
-            yield from scheduler.abort(attempt)
-            if self.auditor is not None:
-                self.auditor.record_abort(attempt.txn_id)
-            if self.env.now >= self.warmup_ms:
-                self.metrics.record_restart(self.env.now - attempt_started)
-            restarted = attempt.restart_copy(self._allocate_restart_id())
-            if self.trace.enabled:
-                self.trace.emit(
-                    self.env.now, "txn.restart", txn=attempt.txn_id,
-                    new_txn=restarted.txn_id, reason="validation",
-                )
-            attempt = restarted
+            attempt = yield from self._restart(
+                attempt, attempt_started, "validation"
+            )
+
+    def _restart(
+        self, attempt: BatchTransaction, attempt_started: float, reason: str
+    ) -> typing.Generator:
+        """Roll ``attempt`` back and return its restart copy; ``reason``
+        is ``deadlock`` (a 2PL victim) or ``validation`` (OPT)."""
+        yield from self.scheduler.abort(attempt)
+        if self.auditor is not None:
+            self.auditor.record_abort(attempt.txn_id)
+        if self.env.now >= self.warmup_ms:
+            self.metrics.record_restart(self.env.now - attempt_started)
+        restarted = attempt.restart_copy(self._allocate_restart_id())
+        if self.trace.enabled:
+            self.trace.emit(
+                self.env.now, "txn.restart", txn=attempt.txn_id,
+                new_txn=restarted.txn_id, reason=reason,
+            )
+        return restarted
 
     def _start_step(self, txn: BatchTransaction) -> StepExecution:
         """Start the scan of ``txn``'s current step (Section 4.1): CN

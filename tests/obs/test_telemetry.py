@@ -1,11 +1,7 @@
-"""Unit tests for the live telemetry layer (schema, sink, aggregation)."""
+"""Unit tests for the live telemetry layer (schema, emitter, aggregation)."""
 
-import gc
 import json
 import os
-import sys
-import threading
-import warnings
 
 import pytest
 
@@ -16,9 +12,7 @@ from repro.obs.telemetry import (
     TELEMETRY,
     TELEMETRY_EVENT_KINDS,
     BatchStatus,
-    TelemetrySink,
     WorkerTelemetry,
-    read_telemetry_records,
     render_status,
     telemetry_event_kinds,
 )
@@ -157,107 +151,17 @@ class TestStreamValidator:
         assert validate_telemetry_jsonl(path) == 3
 
 
-class TestSinkAndTailer:
-    def test_emit_appends_validated_lines(self, tmp_path):
-        path = tmp_path / "telemetry.jsonl"
-        sink = TelemetrySink(path)
-        sink.emit("batch.meta", **EXAMPLES["batch.meta"])
-        sink.emit("run.cached", cell=0)
-        sink.close()
-        assert validate_telemetry_jsonl(path) == 2
-
-    def test_after_emit_hook_sees_each_record(self, tmp_path):
-        seen = []
-        sink = TelemetrySink(
-            tmp_path / "t.jsonl", after_emit=seen.append
-        )
-        sink.emit("run.cached", cell=3)
-        sink.close()
-        assert len(seen) == 1 and seen[0]["cell"] == 3
-
-    def test_tailer_is_incremental(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = TelemetrySink(path)
-        sink.emit("run.cached", cell=0)
-        records, offset = read_telemetry_records(path, 0)
-        assert [r["cell"] for r in records] == [0]
-        sink.emit("run.cached", cell=1)
-        records, offset = read_telemetry_records(path, offset)
-        assert [r["cell"] for r in records] == [1]
-        records, offset2 = read_telemetry_records(path, offset)
-        assert records == [] and offset2 == offset
-        sink.close()
-
-    def test_tailer_leaves_partial_line_for_next_call(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"ts": 1.0, "kind": "run.cached", "cell": 0}\n'
-                        '{"ts": 2.0, "kind": "run.')
-        records, offset = read_telemetry_records(path, 0)
-        assert len(records) == 1
-        with path.open("a") as handle:
-            handle.write('cached", "cell": 1}\n')
-        records, _ = read_telemetry_records(path, offset)
-        assert [r["cell"] for r in records] == [1]
-
-    def test_tailer_survives_missing_file(self, tmp_path):
-        records, offset = read_telemetry_records(tmp_path / "nope", 7)
-        assert records == [] and offset == 7
-
-    def test_concurrent_thread_emits_never_tear(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-
-        def writer(cell):
-            sink = TelemetrySink(path)
-            for _ in range(50):
-                sink.emit("run.cached", cell=cell)
-            sink.close()
-
-        threads = [
-            threading.Thread(target=writer, args=(c,)) for c in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        records, _ = read_telemetry_records(path, 0)
-        assert len(records) == 200
-        for record in records:
-            validate_telemetry_event(record)
-
-
-def leaked_handles(scenario):
-    """Run ``scenario()`` and return the handles it left open.
-
-    An append handle left open warns when it is collected; the warning
-    is raised inside a finaliser, which reports it to
-    ``sys.unraisablehook`` instead of the caller (so no pytest warning
-    flag fails a run over it).  The scenario's locals are collected when
-    it returns, inside the hook installed here.
-    """
-    unraisable = []
-    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            scenario()
-            gc.collect()
-    finally:
-        sys.unraisablehook = hook
-    return [str(u.exc_value) for u in unraisable]
-
-
 class TestWorkerTelemetry:
-    def test_lifecycle_emits_start_heartbeat_done(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+    def test_lifecycle_emits_start_heartbeat_done(self):
+        records = []
         worker = WorkerTelemetry(
-            str(path), cell=2, until_ms=1000.0, key="k", label="cell-2",
-            heartbeat_s=0.0,
+            cell=2, until_ms=1000.0, key="k", label="cell-2",
+            heartbeat_s=0.0, send=records.append,
         )
         worker.start()
         worker._on_progress(250.0, 64)
         worker._on_progress(750.0, 192)
         worker.done(wall_s=0.5, events=256)
-        records = read_telemetry_records(path, 0)[0]
         assert [r["kind"] for r in records] == [
             "run.start", "run.heartbeat", "run.heartbeat", "run.done",
         ]
@@ -265,68 +169,62 @@ class TestWorkerTelemetry:
         assert records[2]["progress"] == 0.75
         assert all(r["cell"] == 2 for r in records)
         assert all(r["pid"] == os.getpid() for r in records)
+        for record in records:
+            validate_telemetry_event(json.loads(json.dumps(record)))
 
-    def test_heartbeats_throttled_by_wall_clock(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+    def test_heartbeats_throttled_by_wall_clock(self):
+        records = []
+        worker = WorkerTelemetry(
+            cell=0, until_ms=1000.0, heartbeat_s=3600.0, send=records.append,
+        )
+        worker.start()
+        for step in range(10):
+            worker._on_progress(step * 100.0, step * 10)
+        assert [r["kind"] for r in records] == ["run.start"]
 
-        def scenario():
-            worker = WorkerTelemetry(
-                str(path), cell=0, until_ms=1000.0, heartbeat_s=3600.0,
-            )
-            worker.start()
-            for step in range(10):
-                worker._on_progress(step * 100.0, step * 10)
-            records = read_telemetry_records(path, 0)[0]
-            assert [r["kind"] for r in records] == ["run.start"]
-            worker._close()
-
-        assert leaked_handles(scenario) == []
-
-    def test_error_carries_message_and_traceback(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        worker = WorkerTelemetry(str(path), cell=0, until_ms=1.0)
+    def test_error_carries_message_and_traceback(self):
+        records = []
+        worker = WorkerTelemetry(cell=0, until_ms=1.0, send=records.append)
         try:
             raise ValueError("boom")
         except ValueError as exc:
             worker.error(exc)
-        (record,) = read_telemetry_records(path, 0)[0]
+        (record,) = records
         assert record["error"] == "ValueError: boom"
         assert "ValueError" in record["traceback"]
 
-    def test_install_hooks_engine_progress(self, tmp_path):
+    def test_install_hooks_engine_progress(self):
         from repro.des.engine import Environment
 
-        def scenario():
-            worker = WorkerTelemetry(
-                str(tmp_path / "t.jsonl"), cell=0, until_ms=10_000.0,
-                heartbeat_s=0.0, progress_every=2,
-            )
-            env = Environment()
-            worker.install(env)
-            assert env.progress_every == 2
-            for delay in range(6):
-                env.timeout(float(delay))
-            env.run()
-            records = read_telemetry_records(tmp_path / "t.jsonl", 0)[0]
-            assert [r["kind"] for r in records].count("run.heartbeat") >= 2
-            worker._close()
-
-        assert leaked_handles(scenario) == []
+        records = []
+        worker = WorkerTelemetry(
+            cell=0, until_ms=10_000.0, heartbeat_s=0.0, progress_every=2,
+            send=records.append,
+        )
+        env = Environment()
+        worker.install(env)
+        assert env.progress_every == 2
+        for delay in range(6):
+            env.timeout(float(delay))
+        env.run()
+        assert [r["kind"] for r in records].count("run.heartbeat") >= 2
 
     @pytest.mark.parametrize("last", ["done", "error"])
-    def test_last_record_closes_the_sink(self, tmp_path, last):
-        def scenario():
-            worker = WorkerTelemetry(str(tmp_path / "t.jsonl"), cell=0,
-                                     until_ms=1.0)
-            worker.start()
-            if last == "done":
-                worker.done(wall_s=0.1, events=1)
-            else:
-                worker.error(ValueError("boom"))
-
-        assert leaked_handles(scenario) == []
-        records = read_telemetry_records(tmp_path / "t.jsonl", 0)[0]
+    def test_last_record_ends_the_cell(self, last):
+        records = []
+        worker = WorkerTelemetry(cell=0, until_ms=1.0, send=records.append)
+        worker.start()
+        if last == "done":
+            worker.done(wall_s=0.1, events=1)
+        else:
+            worker.error(ValueError("boom"))
         assert [r["kind"] for r in records] == ["run.start", f"run.{last}"]
+        status = BatchStatus("b1", "sweep", _cells(1))
+        for record in records:
+            status.consume(record)
+        assert status.cells[0]["state"] == (
+            "done" if last == "done" else "failed"
+        )
 
 
 def _cells(n, until_ms=1000.0):
@@ -496,15 +394,14 @@ class TestPeakRss:
         assert rss is not None
         assert 1_000 < rss < 64 * 1024 * 1024
 
-    def test_heartbeat_and_done_carry_maxrss(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+    def test_heartbeat_and_done_carry_maxrss(self):
+        records = []
         worker = WorkerTelemetry(
-            str(path), cell=0, until_ms=1000.0, heartbeat_s=0.0,
+            cell=0, until_ms=1000.0, heartbeat_s=0.0, send=records.append,
         )
         worker.start()
         worker._on_progress(500.0, 32)
         worker.done(wall_s=0.1, events=64)
-        records = read_telemetry_records(path, 0)[0]
         by_kind = {r["kind"]: r for r in records}
         assert by_kind["run.heartbeat"]["maxrss_kb"] > 0
         assert by_kind["run.done"]["maxrss_kb"] > 0

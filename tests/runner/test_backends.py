@@ -20,8 +20,8 @@ import pytest
 
 from repro import artifact
 from repro.machine import MachineConfig
-from repro.obs import read_telemetry_records
-from repro.obs.telemetry import STATUS
+from repro.obs.export import read_jsonl
+from repro.obs.telemetry import STATUS, WorkerTelemetry
 from repro.runner import (
     ParallelRunner,
     ResultCache,
@@ -29,6 +29,7 @@ from repro.runner import (
     WorkerTaskError,
     WorkloadSpec,
 )
+from repro.runner.pool import WorkerPool
 from repro.runner.runner import BACKENDS, MANIFEST
 from repro.runner.worker import EXIT_TEST_ENV, STALL_TEST_ENV, execute_spec
 from tests import child_env
@@ -78,7 +79,7 @@ def make_runner(tmp_path, backend="local", **overrides):
 
 def batch_records(runner):
     path = runner.runs_dir / runner.last_batch_id / "telemetry.jsonl"
-    return read_telemetry_records(path, 0)[0]
+    return read_jsonl(path)
 
 
 def start_pids(records):
@@ -150,7 +151,7 @@ class TestStallAcrossBackends:
     ):
         monkeypatch.setenv(STALL_TEST_ENV, "1:60")
         runner = make_runner(
-            tmp_path, backend, stall_timeout_s=0.75, stall_retry=True,
+            tmp_path, backend, stall_timeout_s=0.75,
         )
         results = runner.run_batch(make_specs(3), label="stall")
         assert results[0] is not None and results[2] is not None
@@ -167,7 +168,7 @@ class TestStallAcrossBackends:
         specs = make_specs(3, duration_ms=30_000_000.0)
         specs[1] = make_specs(2)[1]
         runner = make_runner(
-            tmp_path, pool_size=3, stall_timeout_s=0.75, stall_retry=True,
+            tmp_path, pool_size=3, stall_timeout_s=0.75,
             heartbeat_s=0.1, progress_every=4096,
         )
         results = runner.run_batch(specs, label="kill-blast")
@@ -194,23 +195,98 @@ class TestWorkerReuse:
 
     def test_killed_worker_is_replaced(self, tmp_path, monkeypatch):
         monkeypatch.setenv(STALL_TEST_ENV, "1:60")
-        runner = make_runner(
-            tmp_path, stall_timeout_s=0.75, stall_retry=False,
-        )
+        runner = make_runner(tmp_path, stall_timeout_s=0.75)
         results = runner.run_batch(make_specs(6), label="respawn")
         assert [r is None for r in results] == [
             False, True, False, False, False, False,
         ]
         records = batch_records(runner)
         assert len(set(start_pids(records))) <= 3
-        [killed] = [
+        killed = next(
             r["pid"] for r in records
             if r["kind"] == "run.start" and r["cell"] == 1
-        ]
+        )
         stalled = next(
             i for i, r in enumerate(records) if r["kind"] == "run.stalled"
         )
         assert killed not in start_pids(records[stalled:])
+
+
+class TestRecordsOverThePipe:
+    def test_records_reach_the_stream_before_the_result(self, tmp_path):
+        # the parent is the stream's only writer: by the time a cell's
+        # result is reported, its worker's records are in the file
+        specs = make_specs(4)
+        seen = []
+
+        def listener(event):
+            if event.kind != "run-done":
+                return
+            cell = specs.index(event.spec)
+            kinds = [
+                r["kind"] for r in batch_records(runner)
+                if r.get("cell") == cell
+            ]
+            seen.append(cell)
+            assert kinds[0] == "run.start"
+            assert "run.heartbeat" in kinds
+            assert kinds[-1] == "run.done"
+
+        runner = make_runner(tmp_path, progress=listener)
+        assert all(runner.run_batch(specs, label="order"))
+        assert sorted(seen) == [0, 1, 2, 3]
+
+    def test_dead_workers_start_precedes_the_retry(
+        self, tmp_path, monkeypatch
+    ):
+        # the worker exits right after sending run.start; the parent
+        # drains that record before it reports the crash
+        monkeypatch.setenv(EXIT_TEST_ENV, "1")
+        runner = make_runner(tmp_path)
+        runner.run_batch(make_specs(3), label="drain")
+        cell1 = [
+            r["kind"] for r in batch_records(runner) if r.get("cell") == 1
+        ]
+        assert cell1 == [
+            "run.start", "run.retry", "run.start", "run.error",
+        ]
+
+    def test_blocking_poll_passes_records_until_an_outcome(self):
+        records = []
+        pool = WorkerPool(1, on_record=records.append)
+        try:
+            pool.submit(0, {
+                "spec": make_specs(1)[0],
+                "telemetry": WorkerTelemetry(
+                    0, until_ms=15_000.0, heartbeat_s=0.0, progress_every=16,
+                ),
+            })
+            [outcome] = pool.poll(None)
+            assert outcome.cell == 0 and outcome.result is not None
+            kinds = [r["kind"] for r in records]
+            assert kinds[0] == "run.start" and kinds[-1] == "run.done"
+            assert "run.heartbeat" in kinds
+        finally:
+            pool.shutdown()
+
+    def test_kill_passes_on_records_already_sent(self, monkeypatch):
+        # a record still unread in the pipe when the parent kills the
+        # worker reaches ``on_record`` before the crash is reported
+        monkeypatch.setenv(STALL_TEST_ENV, "0:60")
+        records = []
+        pool = WorkerPool(1, on_record=records.append)
+        try:
+            pool.submit(0, {
+                "spec": make_specs(1)[0],
+                "telemetry": WorkerTelemetry(0, until_ms=15_000.0),
+            })
+            assert pool._busy[0].conn.poll(30), "no run.start within 30 s"
+            assert pool.kill(0)
+            assert [r["kind"] for r in records] == ["run.start"]
+            [outcome] = pool.poll(0)
+            assert outcome.cell == 0 and outcome.crashed
+        finally:
+            pool.shutdown()
 
 
 class TestWorkerDeathAcrossBackends:

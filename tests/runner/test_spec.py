@@ -6,6 +6,7 @@ import pytest
 
 from repro.machine import MachineConfig
 from repro.runner import RunSpec, WorkloadSpec, register_workload, workload_kinds
+from repro.runner.spec import paper_workload
 from repro.txn.workload import Workload
 
 
@@ -54,6 +55,16 @@ class TestWorkloadSpec:
     def test_roundtrip_through_dict(self):
         a = WorkloadSpec.make("exp3", 1.5, sigma=0.5, num_files=64)
         assert WorkloadSpec.from_dict(a.to_dict()) == a
+
+    @pytest.mark.parametrize("kind, params", [
+        ("exp1", {"num_files": 8}),
+        ("exp2", {}),
+        ("exp3", {"num_files": 8, "sigma": 2.0}),
+    ])
+    def test_paper_workload_keeps_each_kinds_params(self, kind, params):
+        # the CLI and the arena both build their workloads here
+        built = paper_workload(kind, 0.8, num_files=8, sigma=2.0)
+        assert built == WorkloadSpec.make(kind, 0.8, **params)
 
     def test_register_rejects_duplicates(self):
         assert "exp1" in workload_kinds()

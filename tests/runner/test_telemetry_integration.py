@@ -10,7 +10,7 @@ import pytest
 
 from repro import artifact
 from repro.machine import MachineConfig
-from repro.obs import read_telemetry_records
+from repro.obs.export import read_jsonl
 from repro.obs.telemetry import STATUS, TELEMETRY
 from repro.runner import (
     ParallelRunner,
@@ -19,7 +19,7 @@ from repro.runner import (
     RunSpec,
     WorkloadSpec,
 )
-from repro.runner.runner import MANIFEST
+from repro.runner.runner import MANIFEST, _BatchTelemetry
 from repro.runner.worker import EXIT_TEST_ENV, STALL_TEST_ENV
 
 
@@ -65,7 +65,30 @@ def batch_artifacts(runner):
 
 
 def stream_kinds(path):
-    return [r["kind"] for r in read_telemetry_records(path, 0)[0]]
+    return [r["kind"] for r in read_jsonl(path)]
+
+
+class TestBatchStream:
+    def test_record_writes_stream_and_status(self, tmp_path):
+        specs = make_specs(2)
+        keys = [spec.cache_key() for spec in specs]
+        tele = _BatchTelemetry(
+            tmp_path, "b1", "unit", specs, keys,
+            heartbeat_s=0.0, progress_every=16, stall_timeout_s=None,
+        )
+        tele.emit("run.cached", cell=0)
+        worker = tele.worker_context(1, send=tele.record)
+        worker.start()
+        worker.done(wall_s=0.1, events=10)
+        tele.finish("complete", 0.2)
+        assert artifact.check_stream(tele.path, TELEMETRY) == 5
+        assert stream_kinds(tele.path) == [
+            "batch.meta", "run.cached", "run.start", "run.done",
+            "batch.done",
+        ]
+        status = read_status(tele.status_path)
+        assert status["status"] == "complete"
+        assert [c["state"] for c in status["cells"]] == ["cached", "done"]
 
 
 class TestHappyPath:
@@ -91,7 +114,7 @@ class TestHappyPath:
         runner = make_runner(tmp_path, pool_size=1)
         runner.run_batch(make_specs(1, duration_ms=40_000.0), label="hb")
         telemetry_path, _ = batch_artifacts(runner)
-        records = read_telemetry_records(telemetry_path, 0)[0]
+        records = read_jsonl(telemetry_path)
         beats = [r for r in records if r["kind"] == "run.heartbeat"]
         assert beats, "expected at least one heartbeat"
         assert beats[-1]["sim_ms"] <= 40_000.0
@@ -152,9 +175,7 @@ class TestStallDetection:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(STALL_TEST_ENV, "1:60")
-        runner = make_runner(
-            tmp_path, stall_timeout_s=0.75, stall_retry=False,
-        )
+        runner = make_runner(tmp_path, stall_timeout_s=0.75)
         results = runner.run_batch(make_specs(3), label="stall")
         assert results[0] is not None and results[2] is not None
         assert results[1] is None
@@ -162,7 +183,7 @@ class TestStallDetection:
         telemetry_path, status_path = batch_artifacts(runner)
         kinds = stream_kinds(telemetry_path)
         assert "run.stalled" in kinds
-        assert "run.retry" not in kinds
+        assert kinds.count("run.retry") == 1
         status = read_status(status_path)
         assert status["status"] == "partial"
         assert status["cells"][1]["state"] == "failed"
@@ -173,16 +194,14 @@ class TestStallDetection:
 
     def test_stalled_cell_is_retried_once(self, tmp_path, monkeypatch):
         monkeypatch.setenv(STALL_TEST_ENV, "1:60")
-        runner = make_runner(
-            tmp_path, stall_timeout_s=0.75, stall_retry=True,
-        )
+        runner = make_runner(tmp_path, stall_timeout_s=0.75)
         results = runner.run_batch(make_specs(3), label="stall-retry")
         # the hook stalls attempt 2 as well, so the cell ends up failed
         # -- but only after a recorded retry
         assert results[1] is None
         kinds = stream_kinds(stream := batch_artifacts(runner)[0])
         assert "run.retry" in kinds
-        records = read_telemetry_records(stream, 0)[0]
+        records = read_jsonl(stream)
         starts = [r for r in records if r["kind"] == "run.start"
                   and r["cell"] == 1]
         assert len(starts) == 2
