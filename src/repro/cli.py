@@ -897,7 +897,7 @@ def _command_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_schedulers() -> int:
+def _command_schedulers(_args: argparse.Namespace) -> int:
     from repro.analysis import render_table
     from repro.core.registry import entries
 
@@ -919,7 +919,7 @@ def _command_schedulers() -> int:
     return 0
 
 
-def _command_experiments() -> int:
+def _command_experiments(_args: argparse.Namespace) -> int:
     from repro.analysis import render_table
     from repro.experiments.common import figures
 
@@ -941,30 +941,21 @@ def _command_experiments() -> int:
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {
+        "run": _command_run, "trace": _command_trace,
+        "sweep": _command_sweep, "report": _command_report,
+        "watch": _command_watch, "runs": _command_runs,
+        "arena": _command_arena, "explain": _command_explain,
+        "cache": _command_cache, "schedulers": _command_schedulers,
+        "experiments": _command_experiments,
+    }
     try:
-        if args.command == "run":
-            return _command_run(args)
-        if args.command == "trace":
-            return _command_trace(args)
-        if args.command == "sweep":
-            return _command_sweep(args)
-        if args.command == "report":
-            return _command_report(args)
-        if args.command == "watch":
-            return _command_watch(args)
-        if args.command == "runs":
-            return _command_runs(args)
-        if args.command == "arena":
-            return _command_arena(args)
-        if args.command == "explain":
-            return _command_explain(args)
-        if args.command == "cache":
-            return _command_cache(args)
-        if args.command == "schedulers":
-            return _command_schedulers()
-        return _command_experiments()
+        return commands[args.command](args)
     except BrokenPipeError:  # output piped into head etc.
         return 0
+    except KeyboardInterrupt:  # a sweep's runner has written its artifacts
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -9,14 +9,12 @@ bottleneck exactly as in the paper's model.
 The CPU is a callback-driven FIFO server.  :meth:`ControlNode.request`
 queues one slice and returns it: the event fired at its end.  Whoever
 asked for it -- a process that yields it, or a step whose next hop is
-its callback -- waits on that event alone.  The grant is a same-instant
-:meth:`~repro.des.Environment.call_at` hop to :meth:`ControlNode._start`,
-which schedules the end; the end's first callback,
-:meth:`ControlNode._finish`, books the slice and hands the CPU to the
-next waiter before anyone waiting on the slice runs.  Each sequence
-number, trace record and float is taken in the order a CPU granting
-request events (a grant event, then a resume at the grant and another at
-the end) would take it.
+its callback -- waits on that event alone.  The CPU takes a slice and
+pushes its end with no grant hop: in ``request`` when it is idle, else
+in :meth:`ControlNode._finish` of the slice before, which books that
+slice and hands the CPU on before anyone waiting on it runs.  Sequence
+numbers, trace records and floats follow a CPU granting request events
+but for one narrow tie (docs/MODEL.md, "How the CPU is driven").
 """
 
 from __future__ import annotations
@@ -90,9 +88,8 @@ class ControlNode:
             return None
         piece = _Slice(self, cost_ms * self._scale, category)
         if self._serving is None:
-            self._serving = piece
-            env = self.env
-            env.call_at(env._now, self._start, piece)
+            self.busy.update(self.env._now, 1.0)
+            self._serve(piece)
         else:
             self._waiting.append(piece)
             if self._trace.enabled:
@@ -117,22 +114,24 @@ class ControlNode:
         if piece is not None:
             yield piece
 
-    def _start(self, piece: _Slice) -> None:
-        """The grant hop: put ``piece`` in service until its end."""
+    def _serve(self, piece: _Slice) -> None:
+        """Give ``piece`` the CPU from now on: push its end entry."""
+        self._serving = piece
         env = self.env
         now = env._now
-        busy = self.busy
-        if busy.value != 1.0:
-            busy.update(now, 1.0)
         if self._trace.enabled:
-            self._trace.emit(
-                now, "cn.exec_start",
-                category=piece.category, cost_ms=piece.cost_ms,
-            )
+            # the record goes where a grant event's resume would run
+            env.call_at(now, self._trace_start, piece)
         piece._triggered = True
         # the end's heap entry, pushed as ``schedule_at`` would
         env._seq += 1
         _heappush(env._queue, (now + piece.cost_ms, env._seq, piece))
+
+    def _trace_start(self, piece: _Slice) -> None:
+        self._trace.emit(
+            self.env._now, "cn.exec_start",
+            category=piece.category, cost_ms=piece.cost_ms,
+        )
 
     def _finish(self, piece: _Slice) -> None:
         """The end of ``piece``'s service, before its process resumes:
@@ -150,8 +149,7 @@ class ControlNode:
             self.busy.update(now, 0.0)
             self._serving = None
             return
-        piece = self._serving = waiting.popleft()
-        env.call_at(now, self._start, piece)
+        self._serve(waiting.popleft())
         if trace.enabled:
             self._trace_queue()
 

@@ -172,6 +172,7 @@ class Simulation:
         self.metrics.reset(self.env.now)
         self.machine.reset_statistics()
         self.scheduler.stats.reset()
+        self.in_flight.reset(self.env.now)
 
     def _execute(self, txn: BatchTransaction) -> typing.Generator:
         """Drive one transaction to commit, restarting on OPT aborts.

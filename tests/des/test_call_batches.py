@@ -1,8 +1,8 @@
 """Whole runs replay exactly under ``call_at``'s same-instant batches.
 
-The DPN's completion timers, its start hops, the step relays, the CN's
-grant hops and every zero-delay trigger (``succeed()``/``fail()`` at
-now, a process start or relay) go through
+The DPN's completion timers, its start hops, the step relays, a traced
+CN's ``cn.exec_start`` records and every zero-delay trigger
+(``succeed()``/``fail()`` at now, a process start or relay) go through
 :meth:`Environment.call_at`, which packs the calls due at one instant
 into one heap entry.  The reference kernel here schedules one
 :class:`Event` per call instead -- the order ``call_at`` promises to

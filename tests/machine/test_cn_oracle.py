@@ -1,11 +1,13 @@
 """The callback-driven control node against the ``Resource`` oracle.
 
-``ControlNode`` serves each CN slice as one event fired at its end, with
-a same-instant ``call_at`` hop as the grant; ``reference_cn`` grants a
-``Request`` event per slice, whose callback starts the slice's
-``Timeout``.  Whole runs under either, traced and sampled, must agree on
-every trace record, every sampled point and the result (``==``); so must
-the unit scenarios below, which also pin the expected values.
+``ControlNode`` serves each CN slice as one event fired at its end,
+pushed when the CPU takes the slice (in ``request`` on an idle CPU, in
+the previous slice's ``_finish`` otherwise) with no grant hop;
+``reference_cn`` grants a ``Request`` event per slice, whose callback
+starts the slice's ``Timeout``.  Whole runs under either, traced and
+sampled, must agree on every trace record, every sampled point and the
+result (``==``); so must the unit scenarios below, which also pin the
+expected values.
 """
 
 import math

@@ -5,6 +5,8 @@ import pytest
 from repro.des import Environment
 from repro.machine import ControlNode, MachineConfig, SharedNothingMachine
 
+from tests.machine.reference_cn import ReferenceControlNode
+
 
 @pytest.fixture
 def env():
@@ -129,3 +131,70 @@ class TestUtilisation:
         assert cn.cpu_ms_by_category == {}
         env.run(until=env.timeout(150))
         assert cn.utilisation() == pytest.approx(0.0)
+
+
+class TestGrantWithoutHop:
+    """The CPU takes a slice in :meth:`ControlNode.request` when idle and
+    in the previous slice's end otherwise: no same-instant hop."""
+
+    def test_untraced_slices_call_nothing_at_their_grant(
+        self, env, monkeypatch
+    ):
+        cn = ControlNode(env, MachineConfig())
+        calls = []
+        call_at = env.call_at
+
+        def spy(when, fn, arg):
+            calls.append(fn)
+            call_at(when, fn, arg)
+
+        monkeypatch.setattr(env, "call_at", spy)
+        ends = []
+
+        def on_idle_cpu(_slice):
+            # _finish has made the CPU idle: the next slice is taken at once
+            ends.append(env.now)
+            if len(ends) < 3:
+                cn.request(1.0, "idle").callbacks.append(on_idle_cpu)
+
+        cn.request(1.0, "idle").callbacks.append(on_idle_cpu)
+        env.run()
+        # two queue behind the first and are taken in its _finish and
+        # then the second's
+        for _ in range(3):
+            cn.request(2.0, "busy").callbacks.append(
+                lambda _slice: ends.append(env.now)
+            )
+        assert cn.queue_length == 2
+        env.run()
+        assert ends == [1.0, 2.0, 3.0, 5.0, 7.0, 9.0]
+        assert calls == []
+        assert cn.cpu_ms_by_category == {"idle": 3.0, "busy": 6.0}
+        assert cn.busy.integral(env.now) == 9.0
+
+    @pytest.mark.parametrize(
+        "cn_class", [ControlNode, ReferenceControlNode],
+        ids=["served", "reference"],
+    )
+    def test_timeout_made_before_a_queued_grant_fires_before_its_end(
+        self, env, cn_class
+    ):
+        # B queues at 0 behind A and is taken at 4, when A ends; a
+        # Timeout made at 3 lands at 6, on B's end.  B's end goes on the
+        # heap at 4, after the Timeout, so the Timeout fires first
+        cn = cn_class(env, MachineConfig())
+        order = []
+        cn.request(4.0, "a")
+        cn.request(2.0, "b").callbacks.append(
+            lambda _slice: order.append(("b", env.now))
+        )
+
+        def timer():
+            yield env.timeout(3.0)
+            env.timeout(3.0).callbacks.append(
+                lambda _timeout: order.append(("timeout", env.now))
+            )
+
+        env.process(timer())
+        env.run()
+        assert order == [("timeout", 6.0), ("b", 6.0)]

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core import SerializabilityAuditor
+from repro.des.monitor import TimeWeighted
 from repro.machine import MachineConfig
 from repro.sim import Simulation, run_simulation
 from repro.txn import experiment1_workload, experiment2_workload
@@ -107,6 +108,35 @@ class TestWarmup:
         )
         result = sim.run()
         assert 0 < result.dpn_utilisation <= 1
+
+    def test_in_flight_average_covers_the_measured_window_only(self):
+        warmup, end = 50_000.0, 200_000.0
+        sim = Simulation(
+            MachineConfig(),
+            experiment1_workload(0.4),
+            scheduler="NODC",
+            duration_ms=end,
+            warmup_ms=warmup,
+        )
+        changes = []
+
+        class Logged(TimeWeighted):
+            def update(self, now, value):
+                changes.append((now, value))
+                super().update(now, value)
+
+        sim.in_flight = Logged(sim.env.now, 0.0, "in-flight")
+        sim.run()
+        # integrate the logged level over [warmup, end] and over the run
+        window = whole = 0.0
+        level, last = 0.0, 0.0
+        for now, value in changes + [(end, None)]:
+            whole += level * (now - last)
+            window += level * (max(now, warmup) - max(last, warmup))
+            level, last = value, now
+        average = sim.in_flight.time_average(end)
+        assert average == pytest.approx(window / (end - warmup))
+        assert average != pytest.approx(whole / end)
 
 
 class TestSerializability:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import artifact
+from repro import artifact, cli
 from repro.analysis.arena import ARENA
 from repro.cli import build_parser, main
 
@@ -158,6 +158,16 @@ class TestSweepCommand:
         # the repeat is served entirely from the cache
         assert main(argv) == 0
         assert "cache hits=1 misses=0" in capsys.readouterr().out
+
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(_args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_command_sweep", interrupted)
+        assert main(["sweep", "NODC", "--rates", "0.4"]) == 130
+        captured = capsys.readouterr()
+        assert captured.err == "interrupted\n"
+        assert captured.out == ""
 
     def test_sweep_trace_reports_artifacts(self, tmp_path, capsys):
         assert main([
