@@ -8,56 +8,38 @@
   :class:`OPTScheduler`, :class:`NODCScheduler`.
 - :class:`LockTable` -- file-granule S/X locks.
 - :class:`SerializabilityAuditor` -- history checking for tests.
-- :func:`create` / :data:`PAPER_SCHEDULERS` -- the scheduler registry.
+- :func:`create` / :data:`PAPER_SCHEDULERS` -- the scheduler registry,
+  one table of every scheduler name (:mod:`repro.core.registry`).
+
+The names below are imported from their defining modules on first use
+(:mod:`repro._facade`), so importing this package, or any module under
+it, loads no scheduler policy; :func:`create` loads the one a run names.
 """
 
-from repro.core.asl import ASLScheduler
-from repro.core.audit import SerializabilityAuditor
-from repro.core.base import (
-    Decision,
-    Scheduler,
-    SchedulerStats,
-    TransactionAborted,
-    WTPGSchedulerMixin,
-)
-from repro.core.c2pl import C2PLScheduler
-from repro.core.gow import GOWScheduler
-from repro.core.locks import LockError, LockTable
-from repro.core.low import LOWScheduler
-from repro.core.lowlb import LOWLBScheduler, ResourceAwareWTPG
-from repro.core.nodc import NODCScheduler
-from repro.core.opt import OPTScheduler
-from repro.core.registry import PAPER_SCHEDULERS, available, create, register
-from repro.core.twopl import TwoPLScheduler
-from repro.core.wtpg import WTPG, ConflictEdge
+from repro._facade import lazy_exports
 
-# Imported last (it needs repro.core fully initialised): registers the
-# modern scheduler families, so importing anything under repro.core --
-# the registry included -- always sees the full roster.
-import repro.schedulers.modern  # noqa: E402,F401
-
-__all__ = [
-    "ASLScheduler",
-    "C2PLScheduler",
-    "ConflictEdge",
-    "Decision",
-    "GOWScheduler",
-    "LOWLBScheduler",
-    "LOWScheduler",
-    "LockError",
-    "LockTable",
-    "NODCScheduler",
-    "OPTScheduler",
-    "PAPER_SCHEDULERS",
-    "Scheduler",
-    "SchedulerStats",
-    "TransactionAborted",
-    "TwoPLScheduler",
-    "WTPGSchedulerMixin",
-    "ResourceAwareWTPG",
-    "SerializabilityAuditor",
-    "WTPG",
-    "available",
-    "create",
-    "register",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ASLScheduler": "repro.core.asl",
+    "C2PLScheduler": "repro.core.c2pl",
+    "ConflictEdge": "repro.core.wtpg",
+    "Decision": "repro.core.base",
+    "GOWScheduler": "repro.core.gow",
+    "LOWLBScheduler": "repro.core.lowlb",
+    "LOWScheduler": "repro.core.low",
+    "LockError": "repro.core.locks",
+    "LockTable": "repro.core.locks",
+    "NODCScheduler": "repro.core.nodc",
+    "OPTScheduler": "repro.core.opt",
+    "PAPER_SCHEDULERS": "repro.core.registry",
+    "ResourceAwareWTPG": "repro.core.lowlb",
+    "Scheduler": "repro.core.base",
+    "SchedulerStats": "repro.core.base",
+    "SerializabilityAuditor": "repro.core.audit",
+    "TransactionAborted": "repro.core.base",
+    "TwoPLScheduler": "repro.core.twopl",
+    "WTPG": "repro.core.wtpg",
+    "WTPGSchedulerMixin": "repro.core.base",
+    "available": "repro.core.registry",
+    "create": "repro.core.registry",
+    "register": "repro.core.registry",
+})

@@ -16,7 +16,7 @@ The algorithm here:
    nodes c of ``w0(c) + (sum of run-edge weights from c onward)``.
 3. Every achievable critical-path value is therefore the value of some
    directed contiguous sub-path -- an O(n^2) candidate set.  We binary
-   search the candidates with an O(n * pareto) feasibility DP
+   search the candidates with an O(n) feasibility DP
    ("is there an orientation whose every run value <= theta?") and then
    reconstruct one optimal orientation greedily, edge by edge: each free
    edge goes RIGHT when the suffix is still feasible from the DP state
@@ -354,26 +354,10 @@ def _candidate_values(lists: _Lists) -> typing.List[float]:
     return sorted(candidates)
 
 
-def _pareto_reduce(
-    states: typing.List[typing.Tuple[float, float]]
-) -> typing.List[typing.Tuple[float, float]]:
-    """Keep the non-dominated (cum, m) pairs (both coordinates minimal)."""
-    states.sort()
-    frontier: typing.List[typing.Tuple[float, float]] = []
-    best_m = math.inf
-    for cum, m in states:
-        if m < best_m - 1e-12:
-            frontier.append((cum, m))
-            best_m = m
-    return frontier
-
-
 #: the feasibility DP's state after some prefix of edges: the minimal
-#: height of an open RIGHT run (None when no orientation ends in one)
-#: and the Pareto (cum, m) pairs of open LEFT runs
-_State = typing.Tuple[
-    typing.Optional[float], typing.List[typing.Tuple[float, float]]
-]
+#: height of an open RIGHT run and the minimal ``cum`` of an open LEFT
+#: run, each None when no orientation of the prefix ends in one
+_State = typing.Tuple[typing.Optional[float], typing.Optional[float]]
 
 #: tolerance of the threshold test ``run value <= theta``
 _EPS = 1e-9
@@ -381,7 +365,7 @@ _EPS = 1e-9
 
 def _start(lists: _Lists) -> _State:
     """The state before edge 0: node 0 alone, as an open RIGHT run."""
-    return lists[0][0], []
+    return lists[0][0], None
 
 
 def _advance(
@@ -391,12 +375,24 @@ def _advance(
 
     Returns None as soon as no orientation of those edges keeps every
     run value <= ``bound``.
+
+    An open LEFT run ending at node ``i+1`` is summed up by ``cum``, its
+    edge weights so far: continuing it over edge ``i+1`` gives node
+    ``i+2`` the value ``w0[i+2] + cum + w_left[i+1]``.  One scalar, the
+    smallest ``cum``, decides every future test.  The run's value so far
+    is already <= ``bound`` (a state exceeding it is dropped), so a
+    continuation passes exactly when its new node's value does.  That
+    value grows with ``cum``, because float addition is monotone.  And
+    closing the run asks only whether one exists.  A LEFT run opened
+    from an open RIGHT run still tests its left node, ``w0[i]``: at edge
+    0 that node is the start state, whose weight no test has bounded
+    yet.
     """
     w0, w_right, w_left, can_right, can_left = lists
-    right_state, left_states = state
+    right_state, left_cum = state
     for i in range(start, stop):
         new_right: typing.Optional[float] = None
-        new_left: typing.List[typing.Tuple[float, float]] = []
+        new_left: typing.Optional[float] = None
         node_w = w0[i + 1]
         if can_right[i]:
             weight_right = w_right[i]
@@ -406,7 +402,7 @@ def _advance(
                     h = node_w
                 if h <= bound:
                     new_right = h
-            if left_states:  # close an L run (already <= theta), open R
+            if left_cum is not None:  # close the L run, open R
                 h = w0[i] + weight_right
                 if h < node_w:
                     h = node_w
@@ -414,26 +410,19 @@ def _advance(
                     new_right = h
         if can_left[i]:
             weight_left = w_left[i]
-            for cum, m in left_states:  # continue the L run
-                cum2 = cum + weight_left
-                m2 = node_w + cum2
-                if m2 < m:
-                    m2 = m
-                if m2 <= bound:
-                    new_left.append((cum2, m2))
+            if left_cum is not None:  # continue the L run
+                cum = left_cum + weight_left
+                if node_w + cum <= bound:
+                    new_left = cum
             if right_state is not None:  # close the R run, open L
-                cum2 = weight_left
-                m2 = node_w + cum2
-                if m2 < w0[i]:
-                    m2 = w0[i]
-                if m2 <= bound:
-                    new_left.append((cum2, m2))
-            if len(new_left) > 1:
-                new_left = _pareto_reduce(new_left)
-        if new_right is None and not new_left:
+                if node_w + weight_left <= bound and w0[i] <= bound and (
+                    new_left is None or weight_left < new_left
+                ):
+                    new_left = weight_left
+        if new_right is None and new_left is None:
             return None
-        right_state, left_states = new_right, new_left
-    return right_state, left_states
+        right_state, left_cum = new_right, new_left
+    return right_state, left_cum
 
 
 def _feasible(lists: _Lists, theta: float) -> bool:

@@ -1,9 +1,12 @@
-"""Scheduler registry: name -> (factory, family, description).
+"""Scheduler registry: name -> (class, family, description).
 
-The six schedulers of the paper (plus the C2PL+M alias, the extension
-variants, and the modern families from :mod:`repro.schedulers.modern`)
-are constructed through this registry so experiments, benchmarks and the
-arena can sweep them by name.
+The whole roster -- the six schedulers of the paper, the C2PL+M alias,
+the extension variants and the modern families of
+:mod:`repro.schedulers.modern` -- is one table, :data:`ROSTER`.  Each
+entry names its class as ``"module:Class"``, and :func:`create` imports
+that module on first use, so a run loads only the scheduler it names;
+listing the roster (:func:`entries`, :func:`grid_schedulers`) loads no
+policy module at all.
 
 Families group the roster for reporting:
 
@@ -14,29 +17,23 @@ Families group the roster for reporting:
     resource-aware LOW).
 ``modern``
     Post-1991 scheduler families (DGCC, conflict-aware reordering,
-    conflict-prediction admission), registered by
-    :mod:`repro.schedulers.modern` on import.
+    conflict-prediction admission).
 """
 
 from __future__ import annotations
 
+import importlib
+import re
 import typing
 
-from repro.core.asl import ASLScheduler
-from repro.core.base import Scheduler
-from repro.core.c2pl import C2PLScheduler
-from repro.core.gow import GOWScheduler
-from repro.core.low import LOWScheduler
-from repro.core.lowlb import LOWLBScheduler
-from repro.core.nodc import NODCScheduler
-from repro.core.opt import OPTScheduler
-from repro.core.twopl import TwoPLScheduler
-from repro.des import Environment
-from repro.machine.config import MachineConfig
-from repro.machine.control_node import ControlNode
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.base import Scheduler
+    from repro.des import Environment
+    from repro.machine.config import MachineConfig
+    from repro.machine.control_node import ControlNode
 
 SchedulerFactory = typing.Callable[
-    [Environment, MachineConfig, ControlNode], Scheduler
+    ["Environment", "MachineConfig", "ControlNode"], "Scheduler"
 ]
 
 #: names in the paper's reporting order
@@ -49,22 +46,112 @@ MODERN_SCHEDULERS = ("DGCC", "CAR", "PRED")
 FAMILIES = ("paper", "extension", "modern")
 
 
+class Parameter(typing.NamedTuple):
+    """The one tunable a ``NAME(P=v)`` form sets: ``P`` -> ``kwarg``."""
+
+    letter: str
+    kwarg: str
+    parse: typing.Callable[[str], typing.Any]
+
+
 class SchedulerEntry(typing.NamedTuple):
     """One registered scheduler: how to build it and how to present it.
 
-    ``grid`` marks entries that experiment sweeps should include by
-    default; aliases that need special harness treatment (C2PL+M's MPL
-    sweep) register with ``grid=False``.
+    ``target`` is ``"module:Class"`` in :data:`ROSTER` (the module is
+    imported on first :func:`create`) and the factory callable given to
+    :func:`register`; either is called as
+    ``target(env, config, control_node, **kwargs)``.  ``grid`` marks
+    entries that experiment sweeps should include by default; aliases
+    that need special harness treatment (C2PL+M's MPL sweep) have
+    ``grid=False``.
     """
 
     name: str
-    factory: SchedulerFactory
+    target: typing.Union[str, SchedulerFactory]
     family: str
     description: str
     grid: bool = True
+    kwargs: typing.Mapping[str, typing.Any] = {}
+    parameter: typing.Optional[Parameter] = None
 
 
-_REGISTRY: typing.Dict[str, SchedulerEntry] = {}
+#: every built-in scheduler (:func:`register` adds more at run time)
+ROSTER = (
+    SchedulerEntry(
+        "NODC", "repro.core.nodc:NODCScheduler", "paper",
+        "No concurrency control: full-batch serial execution",
+    ),
+    SchedulerEntry(
+        "ASL", "repro.core.asl:ASLScheduler", "paper",
+        "All locks at start; start only when every lock is free",
+    ),
+    SchedulerEntry(
+        "GOW", "repro.core.gow:GOWScheduler", "paper",
+        "Greedy on WTPG: admit only chain-form conflict patterns",
+    ),
+    SchedulerEntry(
+        "LOW", "repro.core.low:LOWScheduler", "paper",
+        "Least-overlapping-first on WTPG with K-conflict admission (K=2)",
+        kwargs={"k": 2}, parameter=Parameter("K", "k", int),
+    ),
+    SchedulerEntry(
+        "C2PL", "repro.core.c2pl:C2PLScheduler", "paper",
+        "Cautious 2PL: delay any grant that predicts a deadlock",
+    ),
+    # C2PL+M is C2PL run under a finite MPL; the harness picks the MPL,
+    # so plain sweeps must not pick it up (grid=False).
+    SchedulerEntry(
+        "C2PL+M", "repro.core.c2pl:C2PLScheduler", "paper",
+        "C2PL under the best finite multiprogramming level", grid=False,
+    ),
+    SchedulerEntry(
+        "OPT", "repro.core.opt:OPTScheduler", "paper",
+        "Optimistic execution with backward validation at commit",
+    ),
+    # Plain strict 2PL (deadlock detection + youngest-victim restart):
+    # the baseline the paper dismisses up front; included for ablations.
+    SchedulerEntry(
+        "2PL", "repro.core.twopl:TwoPLScheduler", "extension",
+        "Strict 2PL with deadlock detection and youngest-victim restart",
+    ),
+    # Resource-aware LOW (the paper's "further work"): E() weights
+    # include current DPN scan backlog.
+    SchedulerEntry(
+        "LOW-LB", "repro.core.lowlb:LOWLBScheduler", "extension",
+        "Resource-aware LOW: E(q) weights include DPN scan backlog (K=2)",
+        kwargs={"k": 2},
+    ),
+    SchedulerEntry(
+        "DGCC", "repro.schedulers.modern.dgcc:DGCCScheduler", "modern",
+        "Dependency-graph batch execution over declared access sets (B=8)",
+        parameter=Parameter("B", "batch_size", int),
+    ),
+    SchedulerEntry(
+        "CAR", "repro.schedulers.modern.reorder:ConflictReorderScheduler",
+        "modern",
+        "Conflict-aware reordering into serial execution queues (Q=4)",
+        parameter=Parameter("Q", "num_queues", int),
+    ),
+    SchedulerEntry(
+        "PRED", "repro.schedulers.modern.predict:ConflictPredictScheduler",
+        "modern", "Online conflict-prediction admission control (T=0.5)",
+        parameter=Parameter("T", "threshold", float),
+    ),
+)
+
+_REGISTRY: typing.Dict[str, SchedulerEntry] = {
+    entry.name: entry for entry in ROSTER
+}
+
+#: ``NAME(P=value)``, read from a key
+_PARAMETERISED = re.compile(
+    r"(?P<base>.+)\((?P<letter>\w+)=(?P<value>[^()]*)\)"
+)
+
+
+def _key(name: str) -> str:
+    """The registry key of ``name``: upper case, whitespace removed."""
+    return "".join(name.split()).upper()
 
 
 def register(
@@ -81,7 +168,7 @@ def register(
     Duplicate names raise ``ValueError`` (pass ``replace=True`` to
     overwrite deliberately, e.g. when a test swaps in a stub).
     """
-    key = name.upper()
+    key = _key(name)
     if family not in FAMILIES:
         raise ValueError(
             f"unknown family {family!r} for scheduler {name!r}; "
@@ -92,14 +179,12 @@ def register(
             f"scheduler {name!r} is already registered "
             f"(as {_REGISTRY[key].name!r}); pass replace=True to overwrite"
         )
-    _REGISTRY[key] = SchedulerEntry(
-        name.upper(), factory, family, description, grid
-    )
+    _REGISTRY[key] = SchedulerEntry(key, factory, family, description, grid)
 
 
 def unregister(name: str) -> None:
     """Remove a registration (primarily for tests)."""
-    _REGISTRY.pop(name.upper(), None)
+    _REGISTRY.pop(_key(name), None)
 
 
 def available() -> typing.List[str]:
@@ -147,52 +232,31 @@ def grid_schedulers(
 
 
 def _entry(name: str) -> SchedulerEntry:
-    key = name.upper().replace(" ", "")
-    if key not in _REGISTRY:
+    entry = _REGISTRY.get(_key(name))
+    if entry is None:
         raise KeyError(
             f"unknown scheduler {name!r}; available: {available()}"
         )
-    return _REGISTRY[key]
+    return entry
 
 
 def _parameterised(
     key: str,
-    env: Environment,
-    config: MachineConfig,
-    control_node: ControlNode,
-) -> typing.Optional[Scheduler]:
-    """Build ``NAME(P=value)`` forms; None when ``key`` is not one."""
-    if key.startswith("LOW(K=") and key.endswith(")"):
-        k = int(key[len("LOW(K=") : -1])
-        scheduler: Scheduler = LOWScheduler(env, config, control_node, k=k)
-        scheduler.name = f"LOW(K={k})"
-        return scheduler
-    if key.startswith("DGCC(B=") and key.endswith(")"):
-        from repro.schedulers.modern.dgcc import DGCCScheduler
-
-        batch = int(key[len("DGCC(B=") : -1])
-        scheduler = DGCCScheduler(env, config, control_node, batch_size=batch)
-        scheduler.name = f"DGCC(B={batch})"
-        return scheduler
-    if key.startswith("CAR(Q=") and key.endswith(")"):
-        from repro.schedulers.modern.reorder import ConflictReorderScheduler
-
-        queues = int(key[len("CAR(Q=") : -1])
-        scheduler = ConflictReorderScheduler(
-            env, config, control_node, num_queues=queues
-        )
-        scheduler.name = f"CAR(Q={queues})"
-        return scheduler
-    if key.startswith("PRED(T=") and key.endswith(")"):
-        from repro.schedulers.modern.predict import ConflictPredictScheduler
-
-        threshold = float(key[len("PRED(T=") : -1])
-        scheduler = ConflictPredictScheduler(
-            env, config, control_node, threshold=threshold
-        )
-        scheduler.name = f"PRED(T={threshold:g})"
-        return scheduler
-    return None
+) -> typing.Optional[
+    typing.Tuple[SchedulerEntry, typing.Dict[str, typing.Any], str]
+]:
+    """``NAME(P=v)`` as (entry, its kwarg, the built scheduler's name);
+    None when ``key`` is not a form its entry's :class:`Parameter` takes.
+    """
+    form = _PARAMETERISED.fullmatch(key)
+    entry = _REGISTRY.get(form["base"]) if form else None
+    parameter = entry.parameter if entry else None
+    if parameter is None or parameter.letter != form["letter"]:
+        return None
+    value = parameter.parse(form["value"])
+    shown = f"{value:g}" if isinstance(value, float) else value
+    label = f"{entry.name}({parameter.letter}={shown})"
+    return entry, {parameter.kwarg: value}, label
 
 
 def create(
@@ -203,62 +267,21 @@ def create(
 ) -> Scheduler:
     """Instantiate the scheduler registered under ``name``.
 
-    Parameterised forms are accepted for the tunable policies:
-    ``LOW(K=n)``, ``DGCC(B=n)``, ``CAR(Q=n)`` and ``PRED(T=x)``,
-    e.g. ``LOW(K=1)`` or ``DGCC(B=16)``.
+    Parameterised forms are accepted for the entries with a
+    :class:`Parameter`: ``LOW(K=n)``, ``DGCC(B=n)``, ``CAR(Q=n)`` and
+    ``PRED(T=x)``, e.g. ``LOW(K=1)`` or ``DGCC(B=16)``.  The entry's
+    module is imported here, on first use.
     """
-    key = name.upper().replace(" ", "")
-    scheduler = _parameterised(key, env, config, control_node)
-    if scheduler is not None:
-        return scheduler
-    return _entry(key).factory(env, config, control_node)
-
-
-register(
-    "NODC", NODCScheduler,
-    description="No concurrency control: full-batch serial execution",
-)
-register(
-    "ASL", ASLScheduler,
-    description="All locks at start; start only when every lock is free",
-)
-register(
-    "GOW", GOWScheduler,
-    description="Greedy on WTPG: admit only chain-form conflict patterns",
-)
-register(
-    "LOW", lambda env, cfg, cn: LOWScheduler(env, cfg, cn, k=2),
-    description="Least-overlapping-first on WTPG with K-conflict "
-    "admission (K=2)",
-)
-register(
-    "C2PL", C2PLScheduler,
-    description="Cautious 2PL: delay any grant that predicts a deadlock",
-)
-# C2PL+M is C2PL run under a finite MPL; the harness picks the MPL, so
-# plain sweeps must not pick it up (grid=False).
-register(
-    "C2PL+M", C2PLScheduler,
-    description="C2PL under the best finite multiprogramming level",
-    grid=False,
-)
-register(
-    "OPT", OPTScheduler,
-    description="Optimistic execution with backward validation at commit",
-)
-# Plain strict 2PL (deadlock detection + youngest-victim restart): the
-# baseline the paper dismisses up front; included for ablations.
-register(
-    "2PL", TwoPLScheduler,
-    family="extension",
-    description="Strict 2PL with deadlock detection and youngest-victim "
-    "restart",
-)
-# Resource-aware LOW (the paper's "further work"): E() weights include
-# current DPN scan backlog.
-register(
-    "LOW-LB", lambda env, cfg, cn: LOWLBScheduler(env, cfg, cn, k=2),
-    family="extension",
-    description="Resource-aware LOW: E(q) weights include DPN scan "
-    "backlog (K=2)",
-)
+    key = _key(name)
+    parsed = None if key in _REGISTRY else _parameterised(key)
+    entry, kwargs, label = parsed or (_entry(name), {}, None)
+    factory = entry.target
+    if isinstance(factory, str):
+        module, _, attribute = factory.partition(":")
+        factory = getattr(importlib.import_module(module), attribute)
+    scheduler = factory(
+        env, config, control_node, **{**entry.kwargs, **kwargs}
+    )
+    if label is not None:
+        scheduler.name = label
+    return scheduler

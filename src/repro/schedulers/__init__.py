@@ -5,7 +5,7 @@ contribution); this package collects the policies added on top:
 
 - :mod:`repro.schedulers.modern` -- three post-1991 scheduler families
   (dependency-graph batch execution, conflict-aware reordering and
-  conflict-prediction admission) registered alongside the paper's
+  conflict-prediction admission) listed alongside the paper's
   line-up in :mod:`repro.core.registry`.
 """
 

@@ -1,7 +1,7 @@
-"""Modern scheduler families, registered alongside the paper's line-up.
+"""Modern scheduler families, listed alongside the paper's line-up.
 
-Importing this package registers three post-1991 policies in
-:mod:`repro.core.registry` under the ``modern`` family:
+Three post-1991 policies, each an entry of the ``modern`` family in
+:data:`repro.core.registry.ROSTER`:
 
 ``DGCC``
     Dependency-graph batch execution (arXiv:1503.03642): seal admitted
@@ -16,51 +16,17 @@ Importing this package registers three post-1991 policies in
     conflict rates online and defer admissions whose declared sets look
     hot.
 
-Parameterised forms (``DGCC(B=n)``, ``CAR(Q=n)``, ``PRED(T=x)``) are
-resolved by :func:`repro.core.registry.create` directly.
+The registry imports a family's module the first time a run names it
+(including the parameterised forms ``DGCC(B=n)``, ``CAR(Q=n)`` and
+``PRED(T=x)``), so naming DGCC loads neither CAR nor PRED.  The class
+names below resolve on first use (:mod:`repro._facade`).
 """
 
-from __future__ import annotations
+from repro._facade import lazy_exports
 
-from repro.core import registry
-from repro.schedulers.modern.base import DeclaredOrderScheduler
-from repro.schedulers.modern.dgcc import DGCCScheduler
-from repro.schedulers.modern.predict import ConflictPredictScheduler
-from repro.schedulers.modern.reorder import ConflictReorderScheduler
-
-__all__ = [
-    "ConflictPredictScheduler",
-    "ConflictReorderScheduler",
-    "DGCCScheduler",
-    "DeclaredOrderScheduler",
-]
-
-
-def _register() -> None:
-    """Idempotent registration (safe under repeated package imports)."""
-    if "DGCC" in registry.available():
-        return
-    registry.register(
-        "DGCC",
-        DGCCScheduler,
-        family="modern",
-        description="Dependency-graph batch execution over declared "
-        "access sets (B=8)",
-    )
-    registry.register(
-        "CAR",
-        ConflictReorderScheduler,
-        family="modern",
-        description="Conflict-aware reordering into serial execution "
-        "queues (Q=4)",
-    )
-    registry.register(
-        "PRED",
-        ConflictPredictScheduler,
-        family="modern",
-        description="Online conflict-prediction admission control "
-        "(T=0.5)",
-    )
-
-
-_register()
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ConflictPredictScheduler": "repro.schedulers.modern.predict",
+    "ConflictReorderScheduler": "repro.schedulers.modern.reorder",
+    "DGCCScheduler": "repro.schedulers.modern.dgcc",
+    "DeclaredOrderScheduler": "repro.schedulers.modern.base",
+})

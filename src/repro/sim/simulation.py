@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.audit import SerializabilityAuditor
 from repro.core.base import Scheduler, TransactionAborted
 from repro.core.registry import create as create_scheduler
 from repro.des import Environment, RandomStreams
@@ -34,6 +33,7 @@ from repro.txn.transaction import BatchTransaction
 from repro.txn.workload import Workload
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.core.audit import SerializabilityAuditor
     from repro.obs.profile import PhaseProfiler
     from repro.obs.timeseries import TimeSeriesSampler
 

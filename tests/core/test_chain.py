@@ -15,7 +15,11 @@ from repro.core.chain import (
     ChainEdge,
     NotChainFormError,
     brute_force_component,
+    _EPS,
+    _candidate_values,
+    _component_lists,
     _component_node_orders,
+    _feasible,
     _orientation_value,
     compute_optimal_order,
     extract_components,
@@ -55,6 +59,28 @@ def component(node_weights, edges):
         node_weights=list(node_weights),
         edges=edges,
     )
+
+
+def draw_component(data, size):
+    """A random component of ``size`` nodes, and whether its weights are
+    small integers (every sum exact, ties common)."""
+    integral = data.draw(st.booleans())
+    if integral:
+        weights = st.integers(min_value=0, max_value=4).map(float)
+    else:
+        weights = st.floats(min_value=0.0, max_value=20.0)
+    node_weights = [data.draw(weights) for _ in range(size)]
+    edges = []
+    for i in range(size - 1):
+        allowed = data.draw(
+            st.sampled_from(
+                [frozenset({RIGHT, LEFT}), frozenset({RIGHT}), frozenset({LEFT})]
+            )
+        )
+        wr = data.draw(weights) if RIGHT in allowed else math.nan
+        wl = data.draw(weights) if LEFT in allowed else math.nan
+        edges.append(ChainEdge(i, i + 1, wr, wl, allowed))
+    return component(node_weights, edges), integral
 
 
 class TestUnionOfPaths:
@@ -252,24 +278,7 @@ class TestSolveComponent:
         size=st.integers(min_value=1, max_value=7),
     )
     def test_matches_brute_force_randomised(self, data, size):
-        # small integer weights make every sum exact and ties common
-        integral = data.draw(st.booleans())
-        if integral:
-            weights = st.integers(min_value=0, max_value=4).map(float)
-        else:
-            weights = st.floats(min_value=0.0, max_value=20.0)
-        node_weights = [data.draw(weights) for _ in range(size)]
-        edges = []
-        for i in range(size - 1):
-            allowed = data.draw(
-                st.sampled_from(
-                    [frozenset({RIGHT, LEFT}), frozenset({RIGHT}), frozenset({LEFT})]
-                )
-            )
-            wr = data.draw(weights) if RIGHT in allowed else math.nan
-            wl = data.draw(weights) if LEFT in allowed else math.nan
-            edges.append(ChainEdge(i, i + 1, wr, wl, allowed))
-        comp = component(node_weights, edges)
+        comp, integral = draw_component(data, size)
         fast_value, fast_dirs = solve_component(comp)
         slow_value, _ = brute_force_component(comp)
         assert fast_value == pytest.approx(slow_value, abs=1e-6)
@@ -292,6 +301,20 @@ class TestSolveComponent:
             )
             assert fast_value == slow_value
             assert fast_dirs == first
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=1, max_value=7),
+    )
+    def test_feasibility_matches_brute_force_at_every_candidate(
+        self, data, size
+    ):
+        comp, _ = draw_component(data, size)
+        lists = _component_lists(comp)
+        optimum, _ = brute_force_component(comp)
+        for theta in _candidate_values(lists):
+            assert _feasible(lists, theta) == (optimum <= theta + _EPS), theta
 
 
 class TestComputeOptimalOrder:

@@ -9,10 +9,11 @@ from repro.core.chain import (
     RIGHT,
     ChainComponent,
     ChainEdge,
+    _advance,
     _candidate_values,
     _component_lists,
     _feasible,
-    _pareto_reduce,
+    _start,
 )
 
 
@@ -63,21 +64,25 @@ class TestChainComponentValidation:
             ChainComponent(nodes=[0, 1], node_weights=[1.0, 1.0], edges=[])
 
 
-class TestParetoReduce:
-    def test_keeps_non_dominated(self):
-        frontier = _pareto_reduce([(1.0, 5.0), (2.0, 3.0), (3.0, 1.0)])
-        assert frontier == [(1.0, 5.0), (2.0, 3.0), (3.0, 1.0)]
+class TestLeftRunState:
+    def test_open_left_runs_keep_the_smallest_cum(self):
+        # an open LEFT run after edge 1: continuing the one opened at
+        # edge 0 gives cum 2, opening one at edge 1 gives cum 1
+        flat = lists(
+            [0.0, 0.0, 0.0],
+            [free_edge(0, 1, 1.0, 1.0), free_edge(1, 2, 1.0, 1.0)],
+        )
+        assert _advance(flat, 100.0, _start(flat), 0, 2)[1] == 1.0
 
-    def test_drops_dominated(self):
-        frontier = _pareto_reduce([(1.0, 1.0), (2.0, 2.0), (3.0, 1.5)])
-        assert frontier == [(1.0, 1.0)]
+    def test_no_left_run_over_the_bound(self):
+        flat = lists([0.0, 5.0], [free_edge(0, 1, 1.0, 1.0)])
+        # LEFT would give node 1 the value 5 + 1 = 6
+        assert _advance(flat, 5.5, _start(flat), 0, 1) == (5.0, None)
 
-    def test_equal_m_keeps_smaller_cum(self):
-        frontier = _pareto_reduce([(2.0, 3.0), (1.0, 3.0)])
-        assert frontier == [(1.0, 3.0)]
-
-    def test_empty(self):
-        assert _pareto_reduce([]) == []
+    def test_start_node_weight_bounds_a_left_run(self):
+        # the start state's own weight, 9, is over the bound either way
+        flat = lists([9.0, 1.0], [free_edge(0, 1, 0.0, 0.0)])
+        assert _advance(flat, 8.0, _start(flat), 0, 1) is None
 
 
 class TestCandidateValues:

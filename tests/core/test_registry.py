@@ -10,9 +10,11 @@ from repro.core import (
     create,
     register,
 )
+from repro.core.base import Scheduler
 from repro.core.registry import (
     FAMILIES,
     MODERN_SCHEDULERS,
+    ROSTER,
     entries,
     family_of,
     unregister,
@@ -78,6 +80,28 @@ class TestRegistry:
             assert isinstance(create("CUSTOM", *ctx), Custom)
         finally:
             unregister("CUSTOM")
+
+    def test_name_with_a_space_is_one_key(self, ctx):
+        register("My Sched", C2PLScheduler, family="extension")
+        try:
+            assert "MYSCHED" in available()
+            assert isinstance(create("My Sched", *ctx), C2PLScheduler)
+            assert isinstance(create("mysched", *ctx), C2PLScheduler)
+            assert family_of("my sched") == "extension"
+        finally:
+            unregister("My Sched")
+        assert "MYSCHED" not in available()
+
+    def test_every_roster_entry_builds_its_scheduler(self, ctx):
+        for entry in ROSTER:
+            scheduler = create(entry.name, *ctx)
+            assert isinstance(scheduler, Scheduler), entry.name
+
+    def test_parameter_of_another_entry_raises(self, ctx):
+        with pytest.raises(KeyError, match="LOW"):
+            create("LOW(Q=3)", *ctx)
+        with pytest.raises(KeyError, match="NODC"):
+            create("NODC(K=1)", *ctx)
 
     def test_available_sorted(self):
         names = available()

@@ -48,10 +48,10 @@ def read_manifest(path):
     return artifact.load(path, MANIFEST)["payload"]
 
 
-def make_specs(count, duration_ms=15_000.0):
+def make_specs(count, duration_ms=15_000.0, scheduler="NODC"):
     return [
         RunSpec(
-            scheduler="NODC",
+            scheduler=scheduler,
             workload=WorkloadSpec.make("exp1", 0.4, num_files=16),
             config=MachineConfig(),
             seed=seed,
@@ -321,28 +321,38 @@ class TestWorkerDeathAcrossBackends:
         assert manifest["status"] == "failed"
 
 
+#: one scheduler of each kind the registry imports on first use: a
+#: plain policy, the WTPG/chain solver, and a modern family
+SPAWNED_SCHEDULERS = ("NODC", "GOW", "DGCC")
+
 SPAWN = textwrap.dedent("""
     import json, multiprocessing
     multiprocessing.set_start_method("spawn")
     from repro.machine import MachineConfig
     from repro.runner import ParallelRunner, RunSpec, WorkloadSpec
     specs = [
-        RunSpec(scheduler="NODC",
+        RunSpec(scheduler=name,
                 workload=WorkloadSpec.make("exp1", 0.4, num_files=16),
                 config=MachineConfig(), seed=seed, duration_ms=15_000.0)
-        for seed in range(3)
+        for name in %r for seed in range(2)
     ]
     runner = ParallelRunner(pool_size=2, progress=None)
     print(json.dumps([r.to_dict() for r in runner.run_batch(specs)]))
-""")
+""") % (SPAWNED_SCHEDULERS,)
 
 
 def test_spawned_workers_match_the_serial_reference():
+    # spawned workers start from a fresh interpreter, so each resolves
+    # its scheduler from the registry's table, as a serial run does
     out = subprocess.run(
         [sys.executable, "-c", SPAWN], env=child_env(),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    reference = [execute_spec(spec).to_dict() for spec in make_specs(3)]
+    reference = [
+        execute_spec(spec).to_dict()
+        for name in SPAWNED_SCHEDULERS
+        for spec in make_specs(2, scheduler=name)
+    ]
     assert json.loads(out.stdout.splitlines()[-1]) == json.loads(
         json.dumps(reference)
     )

@@ -18,10 +18,12 @@ from tests import child_env
 
 FACADES = (
     "repro",
+    "repro.core",
     "repro.experiments",
     "repro.obs",
     "repro.runner",
     "repro.schedulers",
+    "repro.schedulers.modern",
     "repro.sim",
 )
 
@@ -96,12 +98,13 @@ def test_registry_alone_lists_the_modern_schedulers():
 def test_facade_import_loads_no_sibling():
     loaded = fresh_interpreter(
         "import json, sys\n"
-        "import repro, repro.obs, repro.sim, repro.runner\n"
-        "import repro.experiments, repro.schedulers\n"
+        "import repro, repro.core, repro.obs, repro.sim, repro.runner\n"
+        "import repro.experiments, repro.schedulers, repro.schedulers.modern\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.startswith('repro'))))\n"
     )
     assert set(loaded) == {
-        "repro", "repro._facade", "repro.experiments", "repro.obs",
-        "repro.runner", "repro.schedulers", "repro.sim",
+        "repro", "repro._facade", "repro.core", "repro.experiments",
+        "repro.obs", "repro.runner", "repro.schedulers",
+        "repro.schedulers.modern", "repro.sim",
     }

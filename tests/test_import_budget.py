@@ -7,12 +7,15 @@ serial sweep path and the pool's worker entry may load: optional
 features (telemetry, trace export, the wall-clock profiler, analysis),
 the worker pool and its stdlib machinery (``multiprocessing``) stay out
 until a run asks for them, and ``asyncio``, ``concurrent.futures`` and
-``ssl`` stay out everywhere.
+``ssl`` stay out everywhere.  Scheduler policies load per run: setup
+loads none, and a run adds the module of the scheduler it names and
+nothing else.
 """
 
 import json
 import subprocess
 import sys
+import typing
 
 from tests import child_env
 
@@ -32,6 +35,13 @@ FORBIDDEN = (
     "repro.experiments.exp2",
     "repro.experiments.exp3",
 )
+
+#: the scheduler policies and what only they use; setup loads none
+POLICIES = tuple(
+    f"repro.core.{name}"
+    for name in ("asl", "audit", "c2pl", "chain", "gow", "low", "lowlb",
+                 "nodc", "opt", "twopl", "wtpg")
+) + ("repro.schedulers.modern",)
 
 #: what the benchmark's workload module and a serial cached runner import
 SETUP = """
@@ -58,6 +68,15 @@ spec = RunSpec(
 SERIAL_RUN = """
 setup = set(sys.modules)
 [result] = runner.run_batch([spec], label="budget")
+assert result is not None and result.completed > 0
+report["new"] = sorted(set(sys.modules) - setup)
+"""
+
+DGCC_RUN = """
+import dataclasses
+setup = set(sys.modules)
+dgcc = dataclasses.replace(spec, scheduler="DGCC")
+[result] = runner.run_batch([dgcc], label="budget")
 assert result is not None and result.completed > 0
 report["new"] = sorted(set(sys.modules) - setup)
 """
@@ -108,21 +127,45 @@ def loaded_after(body: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def over_budget(loaded: list, allowed: tuple = ()) -> list:
-    forbidden = [name for name in FORBIDDEN if name not in allowed]
+def matching(loaded: list, prefixes: typing.Iterable[str]) -> list:
+    """The modules in ``loaded`` that are, or lie under, a prefix."""
+    prefixes = tuple(prefixes)
     return sorted(
         name for name in loaded
-        if any(name == f or name.startswith(f + ".") for f in forbidden)
+        if any(name == p or name.startswith(p + ".") for p in prefixes)
     )
+
+
+def over_budget(loaded: list, allowed: tuple = ()) -> list:
+    return matching(loaded, (f for f in FORBIDDEN if f not in allowed))
 
 
 def test_setup_stays_within_budget():
     assert over_budget(loaded_after(SETUP)["loaded"]) == []
 
 
+def test_setup_loads_no_scheduler_policy():
+    assert matching(loaded_after(SETUP)["loaded"], POLICIES) == []
+
+
 def test_serial_run_imports_nothing_new():
+    # nothing but the policy of the scheduler the run names
     report = loaded_after(SETUP + SERIAL_RUN)
-    assert report["new"] == []
+    assert report["new"] == ["repro.core.nodc"]
+    assert over_budget(report["loaded"]) == []
+
+
+def test_dgcc_run_loads_its_family_alone():
+    report = loaded_after(SETUP + DGCC_RUN)
+    assert report["new"] == [
+        "repro.schedulers",
+        "repro.schedulers.modern",
+        "repro.schedulers.modern.base",
+        "repro.schedulers.modern.dgcc",
+    ]
+    assert matching(
+        report["loaded"], ("repro.core.wtpg", "repro.core.chain")
+    ) == []
     assert over_budget(report["loaded"]) == []
 
 
@@ -130,3 +173,14 @@ def test_worker_entry_stays_within_budget():
     loaded = loaded_after(SETUP + WORKER_ENTRY)["loaded"]
     assert "repro.runner.pool" in loaded
     assert over_budget(loaded, allowed=WORKER_MODULES) == []
+
+
+def test_listing_the_roster_loads_no_policy():
+    loaded = loaded_after(
+        "from repro.cli import main\n"
+        "from repro.core.registry import entries, grid_schedulers\n"
+        "assert main(['schedulers']) == 0\n"
+        "assert len(entries()) == 12 and 'DGCC' in grid_schedulers()\n"
+    )["loaded"]
+    assert "repro.cli" in loaded
+    assert matching(loaded, POLICIES) == []
