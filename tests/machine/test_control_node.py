@@ -49,6 +49,19 @@ class TestConsume:
         with pytest.raises(ValueError):
             env.run()
 
+    def test_nan_cost_rejected(self, env):
+        cn = ControlNode(env, MachineConfig())
+        with pytest.raises(ValueError, match="CPU cost must be >= 0"):
+            cn.request(float("nan"))
+        assert cn.queue_length == 0 and cn.busy.value == 0.0
+
+    def test_negative_zero_cost_queues_nothing(self, env):
+        cn = ControlNode(env, MachineConfig())
+        assert cn.request(-0.0) is None
+        assert cn.request(0) is None
+        assert env.peek() == float("inf")
+        assert cn.busy.value == 0.0
+
     def test_cpu_speed_scales_costs(self, env):
         cn = ControlNode(env, MachineConfig(cpu_speed_mips=2.0))  # half speed
         assert run_consumers(env, cn, [10.0]) == [20.0]

@@ -598,14 +598,14 @@ def rounded(value):
     return value
 
 
-def golden_result(scheduler, workload, rate, dd, retry_delay_ms):
+def golden_result(scheduler, workload, rate, dd, retry_delay_ms, mpl=None):
     if workload == "exp1":
         config = MachineConfig(
-            dd=dd, num_files=16, retry_delay_ms=retry_delay_ms
+            dd=dd, num_files=16, retry_delay_ms=retry_delay_ms, mpl=mpl
         )
         spec = experiment1_workload(rate, num_files=16)
     else:
-        config = MachineConfig(dd=dd, retry_delay_ms=retry_delay_ms)
+        config = MachineConfig(dd=dd, retry_delay_ms=retry_delay_ms, mpl=mpl)
         spec = experiment2_workload(rate)
     result = run_simulation(
         scheduler, spec, config, seed=3,
@@ -632,14 +632,43 @@ class TestPaperSchedulersUnchanged:
             assert golden_result(scheduler, *cell) == golden[key], key
 
 
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
+# -- the rest of the roster, pinned the same way ------------------------------
+
+ROSTER_GOLDEN = pathlib.Path(__file__).with_name("roster_golden.json")
+#: the registered names ``PAPER`` leaves out: C2PL+M and the
+#: admission-order family, whose DELAY herds the wake path carries
+ROSTER = ("C2PL+M", "CAR", "DGCC", "PRED")
+#: the paper cells, plus one shaped like perfbench's ``delay-storm``
+#: (exp1 at 0.5 TPS, DD = 1, MPL = 8: a closed loop of parked requests)
+ROSTER_CELLS = GOLDEN_CELLS + (("exp1", 0.5, 1, 100.0, 8),)
+
+
+class TestRosterUnchanged:
+    """C2PL+M, CAR, DGCC and PRED pinned to ``roster_golden.json``, as
+    the paper schedulers are to ``paper_golden.json``.  Re-record it
+    (run this file as a script) only for a deliberate model change."""
+
+    @pytest.mark.parametrize("scheduler", ROSTER)
+    def test_results_match_the_recorded_golden(self, scheduler):
+        golden = json.loads(ROSTER_GOLDEN.read_text())
+        for cell in ROSTER_CELLS:
+            key = golden_key(scheduler, cell)
+            assert golden_result(scheduler, *cell) == golden[key], key
+
+
+def record(path, schedulers, cells):
+    path.write_text(json.dumps(
         {
             golden_key(scheduler, cell): golden_result(scheduler, *cell)
-            for scheduler in PAPER
-            for cell in GOLDEN_CELLS
+            for scheduler in schedulers
+            for cell in cells
         },
         indent=1,
         sort_keys=True,
     ) + "\n")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    record(GOLDEN, PAPER, GOLDEN_CELLS)
+    record(ROSTER_GOLDEN, ROSTER, ROSTER_CELLS)

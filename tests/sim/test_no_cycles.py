@@ -9,6 +9,9 @@ node -> environment cycle alive; this pins that it is not.  Likewise a
 CN slice in service or waiting at the horizon refers back to the control
 node, which drops its pending slices when the run closes.  A profiled
 run's wrappers refer back to their objects, so the run drops them too.
+A request parked on its wake and its retry timer waits on a condition
+that holds neither, and LOW-LB's WTPG reads the machine, not the
+scheduler that holds it.
 """
 
 import gc
@@ -25,18 +28,20 @@ from repro.txn import experiment1_workload
 
 #: (scheduler, DD): one short cell each, over the service paths and the
 #: scheduler families that park processes
-CELLS = [("NODC", 8), ("OPT", 8), ("GOW", 1), ("LOW", 1), ("2PL", 4)]
+CELLS = [
+    ("NODC", 8), ("OPT", 8), ("GOW", 1), ("LOW", 1), ("2PL", 4),
+    ("LOW-LB", 1),
+]
 
 
-@pytest.mark.parametrize("scheduler,dd", CELLS)
-def test_finished_run_leaves_no_cyclic_garbage(scheduler, dd):
+def assert_no_cyclic_garbage(scheduler, dd, duration_ms, warmup_ms):
     spec = RunSpec(
         scheduler=scheduler,
         workload=WorkloadSpec.make("exp1", 1.0, num_files=16),
         config=MachineConfig(dd=dd, num_files=16),
         seed=1,
-        duration_ms=60_000.0,
-        warmup_ms=10_000.0,
+        duration_ms=duration_ms,
+        warmup_ms=warmup_ms,
     )
     gc.collect()
     gc.disable()
@@ -45,6 +50,17 @@ def test_finished_run_leaves_no_cyclic_garbage(scheduler, dd):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("scheduler,dd", CELLS)
+def test_finished_run_leaves_no_cyclic_garbage(scheduler, dd):
+    assert_no_cyclic_garbage(scheduler, dd, 60_000.0, 10_000.0)
+
+
+def test_unfired_retry_fallback_leaves_no_cyclic_garbage():
+    # LOW's DELAYed requests still parked on their wake and retry timer
+    # when the horizon falls
+    assert_no_cyclic_garbage("LOW", 1, 40_000.0, 0.0)
 
 
 def test_run_ending_mid_slice_leaves_no_cyclic_garbage():
