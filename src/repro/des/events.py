@@ -78,13 +78,12 @@ class Event:
     ) -> "Event":
         """Schedule the event to fire successfully with ``value``: now,
         or at exactly the absolute time ``at``."""
+        if at is None:
+            trigger(self, value)
+            return self
         if self._triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
-        env = self.env
-        if at is None:
-            env.call_at(env._now, fire, self)
-        else:
-            env.schedule_at(self, at)
+        self.env.schedule_at(self, at)
         self._ok = True
         self._value = value
         self._triggered = True
@@ -112,6 +111,20 @@ class Event:
             else "pending"
         )
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
+
+
+def trigger(event: Event, value: object = None) -> None:
+    """Trigger ``event`` to succeed now with ``value``: ``succeed()``
+    as a plain function, for the hot paths that wake many events (and
+    for ``call_at``, which passes one argument).  Its :func:`fire` is
+    the instant's next call."""
+    if event._triggered:
+        raise RuntimeError(f"{event!r} has already been triggered")
+    event._ok = True
+    event._value = value
+    event._triggered = True
+    env = event.env
+    env.call_at(env._now, fire, event)
 
 
 def fire(event: Event) -> None:
