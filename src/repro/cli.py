@@ -2,14 +2,16 @@
 
 Commands:
 
-- ``run``         -- one simulation (scheduler, workload, rate, DD...).
-- ``trace``       -- one simulation with tracing on: JSONL artifact,
-  optional Chrome/Perfetto trace, terminal summary.
 - ``sweep``       -- a scheduler x rate grid through the parallel runner
   (worker pool + result cache + run manifest; ``--pool 1`` runs every
   cell in-process, the reference path; ``--trace`` captures a per-run
-  trace artifact, ``--timeseries`` a sampled-series artifact).
-- ``report``      -- terminal sparkline view of a series artifact.
+  trace artifact, ``--timeseries`` a sampled-series artifact).  A batch
+  of one cell (one scheduler, one rate) prints that cell's metric
+  table, with a row per artifact it wrote, instead of a 1 x 1 grid.
+- ``report``      -- terminal view of an artifact a cell leaves: the
+  summary of a trace (top blockers, lock-wait histogram, restart
+  chains) or the sparklines of a series; ``--export`` writes a trace
+  as Chrome/Perfetto JSON and a series as long-format CSV.
 - ``watch``       -- live console view of a telemetry-enabled batch
   (``--once`` renders a single frame, for CI).
 - ``runs``        -- list the batches in the persistent run registry.
@@ -43,6 +45,7 @@ import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.runner.spec import RunSpec
+    from repro.sim.metrics import SimulationResult
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,32 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one simulation")
-    _add_single_run_args(run)
-    run.add_argument("--series", default="",
-                     help="sample trajectories and write this series JSON "
-                          "('' disables)")
-    run.add_argument("--series-csv", default="",
-                     help="also write the samples as long-format CSV")
-    run.add_argument("--sample-interval", type=float, default=1_000.0,
-                     help="series sample interval in simulated ms "
-                          "(default 1000)")
-
-    trc = sub.add_parser(
-        "trace",
-        help="run one traced simulation and export the trace artifacts",
-    )
-    _add_single_run_args(trc)
-    trc.add_argument("--jsonl", default="trace.jsonl",
-                     help="JSONL trace output ('' disables; default "
-                          "trace.jsonl)")
-    trc.add_argument("--chrome", default="",
-                     help="Chrome/Perfetto trace JSON output ('' disables)")
-    trc.add_argument("--top", type=int, default=5,
-                     help="rows per summary section (default 5)")
-    trc.add_argument("--max-events", type=int, default=None,
-                     help="cap buffered events; extra ones are dropped")
 
     swp = sub.add_parser(
         "sweep",
@@ -108,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--runs-dir", default="results/runs",
                      help="run-manifest directory ('' disables manifests)")
     swp.add_argument("--metric", choices=("rt", "tps"), default="rt",
-                     help="report mean response (s) or throughput (TPS)")
+                     help="grid cells show mean response (s) or "
+                          "throughput (TPS); one cell shows both")
     swp.add_argument("--trace", action="store_true",
                      help="capture a JSONL trace artifact per run")
     swp.add_argument("--traces-dir", default="results/traces",
@@ -124,18 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--stall-timeout", type=float, default=None,
                      help="seconds without a worker heartbeat before the "
                           "cell counts as stalled and is killed/retried "
-                          "(telemetry only; default: no stall detection)")
+                          "(needs --telemetry; default: no stall detection)")
 
     rpt = sub.add_parser(
         "report",
-        help="terminal sparkline report of a time-series artifact",
+        help="terminal view of a trace or time-series artifact",
     )
-    rpt.add_argument("series", help="a *.series.json artifact to render")
+    rpt.add_argument("artifact",
+                     help="a *.trace.jsonl or *.series.json artifact")
     rpt.add_argument("--width", type=int, default=48,
                      help="sparkline width in cells (default 48)")
     rpt.add_argument("--explain", default="",
                      help="also fold this trace JSONL artifact and lead "
                           "with its time-budget headline ('' disables)")
+    rpt.add_argument("--export", default="",
+                     help="also write a trace as Chrome/Perfetto JSON, a "
+                          "series as long-format CSV ('' disables)")
 
     wch = sub.add_parser(
         "watch",
@@ -245,28 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_single_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("scheduler",
-                        help="e.g. LOW, GOW, ASL, C2PL, OPT, NODC")
-    parser.add_argument("--workload", choices=("exp1", "exp2", "exp3"),
-                        default="exp1")
-    parser.add_argument("--rate", type=float, default=1.0,
-                        help="arrival rate in TPS (default 1.0)")
-    parser.add_argument("--dd", type=int, default=1,
-                        help="degree of declustering (default 1)")
-    parser.add_argument("--num-files", type=int, default=16)
-    parser.add_argument("--num-nodes", type=int, default=8)
-    parser.add_argument("--mpl", type=int, default=None,
-                        help="multiprogramming level (default: infinite)")
-    parser.add_argument("--sigma", type=float, default=1.0,
-                        help="declaration-error sigma for exp3 (default 1.0)")
-    parser.add_argument("--duration", type=float, default=400_000,
-                        help="simulated ms (default 400000)")
-    parser.add_argument("--warmup", type=float, default=50_000,
-                        help="warm-up ms discarded (default 50000)")
-    parser.add_argument("--seed", type=int, default=0)
-
-
 def _check_horizon(args: argparse.Namespace) -> None:
     if not 0 <= args.warmup < args.duration:
         raise SystemExit(
@@ -275,150 +235,22 @@ def _check_horizon(args: argparse.Namespace) -> None:
         )
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    from repro.analysis import render_table
-    from repro.machine.config import MachineConfig
-    from repro.runner.spec import paper_workload
-    from repro.sim.simulation import run_simulation
+def _check_schedulers(names: typing.Sequence[str]) -> None:
+    """Exit unless the registry resolves every name, a parameterised
+    form such as ``DGCC(B=16)`` included."""
+    from repro.core.registry import available, resolve
 
-    _check_horizon(args)
-    if args.sample_interval <= 0:
-        raise SystemExit(
-            f"--sample-interval must be > 0, got {args.sample_interval:g}"
-        )
-    config = MachineConfig(
-        num_nodes=args.num_nodes,
-        num_files=args.num_files,
-        dd=args.dd,
-        mpl=args.mpl,
-    )
-    sampler = None
-    if args.series or args.series_csv:
-        from repro.obs.timeseries import TimeSeriesSampler
-
-        sampler = TimeSeriesSampler(interval_ms=args.sample_interval)
-    result = run_simulation(
-        args.scheduler,
-        paper_workload(
-            args.workload, args.rate, args.num_files, args.sigma
-        ).build(),
-        config,
-        seed=args.seed,
-        duration_ms=args.duration,
-        warmup_ms=args.warmup,
-        sampler=sampler,
-    )
-    if sampler is not None:
-        from repro import artifact
-        from repro.obs.timeseries import SERIES, write_series_csv
-
-        meta = {
-            "scheduler": args.scheduler,
-            "workload": args.workload,
-            "rate_tps": args.rate,
-            "seed": args.seed,
-            "duration_ms": args.duration,
-        }
-        if args.series:
-            artifact.write(
-                args.series, SERIES, sampler.to_dict(meta=meta), indent=None
-            )
-            print(f"[series] {sampler.samples_taken} sample(s) x "
-                  f"{len(sampler.series)} series -> {args.series}")
-        if args.series_csv:
-            path = write_series_csv(sampler, args.series_csv)
-            print(f"[series] long-format CSV -> {path}")
-    print(render_table(
-        ["metric", "value"],
-        [
-            ["scheduler", result.scheduler],
-            ["workload", args.workload],
-            ["arrival rate (TPS)", result.arrival_rate_tps],
-            ["DD", args.dd],
-            ["committed", result.completed],
-            ["throughput (TPS)", result.throughput_tps],
-            ["mean response (s)", result.mean_response_s],
-            ["p95 response (s)", result.p95_response_ms / 1000.0],
-            ["p95 exact", result.p95_exact],
-            ["DPN utilisation", result.dpn_utilisation],
-            ["CN utilisation", result.cn_utilisation],
-            ["blocks", result.blocks],
-            ["delays", result.delays],
-            ["restarts", result.restarts],
-        ],
-        title="simulation result",
-    ))
-    return 0
-
-
-def _command_trace(args: argparse.Namespace) -> int:
-    from repro import artifact
-    from repro.machine.config import MachineConfig
-    from repro.obs.events import TRACE
-    from repro.obs.export import render_summary, write_chrome_trace, write_jsonl
-    from repro.obs.recorder import MemoryRecorder
-    from repro.runner.spec import paper_workload
-    from repro.sim.simulation import run_simulation
-
-    _check_horizon(args)
-    if args.max_events is not None and args.max_events < 1:
-        raise SystemExit(f"--max-events must be >= 1, got {args.max_events}")
-    config = MachineConfig(
-        num_nodes=args.num_nodes,
-        num_files=args.num_files,
-        dd=args.dd,
-        mpl=args.mpl,
-    )
-    recorder = MemoryRecorder(max_events=args.max_events)
-    result = run_simulation(
-        args.scheduler,
-        paper_workload(
-            args.workload, args.rate, args.num_files, args.sigma
-        ).build(),
-        config,
-        seed=args.seed,
-        duration_ms=args.duration,
-        warmup_ms=args.warmup,
-        recorder=recorder,
-    )
-    meta = {
-        "scheduler": args.scheduler,
-        "workload": args.workload,
-        "rate_tps": args.rate,
-        "seed": args.seed,
-        "duration_ms": args.duration,
-    }
-    if args.jsonl:
-        path = write_jsonl(recorder.events, args.jsonl, meta=meta,
-                           dropped=recorder.dropped)
+    for name in names:
         try:
-            count = artifact.check_stream(path, TRACE)
-        except artifact.ArtifactError as exc:
-            print(f"[trace] ERROR: schema validation failed: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"[trace] {count} event(s) -> {path} (schema valid)")
-    if args.chrome:
-        path = write_chrome_trace(recorder.events, args.chrome, meta=meta,
-                                  dropped=recorder.dropped)
-        print(f"[trace] chrome trace -> {path} "
-              "(open in ui.perfetto.dev or chrome://tracing)")
-    if recorder.dropped:
-        print(f"[trace] WARNING: {recorder.dropped} event(s) dropped at "
-              f"the --max-events cap ({args.max_events})")
-    print()
-    print(render_summary(recorder.events, top=args.top,
-                         dropped=recorder.dropped))
-    print()
-    print(f"[trace] committed={result.completed} "
-          f"throughput={result.throughput_tps:.4g} TPS "
-          f"mean_rt={result.mean_response_s:.4g} s")
-    return 0
+            resolve(name)
+        except (KeyError, ValueError):
+            raise SystemExit(
+                f"unknown scheduler {name!r}; available: {available()}"
+            )
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import render_table
-    from repro.core.registry import available
     from repro.machine.config import MachineConfig
     from repro.runner import ParallelRunner, ResultCache, RunSpec
     from repro.runner.spec import paper_workload
@@ -428,11 +260,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if not schedulers or not rates:
         raise SystemExit("sweep needs at least one scheduler and one rate")
     _check_horizon(args)
-    unknown = sorted(set(schedulers) - set(available()))
-    if unknown:
-        raise SystemExit(
-            f"unknown scheduler(s) {unknown}; available: {available()}"
-        )
+    _check_schedulers(schedulers)
     if args.pool is not None and args.pool < 1:
         raise SystemExit(f"--pool must be >= 1, got {args.pool}")
     config = MachineConfig(
@@ -445,6 +273,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--telemetry needs --runs-dir (the telemetry artifacts live "
             "there)"
+        )
+    if args.stall_timeout is not None and not args.telemetry:
+        raise SystemExit(
+            "--stall-timeout needs --telemetry (stalls are detected from "
+            "the telemetry heartbeats)"
         )
     if args.stall_timeout is not None and args.stall_timeout <= 0:
         raise SystemExit(
@@ -475,33 +308,41 @@ def _command_sweep(args: argparse.Namespace) -> int:
         for rate in rates
         for scheduler in schedulers
     ]
-    results = iter(runner.run_batch(specs, label="cli-sweep"))
-    rows: typing.List[typing.List[object]] = []
-    for rate in rates:
-        row: typing.List[object] = [rate]
-        for _scheduler in schedulers:
-            result = next(results)
-            if result is None:  # the cell failed (stall / worker death)
-                row.append("-")
-            else:
-                row.append(
-                    result.mean_response_s
-                    if args.metric == "rt"
-                    else result.throughput_tps
-                )
-        rows.append(row)
-    metric_name = (
-        "mean response (s)" if args.metric == "rt" else "throughput (TPS)"
-    )
-    print(render_table(
-        ["lambda_tps"] + schedulers,
-        rows,
-        title=(
-            f"{metric_name} -- {args.workload}, DD={args.dd}, "
-            f"NumFiles={args.num_files}"
-        ),
-    ))
-    counts = (runner.last_batch or {}).get("counts", {})
+    results = runner.run_batch(specs, label="cli-sweep")
+    batch = runner.last_batch or {}
+    runs = batch.get("runs", [])
+    if len(specs) == 1:
+        if results[0] is not None:
+            print(_cell_table(args, results[0], runs[0]))
+    else:
+        cells = iter(results)
+        rows: typing.List[typing.List[object]] = []
+        for rate in rates:
+            row: typing.List[object] = [rate]
+            for _scheduler in schedulers:
+                result = next(cells)
+                if result is None:  # the cell failed (stall / worker death)
+                    row.append("-")
+                else:
+                    row.append(
+                        result.mean_response_s
+                        if args.metric == "rt"
+                        else result.throughput_tps
+                    )
+            rows.append(row)
+        metric_name = (
+            "mean response (s)" if args.metric == "rt"
+            else "throughput (TPS)"
+        )
+        print(render_table(
+            ["lambda_tps"] + schedulers,
+            rows,
+            title=(
+                f"{metric_name} -- {args.workload}, DD={args.dd}, "
+                f"NumFiles={args.num_files}"
+            ),
+        ))
+    counts = batch.get("counts", {})
     line = (
         f"[runner] pool={runner.pool_size} "
         f"cache hits={counts.get('cache_hits', 0)} "
@@ -512,23 +353,15 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if runner.last_manifest_path is not None:
         line += f" manifest={runner.last_manifest_path}"
     print(line)
-    if args.trace:
-        traced = [
-            run["trace_artifact"]
-            for run in (runner.last_batch or {}).get("runs", [])
-            if run.get("trace_artifact")
-        ]
-        print(f"[runner] trace artifacts: {len(traced)} file(s) under "
-              f"{args.traces_dir or '(disabled)'}")
-    if args.timeseries:
-        sampled = [
-            run["series_artifact"]
-            for run in (runner.last_batch or {}).get("runs", [])
-            if run.get("series_artifact")
-        ]
-        print(f"[runner] series artifacts: {len(sampled)} file(s) under "
-              f"{args.series_dir or '(disabled)'}; view one with "
-              "'python -m repro report <file>'")
+    for family, asked, directory in (
+        ("trace", args.trace, args.traces_dir),
+        ("series", args.timeseries, args.series_dir),
+    ):
+        if asked:
+            written = [run for run in runs if run.get(f"{family}_artifact")]
+            print(f"[runner] {family} artifacts: {len(written)} file(s) "
+                  f"under {directory or '(disabled)'}; view one with "
+                  "'python -m repro report <file>'")
     if args.telemetry and runner.last_batch_id is not None:
         print(f"[runner] telemetry: batch {runner.last_batch_id}; view "
               f"with 'python -m repro watch {runner.last_batch_id} "
@@ -542,12 +375,83 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_report(args: argparse.Namespace) -> int:
-    from repro import artifact
-    from repro.obs.timeseries import SERIES, render_series_report
+def _cell_table(
+    args: argparse.Namespace,
+    result: SimulationResult,
+    run: typing.Mapping[str, typing.Any],
+) -> str:
+    """The metric table of a one-cell sweep: the cell's result, then a
+    row per artifact it wrote (``run`` is its manifest entry)."""
+    from repro.analysis import render_table
 
+    rows: typing.List[typing.List[object]] = [
+        ["scheduler", result.scheduler],
+        ["workload", args.workload],
+        ["arrival rate (TPS)", result.arrival_rate_tps],
+        ["DD", args.dd],
+        ["committed", result.completed],
+        ["throughput (TPS)", result.throughput_tps],
+        ["mean response (s)", result.mean_response_s],
+        ["p95 response (s)", result.p95_response_ms / 1000.0],
+        ["p95 exact", result.p95_exact],
+        ["DPN utilisation", result.dpn_utilisation],
+        ["CN utilisation", result.cn_utilisation],
+        ["blocks", result.blocks],
+        ["delays", result.delays],
+        ["restarts", result.restarts],
+    ]
+    for family in ("trace", "series"):
+        if run.get(f"{family}_artifact"):
+            rows.append([f"{family} artifact", run[f"{family}_artifact"]])
+    return render_table(["metric", "value"], rows, title="simulation result")
+
+
+def _is_stream(path: str) -> bool:
+    """Whether a file opens with a stream header record (a TRACE
+    artifact) rather than being one JSON document (a SERIES artifact)."""
+    with open(path, encoding="utf-8") as handle:
+        line = handle.readline()
     try:
-        payload = artifact.load(args.series, SERIES)["payload"]
+        head = json.loads(line)
+    except ValueError:
+        return False
+    return isinstance(head, dict) and "kind" in head
+
+
+def _command_report(args: argparse.Namespace) -> int:
+    """Render a trace or series artifact; the file's envelope says which
+    (a trace stream is checked as TRACE, anything else as SERIES)."""
+    try:
+        if _is_stream(args.artifact):
+            from repro.obs.export import (
+                read_trace,
+                render_summary,
+                write_chrome_trace,
+            )
+
+            meta, events = read_trace(args.artifact)
+            dropped = meta.get("events_dropped", 0)
+            text = render_summary(events, dropped=dropped)
+
+            def export(path: str) -> str:
+                written = write_chrome_trace(
+                    events, path, meta=meta, dropped=dropped
+                )
+                return (f"chrome trace -> {written} (open in "
+                        "ui.perfetto.dev or chrome://tracing)")
+        else:
+            from repro import artifact
+            from repro.obs.timeseries import (
+                SERIES,
+                render_series_report,
+                write_series_csv,
+            )
+
+            payload = artifact.load(args.artifact, SERIES)["payload"]
+            text = render_series_report(payload, width=args.width)
+
+            def export(path: str) -> str:
+                return f"long-format CSV -> {write_series_csv(payload, path)}"
     except (OSError, ValueError) as exc:
         print(f"[report] ERROR: {exc}", file=sys.stderr)
         return 1
@@ -562,7 +466,9 @@ def _command_report(args: argparse.Namespace) -> int:
             return 1
         print(explain_mod.render_budget_line(budget))
         print()
-    print(render_series_report(payload, width=args.width))
+    print(text)
+    if args.export:
+        print(f"[report] {export(args.export)}")
     return 0
 
 
@@ -734,14 +640,12 @@ def _arena_time_budgets(
     into per-cell time budgets (None for a cell whose trace failed).
 
     The traced pass goes through the same cached runner, so repeats
-    are free; a cache-served cell whose trace artifact has since been
-    pruned is re-executed inline to regenerate it (traced runs are
-    byte-identical to untraced ones, so the budget is authoritative
-    either way).
+    are free; the runner simulates again a cached cell whose trace
+    artifact is missing, so every cell that ran has its trace.
     """
     from repro.obs.attrib import fold_trace_path
     from repro.runner import ParallelRunner, ResultCache
-    from repro.runner.worker import execute_spec, trace_artifact_path
+    from repro.runner.worker import trace_artifact_path
 
     traced = [dataclasses.replace(spec, trace=True) for spec in specs]
     runner = ParallelRunner(
@@ -753,8 +657,6 @@ def _arena_time_budgets(
     budgets: typing.List[typing.Optional[typing.Dict[str, typing.Any]]] = []
     for tspec in traced:
         path = trace_artifact_path(args.traces_dir, tspec)
-        if not path.exists():
-            execute_spec(tspec, traces_dir=args.traces_dir)
         try:
             budgets.append(fold_trace_path(path).budget())
         except (OSError, ValueError) as exc:
@@ -768,7 +670,6 @@ def _arena_time_budgets(
 def _command_arena(args: argparse.Namespace) -> int:
     from repro import artifact
     from repro.analysis import arena as arena_mod
-    from repro.core.registry import available
     from repro.runner import ParallelRunner, ResultCache
 
     if args.duration is None:
@@ -787,13 +688,7 @@ def _command_arena(args: argparse.Namespace) -> int:
         raise SystemExit(
             "arena needs at least one scheduler, one rate and one DD"
         )
-    for name in schedulers:
-        try:
-            arena_mod.scheduler_family(name)
-        except KeyError:
-            raise SystemExit(
-                f"unknown scheduler {name!r}; available: {available()}"
-            )
+    _check_schedulers(schedulers)
     if args.pool is not None and args.pool < 1:
         raise SystemExit(f"--pool must be >= 1, got {args.pool}")
     specs = arena_mod.arena_specs(
@@ -942,7 +837,6 @@ def _command_experiments(_args: argparse.Namespace) -> int:
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     commands = {
-        "run": _command_run, "trace": _command_trace,
         "sweep": _command_sweep, "report": _command_report,
         "watch": _command_watch, "runs": _command_runs,
         "arena": _command_arena, "explain": _command_explain,

@@ -259,22 +259,33 @@ def _parameterised(
     return entry, {parameter.kwarg: value}, label
 
 
+def resolve(
+    name: str,
+) -> typing.Tuple[
+    SchedulerEntry, typing.Dict[str, typing.Any], typing.Optional[str]
+]:
+    """``name`` as (entry, extra kwargs, the built scheduler's name or
+    None), importing nothing.  Raises ``KeyError`` for an unknown name
+    and ``ValueError`` for a parameter value its entry cannot parse.
+
+    Parameterised forms are accepted for the entries with a
+    :class:`Parameter`: ``LOW(K=n)``, ``DGCC(B=n)``, ``CAR(Q=n)`` and
+    ``PRED(T=x)``, e.g. ``LOW(K=1)`` or ``DGCC(B=16)``.
+    """
+    key = _key(name)
+    parsed = None if key in _REGISTRY else _parameterised(key)
+    return parsed or (_entry(name), {}, None)
+
+
 def create(
     name: str,
     env: Environment,
     config: MachineConfig,
     control_node: ControlNode,
 ) -> Scheduler:
-    """Instantiate the scheduler registered under ``name``.
-
-    Parameterised forms are accepted for the entries with a
-    :class:`Parameter`: ``LOW(K=n)``, ``DGCC(B=n)``, ``CAR(Q=n)`` and
-    ``PRED(T=x)``, e.g. ``LOW(K=1)`` or ``DGCC(B=16)``.  The entry's
-    module is imported here, on first use.
-    """
-    key = _key(name)
-    parsed = None if key in _REGISTRY else _parameterised(key)
-    entry, kwargs, label = parsed or (_entry(name), {}, None)
+    """Instantiate the scheduler :func:`resolve` finds under ``name``;
+    the entry's module is imported here, on first use."""
+    entry, kwargs, label = resolve(name)
     factory = entry.target
     if isinstance(factory, str):
         module, _, attribute = factory.partition(":")

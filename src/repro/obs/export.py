@@ -1,7 +1,8 @@
 """Trace exporters: JSONL, Chrome trace (Perfetto) and text summary.
 
 All three consume the same ordered :class:`~repro.obs.events.TraceEvent`
-stream a :class:`~repro.obs.recorder.MemoryRecorder` buffered:
+stream a :class:`~repro.obs.recorder.MemoryRecorder` buffered, or that
+:func:`read_trace` reads back from a JSONL artifact:
 
 - :func:`write_jsonl` -- one JSON object per line, headed by a
   ``trace.meta`` envelope; the TRACE artifact family
@@ -74,6 +75,19 @@ def read_jsonl(path: PathLike) -> typing.List[typing.Dict[str, typing.Any]]:
             if line:
                 records.append(json.loads(line))
     return records
+
+
+def read_trace(
+    path: PathLike,
+) -> typing.Tuple[typing.Dict[str, typing.Any], typing.List[TraceEvent]]:
+    """A TRACE artifact as its meta payload and its events: the inverse
+    of :func:`write_jsonl`, after checking the header's envelope."""
+    records = read_jsonl(path)
+    artifact.check_envelope(records[0] if records else None, TRACE, str(path))
+    return records[0]["payload"], [
+        TraceEvent(record.pop("t"), record.pop("kind"), record)
+        for record in records[1:]
+    ]
 
 
 # -- Chrome trace / Perfetto --------------------------------------------------

@@ -343,16 +343,17 @@ def size_hist() -> LogHistogram:
 
 
 def write_series_csv(
-    sampler: TimeSeriesSampler, path: PathLike
+    payload: typing.Mapping[str, typing.Any], path: PathLike
 ) -> pathlib.Path:
-    """Long-format CSV (``series,t_ms,value``) of every ringed point."""
+    """Long-format CSV (``series,t_ms,value``) of every point of a
+    SERIES payload (:meth:`TimeSeriesSampler.to_dict`)."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["series", "t_ms", "value"])
-        for name, series in sorted(sampler.series.items()):
-            for t, value in series.points:
+        for name, body in sorted(payload["series"].items()):
+            for t, value in body["points"]:
                 writer.writerow([name, f"{t:g}", f"{value:g}"])
     return path
 

@@ -16,7 +16,6 @@ Public surface:
   each of which can be killed alone (:mod:`repro.runner.pool`).
 - :class:`RunRegistry` -- persistent index of every executed batch.
 - :func:`execute_spec` -- one spec, inline, no orchestration.
-- :func:`default_runner` -- runner over the ``results/`` layout.
 """
 
 from repro._facade import lazy_exports
@@ -32,7 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "RunSpec": "repro.runner.spec",
     "WorkerTaskError": "repro.runner.runner",
     "WorkloadSpec": "repro.runner.spec",
-    "default_runner": "repro.runner.runner",
     "execute_spec": "repro.runner.worker",
     "print_progress": "repro.runner.runner",
     "register_workload": "repro.runner.spec",

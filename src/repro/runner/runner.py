@@ -5,7 +5,8 @@ and returns their :class:`~repro.sim.metrics.SimulationResult`s in input
 order, no matter how execution interleaves:
 
 - duplicate specs inside a batch are *coalesced* (simulated once);
-- specs seen before are served from the :class:`ResultCache`;
+- specs seen before are served from the :class:`ResultCache`, unless
+  a trace or series artifact they ask for is missing;
 - the remainder runs in-process (``backend="serial"``, or one worker)
   or fans out over a :class:`~repro.runner.pool.WorkerPool` of
   long-lived worker processes, streaming a progress line per completed
@@ -30,14 +31,14 @@ records to the parent -- a pool worker over its pipe, an in-process run
 directly -- and the parent alone writes them, with its own, to
 ``<runs_dir>/<batch_id>/telemetry.jsonl`` and folds them into an
 atomically rewritten ``status.json`` (watch it with ``repro watch``).
-With a ``stall_timeout_s`` the runner watches heartbeats: a running
-worker silent for that long is marked *stalled*, its worker alone is
-killed, and the cell is resubmitted once -- a hung cell can fail, but it
-can never hang the batch.  A worker process that dies abruptly (OOM
-kill, segfault) fails only its own cell, after one retry: the manifest
-records it as failed and the batch returns its partial results instead
-of losing everything.  ``KeyboardInterrupt`` writes a partial manifest
-marked ``interrupted`` before propagating.
+With a ``stall_timeout_s`` (telemetry only) the runner watches
+heartbeats: a running worker silent for that long is marked *stalled*,
+its worker alone is killed, and the cell is resubmitted once -- a hung
+cell can fail, but it can never hang the batch.  A worker process that
+dies abruptly (OOM kill, segfault) fails only its own cell, after one
+retry: the manifest records it as failed and the batch returns its
+partial results instead of losing everything.  ``KeyboardInterrupt``
+writes a partial manifest marked ``interrupted`` before propagating.
 """
 
 from __future__ import annotations
@@ -300,6 +301,11 @@ class ParallelRunner:
             raise ValueError(
                 "telemetry needs a runs_dir to write the batch artifacts"
             )
+        if stall_timeout_s is not None and not telemetry:
+            raise ValueError(
+                "stall_timeout_s needs telemetry (stalls are detected "
+                "from the telemetry heartbeats)"
+            )
         if stall_timeout_s is not None and stall_timeout_s <= 0:
             raise ValueError(
                 f"stall_timeout_s must be > 0, got {stall_timeout_s}"
@@ -343,10 +349,6 @@ class ParallelRunner:
 
     # -- public API ---------------------------------------------------------
 
-    def run_one(self, spec: RunSpec, label: str = "run") -> SimulationResult:
-        """Execute (or fetch) a single spec."""
-        return self.run_batch([spec], label=label)[0]
-
     def run_batch(
         self, specs: typing.Sequence[RunSpec], label: str = "batch"
     ) -> typing.List[SimulationResult]:
@@ -377,8 +379,9 @@ class ParallelRunner:
 
         pending: typing.List[int] = []  # first index of each key to compute
         for key, indices in by_key.items():
-            hit = self.cache.get(specs[indices[0]]) if self.cache else None
-            if hit is not None:
+            spec = specs[indices[0]]
+            hit = self.cache.get(spec) if self.cache else None
+            if hit is not None and self._artifacts_present(spec):
                 for index in indices:
                     results[index] = hit
                     cached_flags[index] = True
@@ -760,6 +763,21 @@ class ParallelRunner:
         artifact.write(path, MANIFEST, payload)
         self.last_manifest_path = path
 
+    def _artifacts_present(self, spec: RunSpec) -> bool:
+        """Whether every artifact ``spec`` asks this runner for is on
+        disk; a cached result without them is simulated again to write
+        them (byte-identical by contract).  An unobserved spec costs no
+        filesystem call."""
+        if (
+            spec.trace and self.traces_dir is not None
+            and not trace_artifact_path(self.traces_dir, spec).exists()
+        ):
+            return False
+        return not (
+            spec.timeseries and self.series_dir is not None
+            and not series_artifact_path(self.series_dir, spec).exists()
+        )
+
     def _trace_artifact(self, spec: RunSpec) -> typing.Optional[str]:
         """Manifest entry for a run's trace file (None when untraced).
 
@@ -783,38 +801,3 @@ class ParallelRunner:
         if self.progress is not None:
             self.progress(event)
 
-
-def default_runner(
-    pool_size: typing.Optional[int] = None,
-    cache_dir: typing.Optional[typing.Union[str, pathlib.Path]] = (
-        "results/cache"
-    ),
-    runs_dir: typing.Optional[typing.Union[str, pathlib.Path]] = (
-        "results/runs"
-    ),
-    progress: typing.Optional[
-        typing.Callable[[RunEvent], None]
-    ] = print_progress,
-    traces_dir: typing.Optional[typing.Union[str, pathlib.Path]] = (
-        "results/traces"
-    ),
-    series_dir: typing.Optional[typing.Union[str, pathlib.Path]] = (
-        "results/series"
-    ),
-    telemetry: bool = False,
-    stall_timeout_s: typing.Optional[float] = None,
-    backend: str = "local",
-) -> ParallelRunner:
-    """A runner with the conventional on-disk layout under ``results/``."""
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    return ParallelRunner(
-        pool_size=pool_size,
-        cache=cache,
-        runs_dir=runs_dir,
-        progress=progress,
-        traces_dir=traces_dir,
-        series_dir=series_dir,
-        telemetry=telemetry,
-        stall_timeout_s=stall_timeout_s,
-        backend=backend,
-    )

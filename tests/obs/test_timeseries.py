@@ -163,7 +163,7 @@ class TestExport:
         ]
 
     def test_csv_is_long_format(self, tmp_path):
-        path = write_series_csv(self._sampler(), tmp_path / "s.csv")
+        path = write_series_csv(self._sampler().to_dict(), tmp_path / "s.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "series,t_ms,value"
         assert lines[1] == "a,5,10"

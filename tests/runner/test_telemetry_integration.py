@@ -156,6 +156,14 @@ class TestHappyPath:
         with pytest.raises(ValueError, match="runs_dir"):
             ParallelRunner(telemetry=True, runs_dir=None)
 
+    def test_stall_timeout_requires_telemetry(self, tmp_path):
+        # stalls are read from heartbeats, which only telemetry sends
+        with pytest.raises(ValueError, match="needs telemetry"):
+            ParallelRunner(
+                runs_dir=tmp_path / "runs", stall_timeout_s=5.0,
+                telemetry=False,
+            )
+
     def test_registry_records_running_then_terminal(self, tmp_path):
         runner = make_runner(tmp_path)
         runner.run_batch(make_specs(2), label="reg")

@@ -8,7 +8,11 @@ from repro import artifact
 from repro.machine import MachineConfig
 from repro.obs.events import TRACE, TraceEvent
 from repro.runner import ParallelRunner, ResultCache, RunSpec, WorkloadSpec
-from repro.runner.worker import execute_spec, trace_artifact_path
+from repro.runner.worker import (
+    execute_spec,
+    series_artifact_path,
+    trace_artifact_path,
+)
 
 QUICK = dict(duration_ms=20_000.0, warmup_ms=0.0)
 
@@ -144,3 +148,39 @@ class TestRunnerIntegration:
         assert entry["trace_artifact"] == str(
             trace_artifact_path(tmp_path / "traces", spec())
         )
+
+    def test_warm_cache_writes_missing_artifacts(self, tmp_path):
+        # a cached result is no trace: a runner whose artifact
+        # directories lack a traced (or sampled) spec's files simulates
+        # the spec again to write them, and its manifest points at them
+        cache = ResultCache(tmp_path / "cache")
+        observed = spec(timeseries=True)
+        ParallelRunner(
+            pool_size=1, cache=cache, traces_dir=tmp_path / "A",
+            series_dir=tmp_path / "A", progress=None,
+        ).run_batch([observed], label="warm")
+        runner = ParallelRunner(
+            pool_size=1, cache=cache, runs_dir=tmp_path / "runs",
+            traces_dir=tmp_path / "B", series_dir=tmp_path / "B",
+            progress=None,
+        )
+        runner.run_batch([observed], label="fresh-dirs")
+        trace = trace_artifact_path(tmp_path / "B", observed)
+        series = series_artifact_path(tmp_path / "B", observed)
+        assert artifact.check_stream(trace, TRACE) > 1
+        assert series.exists()
+        assert runner.cache_misses == 1
+        entry = runner.last_batch["runs"][0]
+        assert entry["cached"] is False
+        assert entry["trace_artifact"] == str(trace)
+        assert entry["series_artifact"] == str(series)
+        on_disk = json.loads(runner.last_manifest_path.read_text())
+        assert on_disk["payload"]["runs"][0] == entry
+
+    def test_warm_cache_without_artifact_dirs_stays_a_hit(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        kwargs = dict(pool_size=1, cache=cache, progress=None)
+        ParallelRunner(**kwargs).run_batch([spec()], label="one")
+        second = ParallelRunner(**kwargs)
+        second.run_batch([spec()], label="two")
+        assert second.cache_hits == 1

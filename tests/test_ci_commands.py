@@ -160,7 +160,7 @@ class TestExtraction:
 
     def test_workflow_has_commands(self):
         verbs = {argv[0] for argv in ci_commands()}
-        assert {"trace", "sweep", "arena", "explain", "cache"} <= verbs
+        assert {"report", "sweep", "arena", "explain", "cache"} <= verbs
 
     def test_literal_block_keeps_relative_indentation(self):
         sample = (

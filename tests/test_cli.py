@@ -13,33 +13,55 @@ def load_arena(path):
     return artifact.load(path, ARENA)["payload"]
 
 
+def one_cell(scheduler, rate, tmp_path, *extra):
+    """A one-cell sweep writing only under ``tmp_path``."""
+    return main([
+        "sweep", scheduler, "--rates", rate, "--pool", "1",
+        "--cache-dir", str(tmp_path / "cache"),
+        "--runs-dir", str(tmp_path / "runs"),
+        "--traces-dir", str(tmp_path / "traces"),
+        "--series-dir", str(tmp_path / "series"),
+        *extra,
+    ])
+
+
+def only_file(directory):
+    (path,) = directory.iterdir()
+    return path
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
     def test_run_defaults(self):
-        args = build_parser().parse_args(["run", "LOW"])
-        assert args.scheduler == "LOW"
+        args = build_parser().parse_args(["sweep", "LOW"])
+        assert args.schedulers == "LOW"
         assert args.workload == "exp1"
-        assert args.rate == 1.0
         assert args.dd == 1
         assert args.mpl is None
+        assert args.trace is False and args.timeseries is False
 
     def test_run_custom_flags(self):
         args = build_parser().parse_args([
-            "run", "GOW", "--workload", "exp2", "--rate", "0.5",
+            "sweep", "GOW", "--workload", "exp2", "--rates", "0.5",
             "--dd", "4", "--mpl", "8", "--seed", "7",
         ])
         assert args.workload == "exp2"
-        assert args.rate == 0.5
+        assert args.rates == "0.5"
         assert args.dd == 4
         assert args.mpl == 8
         assert args.seed == 7
 
     def test_bad_workload_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "LOW", "--workload", "nope"])
+            build_parser().parse_args(["sweep", "LOW", "--workload", "nope"])
+
+    def test_single_run_verbs_are_gone(self):
+        for verb in ("run", "trace"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb, "LOW"])
 
 
 class TestCommands:
@@ -56,89 +78,131 @@ class TestCommands:
                     "fig11", "table4", "fig12", "fig13", "table5"):
             assert eid in out
 
-    def test_run_exp1(self, capsys):
-        code = main([
-            "run", "ASL", "--rate", "0.4",
-            "--duration", "120000", "--warmup", "20000",
-        ])
+    def test_run_exp1(self, tmp_path, capsys):
+        code = one_cell(
+            "ASL", "0.4", tmp_path, "--duration", "120000",
+            "--warmup", "20000",
+        )
         assert code == 0
         out = capsys.readouterr().out
-        assert "throughput (TPS)" in out
+        # one cell prints its metric table, not a 1 x 1 grid
+        assert "simulation result" in out
+        assert "throughput (TPS)" in out and "p95 exact" in out
         assert "ASL" in out
+        assert "lambda_tps" not in out
+        assert "artifact" not in out
 
-    def test_run_exp2(self, capsys):
-        code = main([
-            "run", "LOW", "--workload", "exp2", "--rate", "0.4",
+    def test_run_exp2(self, tmp_path, capsys):
+        code = one_cell(
+            "LOW", "0.4", tmp_path, "--workload", "exp2",
             "--duration", "100000", "--warmup", "0",
-        ])
+        )
         assert code == 0
-        assert "LOW" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "LOW" in out and "exp2" in out
 
-    def test_run_exp3_with_sigma(self, capsys):
-        code = main([
-            "run", "GOW", "--workload", "exp3", "--sigma", "2.0",
-            "--rate", "0.3", "--duration", "100000", "--warmup", "0",
-        ])
-        assert code == 0
-
-    def test_run_with_mpl(self, capsys):
-        code = main([
-            "run", "C2PL", "--mpl", "4", "--rate", "0.4",
+    def test_run_exp3_with_sigma(self, tmp_path, capsys):
+        code = one_cell(
+            "GOW", "0.3", tmp_path, "--workload", "exp3", "--sigma", "2.0",
             "--duration", "100000", "--warmup", "0",
-        ])
+        )
         assert code == 0
+        assert "exp3" in capsys.readouterr().out
 
-    def test_run_unknown_scheduler_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "NOPE", "--duration", "1000", "--warmup", "0"])
+    def test_run_with_mpl(self, tmp_path, capsys):
+        code = one_cell(
+            "C2PL", "0.4", tmp_path, "--mpl", "4",
+            "--duration", "100000", "--warmup", "0",
+        )
+        assert code == 0
+        assert "C2PL" in capsys.readouterr().out
+
+    def test_run_parameterised_scheduler(self, tmp_path, capsys):
+        code = one_cell(
+            "LOW(K=1)", "0.4", tmp_path, "--duration", "20000",
+            "--warmup", "0",
+        )
+        assert code == 0
+        assert "LOW(K=1)" in capsys.readouterr().out
+
+    def test_run_unknown_scheduler_raises(self, tmp_path):
+        for name in ("NOPE", "LOW(Q=3)", "LOW(K=x)"):
+            with pytest.raises(SystemExit, match="unknown scheduler"):
+                one_cell(name, "0.4", tmp_path, "--duration", "1000",
+                         "--warmup", "0")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_prints_one_row_per_rate(self, tmp_path, capsys):
+        code = one_cell(
+            "NODC,C2PL", "0.4,0.6", tmp_path, "--duration", "20000",
+            "--warmup", "0",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "lambda_tps" in out and "simulation result" not in out
 
 
 class TestTraceCommand:
     def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace", "LOW"])
-        assert args.jsonl == "trace.jsonl"
-        assert args.chrome == ""
-        assert args.top == 5
-        assert args.max_events is None
+        args = build_parser().parse_args(["sweep", "LOW", "--trace"])
+        assert args.trace is True
+        assert args.traces_dir == "results/traces"
+        args = build_parser().parse_args(["report", "x.trace.jsonl"])
+        assert args.export == ""
+        assert args.width == 48
 
     def test_trace_writes_artifacts_and_summary(self, tmp_path, capsys):
-        jsonl = tmp_path / "t.jsonl"
-        chrome = tmp_path / "t.json"
-        code = main([
-            "trace", "C2PL", "--rate", "0.6",
+        code = one_cell(
+            "C2PL", "0.6", tmp_path, "--trace",
             "--duration", "40000", "--warmup", "0",
-            "--jsonl", str(jsonl), "--chrome", str(chrome),
-        ])
+        )
         assert code == 0
+        trace = only_file(tmp_path / "traces")
         out = capsys.readouterr().out
-        assert "schema valid" in out
+        assert f"trace artifact  {trace}" in out
+        chrome = tmp_path / "t.json"
+        assert main(["report", str(trace), "--export", str(chrome)]) == 0
+        out = capsys.readouterr().out
         assert "trace summary" in out
         assert "events by kind" in out
-        assert jsonl.exists() and chrome.exists()
+        assert "WARNING" not in out
+        assert f"chrome trace -> {chrome}" in out
+        assert json.loads(chrome.read_text())["traceEvents"]
 
     def test_trace_jsonl_can_be_disabled(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main([
-            "trace", "NODC", "--rate", "0.4",
-            "--duration", "20000", "--warmup", "0", "--jsonl", "",
+            "sweep", "NODC", "--rates", "0.4", "--trace", "--pool", "1",
+            "--duration", "20000", "--warmup", "0",
+            "--traces-dir", "", "--cache-dir", "", "--runs-dir", "",
         ])
         assert code == 0
-        assert not (tmp_path / "trace.jsonl").exists()
-        assert "trace summary" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "trace artifacts: 0 file(s) under (disabled)" in out
+        assert "trace artifact " not in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_trace_max_events_warns_on_drop(self, tmp_path, capsys):
-        code = main([
-            "trace", "NODC", "--rate", "0.6",
-            "--duration", "40000", "--warmup", "0",
-            "--jsonl", str(tmp_path / "t.jsonl"), "--max-events", "10",
-        ])
-        assert code == 0
-        assert "dropped" in capsys.readouterr().out
+        # a capped recorder's trace says so in its meta, and the report
+        # leads with the warning
+        from repro.machine import MachineConfig
+        from repro.obs.export import write_jsonl
+        from repro.obs.recorder import MemoryRecorder
+        from repro.runner.spec import paper_workload
+        from repro.sim.simulation import run_simulation
 
-    def test_trace_bad_max_events(self):
-        with pytest.raises(SystemExit):
-            main(["trace", "LOW", "--max-events", "0",
-                  "--duration", "1000", "--warmup", "0"])
+        recorder = MemoryRecorder(max_events=10)
+        run_simulation(
+            "NODC", paper_workload("exp1", 0.6, 16, 1.0).build(),
+            MachineConfig(), duration_ms=40_000, warmup_ms=0,
+            recorder=recorder,
+        )
+        path = write_jsonl(recorder.events, tmp_path / "t.jsonl",
+                           meta={"scheduler": "NODC"},
+                           dropped=recorder.dropped)
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"WARNING: {recorder.dropped} event(s) dropped" in out
 
 
 class TestSweepCommand:
@@ -184,43 +248,41 @@ class TestSweepCommand:
 
 class TestRunSeries:
     def test_run_writes_series_artifacts(self, tmp_path, capsys):
-        series = tmp_path / "run.series.json"
-        csv = tmp_path / "run.series.csv"
-        code = main([
-            "run", "LOW", "--rate", "0.6",
+        code = one_cell(
+            "LOW", "0.6", tmp_path, "--timeseries",
             "--duration", "40000", "--warmup", "0",
-            "--series", str(series), "--series-csv", str(csv),
-        ])
+        )
         assert code == 0
+        series = only_file(tmp_path / "series")
         out = capsys.readouterr().out
-        assert "[series]" in out
         assert "p95 exact" in out
-        assert series.exists() and csv.exists()
+        assert f"series artifact  {series}" in out
+        csv = tmp_path / "run.series.csv"
+        assert main(["report", str(series), "--export", str(csv)]) == 0
+        assert f"long-format CSV -> {csv}" in capsys.readouterr().out
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "series,t_ms,value"
+        assert len(lines) > 1
 
     def test_run_without_series_flags_writes_nothing(self, tmp_path,
                                                      capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main([
-            "run", "NODC", "--rate", "0.4",
+            "sweep", "NODC", "--rates", "0.4", "--pool", "1",
             "--duration", "20000", "--warmup", "0",
+            "--cache-dir", "", "--runs-dir", "",
         ]) == 0
-        assert "[series]" not in capsys.readouterr().out
+        assert "artifact" not in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
-
-    def test_bad_sample_interval_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "LOW", "--duration", "1000", "--warmup", "0",
-                  "--series", "x.json", "--sample-interval", "0"])
 
 
 class TestReportCommand:
     def _artifact(self, tmp_path):
-        path = tmp_path / "run.series.json"
-        assert main([
-            "run", "GOW", "--rate", "0.6",
-            "--duration", "40000", "--warmup", "0", "--series", str(path),
-        ]) == 0
-        return path
+        assert one_cell(
+            "GOW", "0.6", tmp_path, "--timeseries",
+            "--duration", "40000", "--warmup", "0",
+        ) == 0
+        return only_file(tmp_path / "series")
 
     def test_report_renders_sparklines(self, tmp_path, capsys):
         path = self._artifact(tmp_path)
@@ -233,6 +295,21 @@ class TestReportCommand:
     def test_report_missing_file_fails(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.json")]) == 1
         assert "ERROR" in capsys.readouterr().err
+
+    def test_report_refuses_a_file_without_an_envelope(
+        self, tmp_path, capsys
+    ):
+        stream = tmp_path / "old.trace.jsonl"
+        stream.write_text(
+            '{"t": 0.0, "kind": "trace.meta", "schema": 1, "seed": 1}\n'
+            '{"t": 1.0, "kind": "txn.arrive", "txn": 1, "label": "B1"}\n'
+        )
+        document = tmp_path / "old.series.json"
+        document.write_text('{"series": {}}\n')
+        for path, family in ((stream, "trace"), (document, "series")):
+            assert main(["report", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert f"no artifact envelope (expected family '{family}')" in err
 
 
 class TestTelemetryCommands:
@@ -294,6 +371,14 @@ class TestTelemetryCommands:
                 "sweep", "NODC", "--rates", "0.4",
                 "--duration", "20000", "--warmup", "0",
                 "--runs-dir", "", "--telemetry",
+            ])
+
+    def test_sweep_stall_timeout_needs_telemetry(self):
+        with pytest.raises(SystemExit, match="needs --telemetry"):
+            main([
+                "sweep", "NODC", "--rates", "0.4",
+                "--duration", "20000", "--warmup", "0",
+                "--stall-timeout", "5",
             ])
 
 class TestSchedulersCommand:
@@ -398,13 +483,11 @@ class TestCacheCommand:
 class TestExplainCommand:
     @pytest.fixture()
     def trace_path(self, tmp_path):
-        path = tmp_path / "run.trace.jsonl"
-        assert main([
-            "trace", "LOW", "--rate", "1.2", "--duration", "30000",
+        assert one_cell(
+            "LOW", "1.2", tmp_path, "--trace", "--duration", "30000",
             "--warmup", "0", "--seed", "3",
-            "--jsonl", str(path), "--chrome", "",
-        ]) == 0
-        return path
+        ) == 0
+        return only_file(tmp_path / "traces")
 
     def test_explain_writes_validated_artifact_pair(
         self, trace_path, tmp_path, capsys
@@ -459,11 +542,11 @@ class TestExplainCommand:
     def test_report_leads_with_budget_headline(
         self, trace_path, tmp_path, capsys
     ):
-        series = tmp_path / "run.series.json"
-        assert main([
-            "run", "LOW", "--rate", "1.2", "--duration", "30000",
-            "--warmup", "0", "--seed", "3", "--series", str(series),
-        ]) == 0
+        assert one_cell(
+            "LOW", "1.2", tmp_path, "--timeseries", "--duration", "30000",
+            "--warmup", "0", "--seed", "3",
+        ) == 0
+        series = only_file(tmp_path / "series")
         capsys.readouterr()
         assert main([
             "report", str(series), "--explain", str(trace_path),
