@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "queued/blocked/executing/wasted why columns)")
     arn.add_argument("--traces-dir", default="results/traces",
                      help="explain-pass trace artifacts "
-                          "(default results/traces)")
+                          "(default results/traces; '' skips the pass)")
 
     exp = sub.add_parser(
         "explain",
@@ -709,7 +709,11 @@ def _command_arena(args: argparse.Namespace) -> int:
     results = runner.run_batch(specs, label="arena")
     time_budgets = None
     if not args.no_explain:
-        time_budgets = _arena_time_budgets(args, specs)
+        if args.traces_dir:
+            time_budgets = _arena_time_budgets(args, specs)
+        else:
+            print("[arena] --traces-dir '' keeps no traces: skipping the "
+                  "explain pass", file=sys.stderr)
     payload = arena_mod.arena_payload(
         specs, results, time_budgets=time_budgets
     )

@@ -101,16 +101,21 @@ def execute_spec(
     Tracing, sampling and telemetry observe without perturbing, so the
     returned result is byte-identical whatever combination of
     ``spec.trace`` / ``spec.timeseries`` / ``telemetry`` is set; only
-    the artifacts on disk differ.
+    the artifacts on disk differ.  A trace (series) is recorded only
+    when ``traces_dir`` (``series_dir``) is given to write it under.
     """
     if telemetry is not None:
         telemetry.start()
         _apply_test_hooks(telemetry.cell)
     started = time.perf_counter()
     try:
-        recorder = MemoryRecorder() if spec.trace else None
+        # buffer only what will be written
+        recorder = (
+            MemoryRecorder() if spec.trace and traces_dir is not None
+            else None
+        )
         sampler = None
-        if spec.timeseries:
+        if spec.timeseries and series_dir is not None:
             from repro.obs.timeseries import TimeSeriesSampler
 
             sampler = TimeSeriesSampler(interval_ms=SERIES_INTERVAL_MS)
@@ -127,14 +132,14 @@ def execute_spec(
         if telemetry is not None:
             telemetry.install(simulation.env)
         result = simulation.run()
-        if recorder is not None and traces_dir is not None:
+        if recorder is not None:
             from repro.obs.export import write_jsonl
 
             write_jsonl(
                 recorder.events, trace_artifact_path(traces_dir, spec),
                 meta=_spec_meta(spec), dropped=recorder.dropped,
             )
-        if sampler is not None and series_dir is not None:
+        if sampler is not None:
             from repro.obs.timeseries import SERIES
 
             artifact.write(

@@ -16,7 +16,12 @@ natural evolution of the WTPG family:
   next epoch opens.  (An unfilled batch keeps admitting, so light loads
   never stall waiting for a quorum.)  A rejected admission parks on the
   *epoch pool*, which only the drain wakes: the commits inside an epoch
-  cannot change its verdict.
+  cannot change its verdict.  A drain wakes only the oldest
+  ``batch_size`` waiters, as no more can join the next batch; the rest
+  stay parked, in order.  None is stranded: admissions are rejected
+  only while the batch is sealed, and the control node decides every
+  woken admission before a new member can commit, so either the pool
+  empties or the batch seals and will drain again.
 - **Graph construction.**  Admission records the newcomer's declared
   access set in per-file declaration queues; the dependency order
   within the batch is the admission order.  The conflict graph over the
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.base import Decision
+from repro.core.base import Decision, _priority
 from repro.des import Event
 from repro.schedulers.modern.base import DeclaredOrderScheduler
 from repro.txn.step import AccessMode
@@ -110,8 +115,11 @@ class DGCCScheduler(DeclaredOrderScheduler):
         if not self._live:
             self._sealed = False  # the epoch drained; the next one may open
             self._epoch += 1
-            waiters, self._epoch_waiters = self._epoch_waiters, []
-            self._wake(waiters)
+            # no more than a batch can join: wake the oldest, and the
+            # rest stay parked in order for a later drain
+            waiters = sorted(self._epoch_waiters, key=_priority)
+            self._epoch_waiters = waiters[self.batch_size:]
+            self._wake(waiters[: self.batch_size])
 
     # -- the dependency graphs --------------------------------------------
 

@@ -133,34 +133,72 @@ class TestDGCC:
 
     def test_rejected_admissions_wake_only_at_epoch_drains(self):
         class DrainLog(DGCCScheduler):
-            """Records the epoch pool's size at each drain."""
+            """Records each admission verdict and, at each drain, the
+            epoch pool and the entries the drain woke."""
 
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self.backlogs = []
+                self.verdicts = []  # (txn id, admitted)
+                self.drains = []  # (pool priorities, woken priorities)
+
+            def _try_admit(self, txn):
+                admitted = yield from super()._try_admit(txn)
+                self.verdicts.append((txn.txn_id, admitted))
+                return admitted
 
             def _on_commit(self, txn):
-                if len(self._live) == 1:  # this commit drains the epoch
-                    self.backlogs.append(len(self._epoch_waiters))
+                pool = list(self._epoch_waiters)
                 yield from super()._on_commit(txn)
+                if not self._live:  # this commit drained the epoch
+                    woken = [e for e in pool if e not in self._epoch_waiters]
+                    self.drains.append(
+                        ([p for p, _ in pool], [p for p, _ in woken])
+                    )
 
         h = Harness(DrainLog, batch_size=2)
+
+        def arrive(txn_id, at, hold_ms):
+            def proc():
+                yield h.env.timeout(at)
+                yield h.lifecycle(
+                    make_txn(txn_id, [(txn_id, "w", 1.0)], arrival=at),
+                    hold_ms=hold_ms,
+                )
+
+            h.env.process(proc())
+
         for txn_id in range(1, 8):
-            h.lifecycle(
-                make_txn(txn_id, [(txn_id, "w", 1.0)]),
-                hold_ms=100.0 * txn_id,  # commits spread inside epochs
-            )
+            # commits spread inside epochs
+            arrive(txn_id, 0.1 * txn_id, hold_ms=100.0 * txn_id)
+        # a newcomer whose admission slice straddles the first drain
+        # (at 209 ms): it takes a seat, so one woken waiter parks again
+        arrive(8, 208.5, hold_ms=50.0)
         h.run()
         scheduler = h.scheduler
-        assert len(h.events("committed")) == 7
+        assert len(h.events("committed")) == 8
+        # {1, 2}, {8, 3}, {4, 5}, {6, 7}
         assert scheduler._epoch == 4
-        # every rejection parks until a drain, and every drain wakes the
-        # whole pool: rejections are exactly the backlogs summed over
-        # the drains (a wake on every commit would re-reject the backlog
-        # at each of an epoch's commits)
-        rejections = scheduler.stats.admission_rejections.total
-        assert rejections > 0
-        assert rejections == sum(scheduler.backlogs)
+        for pool, woken in scheduler.drains:
+            # a drain wakes the next batch only, oldest first
+            assert len(woken) == min(len(pool), scheduler.batch_size)
+            assert sorted(woken) == sorted(pool)[: len(woken)]
+        assert [len(pool) for pool, _ in scheduler.drains] == [5, 4, 2, 0]
+        # a woken waiter is rejected again only when a newcomer (a first
+        # attempt) took its seat in between: 3..7 found the first batch
+        # sealed, and 4 once more behind txn 8
+        seen = set()
+        #: rejected txn id -> whether a newcomer was admitted since
+        newcomer_since = {}
+        for txn_id, admitted in scheduler.verdicts:
+            if not admitted:
+                assert newcomer_since.get(txn_id, True), (
+                    f"txn {txn_id} rejected twice with no newcomer between"
+                )
+                newcomer_since[txn_id] = False
+            elif txn_id not in seen:
+                newcomer_since = dict.fromkeys(newcomer_since, True)
+            seen.add(txn_id)
+        assert scheduler.stats.admission_rejections.total == 6
 
 
 class TestCAR:
@@ -423,6 +461,11 @@ class WakeOracle:
     still-parked DELAYed request: the condition that delayed it must
     still hold.  A grant or an admission that let a parked request
     through without waking it would be a lost wake-up.
+
+    DGCC's epoch pool is checked the same way after every admission
+    verdict and every commit: a rejected admission may stay parked only
+    while the batch is sealed or a woken admission is still pending
+    (its verdict will either seal the batch or empty the pool's head).
     """
 
     def __init__(self, *args, **kwargs):
@@ -431,6 +474,10 @@ class WakeOracle:
         self.parked = {}
         self.checked = 0
         self._delayed = None
+        #: txn id -> wake event of its parked admission, until a verdict
+        self._admitting = {}
+        self._rejected = None
+        self.epoch_checked = 0
 
     def _try_acquire(self, txn, file_id, mode):
         decision = yield from super()._try_acquire(txn, file_id, mode)
@@ -439,11 +486,37 @@ class WakeOracle:
         )
         return decision
 
+    def _try_admit(self, txn):
+        admitted = yield from super()._try_admit(txn)
+        self._admitting.pop(txn.txn_id, None)  # its verdict is in
+        self._rejected = None if admitted else txn
+        self._check_epoch_pool()
+        return admitted
+
     def _wait_on(self, wake, pool, fallback, priority):
         if pool is self._commit_waiters and self._delayed is not None:
             self.parked[wake] = self._delayed
             self._delayed = None
+        if pool is self._admission_waiters() and self._rejected is not None:
+            self._admitting[self._rejected.txn_id] = wake
+            self._rejected = None
         return super()._wait_on(wake, pool, fallback, priority)
+
+    def _on_commit(self, txn):
+        yield from super()._on_commit(txn)
+        self._check_epoch_pool()
+
+    def _check_epoch_pool(self):
+        pool = getattr(self, "_epoch_waiters", None)  # DGCC only
+        if not pool:
+            return
+        self.epoch_checked += 1
+        pending = any(wake.triggered for wake in self._admitting.values())
+        assert self._sealed or pending, (
+            f"{len(pool)} admission(s) stranded on the epoch pool at "
+            f"t={self.env.now}: the batch is open and no woken admission "
+            f"is pending"
+        )
 
     def _still_delayed(self, txn, file_id, mode):
         if self._has_conflict_predecessor(txn, file_id, mode):
@@ -544,6 +617,14 @@ class TestExactWakeups:
         assert oracle.checked > 0
         assert result.completed > 0
         assert auditor.is_serializable(), auditor.find_cycle()
+
+    @pytest.mark.parametrize("scheduler", ["DGCC", "DGCC(B=4)"])
+    def test_oracle_sees_the_epoch_pool(self, scheduler):
+        # a drain that left the pool's head parked with the batch open
+        # would strand it: on a contended cell the oracle must have
+        # re-checked a non-empty pool
+        _, _, oracle = checked_run(scheduler, 1.2, 1, seed=3)
+        assert oracle.epoch_checked > 0
 
     def test_oracle_sees_repartitions(self):
         # a re-partition that moves a parked request must wake it; this

@@ -182,6 +182,34 @@ class TestTraceCommand:
         assert "trace artifact " not in out
         assert list(tmp_path.iterdir()) == []
 
+    def test_disabled_trace_is_not_buffered(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # with nowhere to write it, a traced cell records nothing and
+        # prints what the untraced cell prints
+        from repro.runner import worker
+
+        def no_recorder(*args, **kwargs):
+            raise AssertionError("built a recorder for an unwritten trace")
+
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "sweep", "NODC", "--rates", "0.4", "--pool", "1",
+            "--duration", "20000", "--warmup", "0",
+            "--traces-dir", "", "--cache-dir", "", "--runs-dir", "",
+        ]
+        assert main(argv) == 0
+        untraced = capsys.readouterr().out
+        monkeypatch.setattr(worker, "MemoryRecorder", no_recorder)
+        assert main([*argv, "--trace"]) == 0
+        traced = capsys.readouterr().out
+
+        def table(out):
+            return out.split("[runner] pool=")[0]
+
+        assert "simulation result" in table(traced)
+        assert table(traced) == table(untraced)
+
     def test_trace_max_events_warns_on_drop(self, tmp_path, capsys):
         # a capped recorder's trace says so in its meta, and the report
         # leads with the warning
@@ -430,6 +458,17 @@ class TestArenaCommand:
         md = (tmp_path / "arena" / "ARENA.md").read_text(encoding="utf-8")
         assert "%queued" in md and "%wasted" in md
         assert (tmp_path / "traces").glob("*.trace.jsonl")
+
+    def test_empty_traces_dir_skips_the_explain_pass(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # '' means no trace artifacts, as in sweep: nothing lands in cwd
+        monkeypatch.chdir(tmp_path)
+        assert self.run_arena(tmp_path, "--traces-dir", "") == 0
+        assert "skipping the explain pass" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.trace.jsonl")) == []
+        payload = load_arena(tmp_path / "arena" / "ARENA.json")
+        assert all("time_budget" not in c for c in payload["cells"])
 
     def test_unknown_scheduler_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
